@@ -1,6 +1,6 @@
 """shardsim: replay blockchain transaction traces against sharding strategies.
 
-Builds the weighted directed interaction graph of a trace, assigns vertices
+Builds the weighted interaction graph of a trace, assigns vertices
 to shards under one of five strategies (hashing, probabilistic KL exchange,
 and three multilevel-partitioner variants), and reports edge-cut, balance,
 and vertex-move metrics per measurement window.

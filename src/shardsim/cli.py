@@ -59,8 +59,11 @@ def main() -> None:
     logging.basicConfig(level=getattr(logging, level, logging.WARNING))
 
 
-def _run_one_replay(args: tuple) -> tuple[int, str]:
-    """Worker for --sweep; module-level so it pickles."""
+def _run_one_replay(args: tuple) -> tuple[int, str, int]:
+    """Worker for --sweep; module-level so it pickles.
+
+    Returns (k, output text, malformed rows skipped).
+    """
     (trace_path, fmt, strict, k, strategy, metric_window, interval, cut_thr, bal_thr,
      epsilon, seed, kl_rounds, cumulative, out_format) = args
     stats = ParseStats()
@@ -79,7 +82,7 @@ def _run_one_replay(args: tuple) -> tuple[int, str]:
         payload = samples_to_json(result.samples, k)
     else:
         payload = samples_to_csv(result.samples, k)
-    return k, payload
+    return k, payload, stats.skipped
 
 
 @main.command()
@@ -127,7 +130,10 @@ def replay(trace_path, fmt, k, strategy, metric_window, repartition_interval, cu
     except TraceError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(1)
-    for kk, payload in results:
+    skipped = results[0][2]  # every job reads the same trace
+    if skipped:
+        click.echo(f"skipped {skipped} malformed rows", err=True)
+    for kk, payload, _ in results:
         path = out_path if len(results) == 1 else _sweep_path(out_path, kk)
         if path is None:
             click.echo(payload, nl=False)

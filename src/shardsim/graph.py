@@ -1,9 +1,9 @@
 """Evolving weighted interaction graph and per-window activity tracking.
 
-Edge direction is preserved in ``directed`` but all cut/partition logic works
-on the undirected view: anti-parallel pairs merge with summed weight, keyed by
-the sorted endpoint pair. Self-loops live in the undirected edge map but are
-kept out of the adjacency (they can never be cut).
+Records are directed (caller -> callee), but all cut/partition logic works on
+the undirected graph kept here: anti-parallel pairs merge with summed weight,
+keyed by the sorted endpoint pair. Self-loops live in the undirected edge map
+but are kept out of the adjacency (they can never be cut).
 """
 
 from __future__ import annotations
@@ -26,11 +26,11 @@ class VertexInfo:
 
 
 class InteractionGraph:
-    """Weighted directed interaction graph with an undirected merged view."""
+    """Weighted undirected interaction graph: edge weights count the records
+    between two vertices in either direction."""
 
     def __init__(self) -> None:
         self.vertices: dict[str, VertexInfo] = {}
-        self.directed: dict[tuple[str, str], int] = {}
         self.undirected: dict[tuple[str, str], int] = {}
         self.adj: dict[str, dict[str, int]] = {}
 
@@ -40,10 +40,6 @@ class InteractionGraph:
     @property
     def num_vertices(self) -> int:
         return len(self.vertices)
-
-    @property
-    def num_directed_edges(self) -> int:
-        return len(self.directed)
 
     @property
     def num_undirected_edges(self) -> int:
@@ -66,7 +62,6 @@ class InteractionGraph:
         dinfo = self.ensure_vertex(dst, dst_kind)
         sinfo.weight += 1
         dinfo.weight += 1
-        self.directed[(src, dst)] = self.directed.get((src, dst), 0) + 1
         key = ukey(src, dst)
         self.undirected[key] = self.undirected.get(key, 0) + 1
         if src != dst:

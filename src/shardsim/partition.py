@@ -9,6 +9,7 @@ projecting back up the levels.
 
 from __future__ import annotations
 
+import heapq
 import random
 from collections import Counter
 from dataclasses import dataclass, field
@@ -23,7 +24,7 @@ MASK64 = (1 << 64) - 1
 @dataclass
 class PartitionerConfig:
     k: int = 2
-    epsilon: float = 0.05  # shard weight cap = (1 + epsilon) * total / k
+    epsilon: float = 0.05  # shard weight cap, see balance_cap
     hash_seed: int = 0
     rng_seed: int = 0
     kl_rounds: int = 1
@@ -36,6 +37,10 @@ class PartitionerConfig:
             raise ValueError("k must be >= 1")
         if self.epsilon < 0:
             raise ValueError("epsilon must be >= 0")
+
+    def balance_cap(self, total_weight: int) -> float:
+        """Largest shard weight allowed: (1 + epsilon) * total / k."""
+        return (1.0 + self.epsilon) * total_weight / self.k
 
 
 # ---------------------------------------------------------------------------
@@ -374,30 +379,77 @@ def _shard_weights(pg: PartGraph, part: Sequence[int], k: int) -> list[int]:
 
 
 def _repair_balance(pg: PartGraph, part: list[int], k: int, cap: float) -> bool:
-    """Move cheapest vertices out of overweight shards. Returns feasibility."""
+    """Move cheapest vertices out of overweight shards. Returns feasibility.
+
+    Each step takes the heaviest shard ``over`` (lowest index on ties) and
+    makes the move of one of its vertices ``v`` to a shard ``j`` that stays
+    within ``cap`` minimising ``(conn[v][over] - conn[v][j], weights[j], v,
+    j)``, where ``conn[v][j]`` is v's edge weight into shard j. It stops when
+    no shard is over the cap, no move fits, or after ``2 * |V|`` moves.
+
+    No vertex ever joins a shard that is over the cap, so ``conn`` is kept
+    only for the vertices of shards that start over it, and updated move by
+    move. One heap per target shard ``j`` holds ``(conn[v][over] -
+    conn[v][j], v)`` for the members of ``over``, rebuilt when the heaviest
+    shard changes. A move out of ``over`` lowers every key of the mover's
+    neighbours in ``over``, so their fresh keys are pushed and always sit
+    ahead of the out-of-date ones. An entry is discarded when its vertex has
+    left ``over`` or no longer fits in ``j``; the latter is final while
+    ``over`` stays the heaviest, because the other shards only gain weight.
+    Edge weights must be non-negative and the adjacency symmetric, as in
+    every PartGraph.
+    """
+    n = len(pg)
+    vwgt, adj = pg.vwgt, pg.adj
     weights = _shard_weights(pg, part, k)
-    for _ in range(len(pg) * 2):
+    if max(weights) <= cap:
+        return True
+    conn: list[list[int] | None] = [None] * n
+    for v in range(n):
+        if weights[part[v]] > cap:
+            c = conn[v] = [0] * k
+            for u, w in adj[v].items():
+                c[part[u]] += w
+    heaps: list[list[tuple[int, int]]] = []
+    heaps_over = -1
+    for _ in range(n * 2):
         over = max(range(k), key=lambda i: weights[i])
         if weights[over] <= cap:
             return True
-        best_v, best_j, best_cost = -1, -1, None
-        for v in range(len(pg)):
-            if part[v] != over:
-                continue
-            conn = [0] * k
-            for u, w in pg.adj[v].items():
-                conn[part[u]] += w
-            for j in range(k):
-                if j == over or weights[j] + pg.vwgt[v] > cap:
-                    continue
-                cost = (conn[over] - conn[j], weights[j], v)
-                if best_cost is None or cost < best_cost:
-                    best_v, best_j, best_cost = v, j, cost
-        if best_v == -1:
+        if over != heaps_over:
+            members = [v for v in range(n) if part[v] == over]
+            heaps = [
+                [(conn[v][over] - conn[v][j], v) for v in members if j != over and weights[j] + vwgt[v] <= cap]
+                for j in range(k)
+            ]
+            for h in heaps:
+                heapq.heapify(h)
+            heaps_over = over
+        best: tuple[int, int, int, int] | None = None
+        for j, h in enumerate(heaps):
+            while h:
+                d, v = h[0]
+                if part[v] == over and weights[j] + vwgt[v] <= cap:
+                    if best is None or (d, weights[j], v, j) < best:
+                        best = (d, weights[j], v, j)
+                    break
+                heapq.heappop(h)
+        if best is None:
             return False
-        part[best_v] = best_j
-        weights[over] -= pg.vwgt[best_v]
-        weights[best_j] += pg.vwgt[best_v]
+        _, _, v, to = best
+        part[v] = to
+        weights[over] -= vwgt[v]
+        weights[to] += vwgt[v]
+        for u, w in adj[v].items():
+            c = conn[u]
+            if c is None:
+                continue
+            c[over] -= w
+            c[to] += w
+            if part[u] == over:
+                for j, h in enumerate(heaps):
+                    if j != over and weights[j] + vwgt[u] <= cap:
+                        heapq.heappush(h, (c[over] - c[j], u))
     return max(weights) <= cap
 
 
@@ -464,6 +516,8 @@ class MultilevelResult:
     infeasible_balance: bool = False
     # (cut_before, cut_after) per refinement pass, for monotonicity checks
     refinement_cuts: list[tuple[int, int]] = field(default_factory=list)
+    balance_cap: float = 0.0
+    max_vertex_weight: int = 0  # the cap cannot be met when this exceeds it
 
 
 def partition_partgraph(pg: PartGraph, cfg: PartitionerConfig) -> tuple[list[int], bool, list[tuple[int, int]]]:
@@ -479,8 +533,7 @@ def partition_partgraph(pg: PartGraph, cfg: PartitionerConfig) -> tuple[list[int
         return [0] * n, False, []
 
     rng = random.Random(cfg.rng_seed)
-    total = pg.total_vwgt()
-    cap = (1.0 + cfg.epsilon) * total / k
+    cap = cfg.balance_cap(pg.total_vwgt())
     infeasible = max(pg.vwgt) > cap
     pass_cuts: list[tuple[int, int]] = []
 
@@ -529,7 +582,9 @@ def multilevel_partition(
     pg = PartGraph.from_interaction_graph(graph, weights)
     part, infeasible, pass_cuts = partition_partgraph(pg, cfg)
     shard_of = {pg.names[i]: part[i] for i in range(len(pg))}
-    return MultilevelResult(Assignment(shard_of, cfg.k), infeasible, pass_cuts)
+    return MultilevelResult(
+        Assignment(shard_of, cfg.k), infeasible, pass_cuts, cfg.balance_cap(pg.total_vwgt()), max(pg.vwgt)
+    )
 
 
 # ---------------------------------------------------------------------------

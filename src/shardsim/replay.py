@@ -24,6 +24,7 @@ from shardsim.graph import (
 )
 from shardsim.metrics import Assignment, MetricSample, balance, count_moves, edge_cut
 from shardsim.partition import (
+    MultilevelResult,
     PartitionerConfig,
     assign_new_vertex,
     hash_partition,
@@ -82,7 +83,6 @@ class ReplayResult:
     repartition_timestamps: list[int]
     final_assignment: Assignment
     refinement_cuts: list[tuple[int, int]] = field(default_factory=list)
-    skipped_rows: int = 0
 
 
 def fire_trigger(
@@ -143,6 +143,7 @@ def repartition(
     pcfg = cfg.partitioner
     assert pcfg is not None
     pass_cuts: list[tuple[int, int]] = []
+    res: MultilevelResult | None = None
 
     if strategy is Strategy.METIS_FULL:
         if graph.num_vertices == 0:
@@ -169,6 +170,11 @@ def repartition(
     else:
         return a, 0, 0, pass_cuts
 
+    if res is not None and res.infeasible_balance:
+        log.info(
+            "repartition at %d: balance cap %g not met (heaviest vertex weighs %d)",
+            clock, res.balance_cap, res.max_vertex_weight,
+        )
     raw_moves = count_moves(a, new)
     matched = relabel_to_match(a, new, cfg.k)
     moves = count_moves(a, matched)

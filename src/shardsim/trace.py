@@ -31,9 +31,16 @@ class VertexKind(Enum):
 
 
 class CallKind(Enum):
+    """Call kind of a record. Input also accepts ``contract_call`` and
+    ``contract_create``; traces are written with the values below."""
+
     TRANSFER = "transfer"
     CONTRACT_CALL = "contractcall"
     CONTRACT_CREATE = "contractcreate"
+
+    @classmethod
+    def _missing_(cls, value: object) -> "CallKind | None":
+        return {"contract_call": cls.CONTRACT_CALL, "contract_create": cls.CONTRACT_CREATE}.get(value)
 
 
 class TraceError(Exception):

@@ -82,6 +82,10 @@ def test_replay_malformed_strict_vs_lenient(tmp_path):
     assert res.exit_code == 1
     res = run("replay", "--trace", str(bad), "--shards", "2", "--lenient")
     assert res.exit_code == 0
+    assert res.stdout.startswith("window_start,")
+    assert res.stderr.splitlines()[-1] == "skipped 1 malformed rows"
+    res = run("replay", "--trace", str(trace), "--shards", "2", "--lenient")
+    assert res.exit_code == 0 and "skipped" not in res.stderr
 
 
 def test_sweep_runs_multiple_k(tmp_path):

@@ -2,6 +2,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from shardsim.graph import WindowActivity
 from shardsim.metrics import Assignment, edge_cut
@@ -9,6 +10,8 @@ from shardsim.partition import (
     Candidate,
     PartGraph,
     PartitionerConfig,
+    _repair_balance,
+    _shard_weights,
     assign_new_vertex,
     coarsen_once,
     cut_weight,
@@ -332,6 +335,86 @@ def test_coarsening_kicks_in_on_large_graph():
     part, _, pass_cuts = partition_partgraph(pg, cfg)
     assert len(set(part)) == 2
     assert pass_cuts  # refinement ran on at least one level
+
+
+# --- balance repair oracle ---------------------------------------------------
+
+
+def _repair_balance_scan(pg: PartGraph, part: list[int], k: int, cap: float) -> bool:
+    """Reference: the full-rescan repair that _repair_balance must reproduce move for move."""
+    weights = _shard_weights(pg, part, k)
+    for _ in range(len(pg) * 2):
+        over = max(range(k), key=lambda i: weights[i])
+        if weights[over] <= cap:
+            return True
+        best_v, best_j, best_cost = -1, -1, None
+        for v in range(len(pg)):
+            if part[v] != over:
+                continue
+            conn = [0] * k
+            for u, w in pg.adj[v].items():
+                conn[part[u]] += w
+            for j in range(k):
+                if j == over or weights[j] + pg.vwgt[v] > cap:
+                    continue
+                cost = (conn[over] - conn[j], weights[j], v)
+                if best_cost is None or cost < best_cost:
+                    best_v, best_j, best_cost = v, j, cost
+        if best_v == -1:
+            return False
+        part[best_v] = best_j
+        weights[over] -= pg.vwgt[best_v]
+        weights[best_j] += pg.vwgt[best_v]
+    return max(weights) <= cap
+
+
+@st.composite
+def repair_cases(draw):
+    """A symmetric PartGraph, a starting part skewed toward low shards, k and a cap."""
+    n = draw(st.integers(1, 30))
+    k = draw(st.integers(2, 6))
+    adj: list[dict[int, int]] = [{} for _ in range(n)]
+    edge = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.integers(1, 5))
+    for u, v, w in draw(st.lists(edge, max_size=4 * n)):
+        if u != v:
+            adj[u][v] = adj[v][u] = w
+    if draw(st.booleans()):
+        vwgt = [1] * n
+    else:  # activity weights
+        vwgt = draw(st.lists(st.integers(1, 20), min_size=n, max_size=n))
+    epsilon = draw(st.sampled_from([0.0, 0.05, 0.3]))
+    if draw(st.booleans()):  # one vertex heavier than any cap this can give
+        vwgt[draw(st.integers(0, n - 1))] = 2 * sum(vwgt) + 1
+    top = draw(st.integers(0, k - 1))
+    part = draw(st.lists(st.integers(0, top), min_size=n, max_size=n))
+    return PartGraph(vwgt, adj), part, k, (1 + epsilon) * sum(vwgt) / k
+
+
+@settings(max_examples=400, deadline=None)
+@given(repair_cases())
+def test_repair_balance_matches_scan_reference(case):
+    pg, part, k, cap = case
+    fast, ref = list(part), list(part)
+    assert _repair_balance(pg, fast, k, cap) == _repair_balance_scan(pg, ref, k, cap)
+    assert fast == ref
+
+
+def test_repair_balance_heaviest_shard_changes():
+    # shards 0 and 1 both start over the cap (4.2); repairing shard 0 makes
+    # shard 1 the heaviest midway, so the repair must switch shards
+    n = 12
+    adj: list[dict[int, int]] = [{} for _ in range(n)]
+    for v in range(n):
+        u = (v + 1) % n
+        adj[v][u] = adj[u][v] = 1 + v % 3
+    pg = PartGraph([1] * n, adj)
+    start = [0] * 6 + [1] * 5 + [2]
+    fast, ref = list(start), list(start)
+    assert _repair_balance(pg, fast, 3, 4.2) is True
+    assert _repair_balance_scan(pg, ref, 3, 4.2) is True
+    assert fast == ref
+    left = {start[v] for v in range(n) if fast[v] != start[v]}
+    assert left == {0, 1}
 
 
 # --- new-vertex placement ---------------------------------------------------

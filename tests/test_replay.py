@@ -1,12 +1,22 @@
+import logging
 import random
 
 from shardsim.metrics import Assignment, count_moves
 from shardsim.partition import PartitionerConfig
-from shardsim.replay import HOUR, DAY, ReplayConfig, Strategy, fire_trigger, relabel_to_match, run_replay
+from shardsim.replay import (
+    HOUR,
+    DAY,
+    ReplayConfig,
+    Strategy,
+    fire_trigger,
+    relabel_to_match,
+    repartition,
+    run_replay,
+)
 from shardsim.metrics import MetricSample
 from shardsim.synth import WorkloadSpec, generate_workload
 
-from conftest import make_record, vid
+from conftest import graph_from_pairs, make_record, vid
 
 
 def sample(cut=0.0, bal=1.0, start=0):
@@ -134,3 +144,15 @@ def test_refinement_monotone_in_replays():
         assert res.refinement_cuts
         for before, after in res.refinement_cuts:
             assert after <= before
+
+
+def test_infeasible_balance_is_logged(caplog):
+    # three unit vertices in two shards: the heavier shard weighs 2 > cap 1.575
+    cfg = basic_cfg(Strategy.METIS_FULL)
+    with caplog.at_level(logging.INFO, logger="shardsim.replay"):
+        for n in (4, 3):
+            graph = graph_from_pairs([(i, i + 1) for i in range(n - 1)])
+            a = Assignment({vid(i): 0 for i in range(n)}, 2)
+            repartition(Strategy.METIS_FULL, graph, [], a, cfg, 5000 + n, 0)
+    messages = [r.getMessage() for r in caplog.records if r.levelno == logging.INFO]
+    assert messages == ["repartition at 5003: balance cap 1.575 not met (heaviest vertex weighs 1)"]

@@ -105,6 +105,23 @@ def test_jsonl_parses():
     assert r.timestamp == 5 and r.call_kind is CallKind.TRANSFER
 
 
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+@pytest.mark.parametrize(
+    "spelling, kind",
+    [
+        ("contractcall", CallKind.CONTRACT_CALL),
+        ("contract_call", CallKind.CONTRACT_CALL),
+        ("contractcreate", CallKind.CONTRACT_CREATE),
+        ("contract_create", CallKind.CONTRACT_CREATE),
+    ],
+)
+def test_call_kind_spellings(fmt, spelling, kind):
+    record = TraceRecord(5, 1, A1, VertexKind.ACCOUNT, A2, VertexKind.CONTRACT, kind, "t")
+    text = serialize_trace([record], fmt).replace(kind.value, spelling)
+    assert spelling in text
+    assert parse_str(text, fmt) == [record]
+
+
 addresses = st.text(alphabet="0123456789abcdef", min_size=40, max_size=40)
 records_strategy = st.builds(
     TraceRecord,
