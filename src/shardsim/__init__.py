@@ -3,7 +3,9 @@
 Builds the weighted interaction graph of a trace, assigns vertices
 to shards under one of five strategies (hashing, probabilistic KL exchange,
 and three multilevel-partitioner variants), and reports edge-cut, balance,
-and vertex-move metrics per measurement window.
+and vertex-move metrics per measurement window. One counts type,
+InteractionGraph, serves the whole trace, a metric window and a repartition
+period alike.
 """
 
 from shardsim.trace import (
@@ -18,7 +20,7 @@ from shardsim.trace import (
     serialize_trace,
     validate_kinds,
 )
-from shardsim.graph import InteractionGraph, WindowActivity, apply_record, close_window, window_subgraph
+from shardsim.graph import InteractionGraph, apply_record, window_subgraph
 from shardsim.metrics import Assignment, MetricSample, balance, count_moves, edge_cut, normalized_balance
 from shardsim.partition import (
     PartitionerConfig,
@@ -48,12 +50,10 @@ __all__ = [
     "TraceError",
     "TraceRecord",
     "VertexKind",
-    "WindowActivity",
     "WorkloadSpec",
     "apply_record",
     "assign_new_vertex",
     "balance",
-    "close_window",
     "count_moves",
     "edge_cut",
     "generate_workload",

@@ -9,6 +9,7 @@ Set ``SHARDSIM_LOG=DEBUG`` (or INFO, ...) for diagnostics.
 from __future__ import annotations
 
 import concurrent.futures
+import functools
 import logging
 import os
 import re
@@ -59,30 +60,20 @@ def main() -> None:
     logging.basicConfig(level=getattr(logging, level, logging.WARNING))
 
 
-def _run_one_replay(args: tuple) -> tuple[int, str, int]:
+def _run_one_replay(
+    trace_path: str, fmt: str, strict: bool, cfg: ReplayConfig, out_format: str
+) -> tuple[int, str, int]:
     """Worker for --sweep; module-level so it pickles.
 
     Returns (k, output text, malformed rows skipped).
     """
-    (trace_path, fmt, strict, k, strategy, metric_window, interval, cut_thr, bal_thr,
-     epsilon, seed, kl_rounds, cumulative, out_format) = args
     stats = ParseStats()
-    cfg = ReplayConfig(
-        k=k,
-        strategy=Strategy(strategy),
-        metric_window=metric_window,
-        repartition_interval=interval,
-        cut_threshold=cut_thr,
-        balance_threshold=bal_thr,
-        partitioner=PartitionerConfig(k=k, epsilon=epsilon, hash_seed=seed, rng_seed=seed, kl_rounds=kl_rounds),
-        cumulative_weights=cumulative,
-    )
     result = run_replay(read_trace(trace_path, fmt, strict=strict, stats=stats), cfg)
     if out_format == "json":
-        payload = samples_to_json(result.samples, k)
+        payload = samples_to_json(result.samples, cfg.k)
     else:
-        payload = samples_to_csv(result.samples, k)
-    return k, payload, stats.skipped
+        payload = samples_to_csv(result.samples, cfg.k)
+    return cfg.k, payload, stats.skipped
 
 
 @main.command()
@@ -116,17 +107,31 @@ def replay(trace_path, fmt, k, strategy, metric_window, repartition_interval, cu
     if sweep is not None and out_path is None:
         raise click.UsageError("--sweep requires --out")
 
-    jobs = [
-        (trace_path, fmt, not lenient, kk, strategy, metric_window, repartition_interval,
-         cut_threshold, balance_threshold, epsilon, seed, kl_rounds, weights == "cumulative", out_format)
-        for kk in ks
-    ]
     try:
-        if len(jobs) == 1:
-            results = [_run_one_replay(jobs[0])]
+        cfgs = [
+            ReplayConfig(
+                k=kk,
+                strategy=Strategy(strategy),
+                metric_window=metric_window,
+                repartition_interval=repartition_interval,
+                cut_threshold=cut_threshold,
+                balance_threshold=balance_threshold,
+                partitioner=PartitionerConfig(
+                    k=kk, epsilon=epsilon, hash_seed=seed, rng_seed=seed, kl_rounds=kl_rounds
+                ),
+                cumulative_weights=weights == "cumulative",
+            )
+            for kk in ks
+        ]
+    except ValueError as exc:
+        raise click.UsageError(str(exc))
+    run_one = functools.partial(_run_one_replay, trace_path, fmt, not lenient, out_format=out_format)
+    try:
+        if len(cfgs) == 1:
+            results = [run_one(cfgs[0])]
         else:
-            with concurrent.futures.ProcessPoolExecutor(max_workers=min(len(jobs), os.cpu_count() or 1)) as pool:
-                results = list(pool.map(_run_one_replay, jobs))
+            with concurrent.futures.ProcessPoolExecutor(max_workers=min(len(cfgs), os.cpu_count() or 1)) as pool:
+                results = list(pool.map(run_one, cfgs))
     except TraceError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(1)

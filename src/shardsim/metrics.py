@@ -30,14 +30,6 @@ class Assignment:
         if self.k < 1:
             raise ValueError("shard count must be >= 1")
 
-    def validate(self, graph: InteractionGraph) -> None:
-        for v in graph.vertices:
-            s = self.shard_of.get(v)
-            if s is None:
-                raise ValueError(f"vertex {v} unassigned")
-            if not 0 <= s < self.k:
-                raise ValueError(f"vertex {v} has shard {s} outside [0, {self.k})")
-
 
 @dataclass
 class MetricSample:

@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import heapq
 import random
-from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
-from shardsim.graph import InteractionGraph, WindowActivity
+from shardsim.graph import InteractionGraph
 from shardsim.metrics import Assignment
 
 MASK64 = (1 << 64) - 1
@@ -85,9 +84,9 @@ class Candidate:
     gain: int  # activity-weighted cut reduction if moved to target
 
 
-def _vertex_neighbor_activity(activity: WindowActivity) -> dict[str, dict[str, int]]:
+def _vertex_neighbor_activity(activity: InteractionGraph) -> dict[str, dict[str, int]]:
     nbr: dict[str, dict[str, int]] = {}
-    for (u, v), w in activity.edge_activity.items():
+    for (u, v), w in activity.undirected.items():
         nbr.setdefault(u, {})
         nbr.setdefault(v, {})
         nbr[u][v] = nbr[u].get(v, 0) + w
@@ -96,10 +95,8 @@ def _vertex_neighbor_activity(activity: WindowActivity) -> dict[str, dict[str, i
     return nbr
 
 
-def kl_select_candidates(
-    graph: InteractionGraph, a: Assignment, activity: WindowActivity
-) -> dict[int, list[Candidate]]:
-    """Per-shard positive-gain move candidates from window activity.
+def kl_select_candidates(a: Assignment, activity: InteractionGraph) -> dict[int, list[Candidate]]:
+    """Per-shard positive-gain move candidates from recent activity.
 
     gain(v, j) = activity toward shard j minus activity inside v's own shard;
     a vertex is a candidate iff its best gain is positive (ties broken toward
@@ -130,7 +127,7 @@ def kl_select_candidates(
 def kl_build_matrix(
     candidates: dict[int, list[Candidate]],
     a: Assignment,
-    activity: WindowActivity,
+    activity: InteractionGraph,
     cfg: PartitionerConfig,
 ) -> list[list[float]]:
     """Row-stochastic k x k matrix directing candidate exchanges.
@@ -143,7 +140,7 @@ def kl_build_matrix(
     i's total candidate weight, remainder mass on the diagonal (stay put).
     """
     k = a.k
-    vact = activity.vertex_activity
+    vact = activity.vertices
     loads = [0.0] * k
     total = 0.0
     for v, w in vact.items():
@@ -262,14 +259,14 @@ class PartGraph:
         """Index-form copy of the undirected view of an interaction graph.
 
         vertex_weights: "unit" (one per vertex) or "activity" (the graph's
-        per-vertex record counts).
+        per-vertex endpoint counts).
         """
         names = list(g.vertices)
         index = {v: i for i, v in enumerate(names)}
         if vertex_weights == "unit":
             vwgt = [1] * len(names)
         elif vertex_weights == "activity":
-            vwgt = [max(1, g.vertices[v].weight) for v in names]
+            vwgt = [max(1, g.vertices[v]) for v in names]
         else:
             raise ValueError(f"unknown vertex weight mode {vertex_weights!r}")
         adj: list[dict[int, int]] = [{} for _ in names]
@@ -591,23 +588,14 @@ def multilevel_partition(
 # Incremental placement
 
 
-def assign_new_vertex(
-    a: Assignment,
-    tx_neighbors: Mapping[str, int] | Iterable[str],
-    shard_sizes: Sequence[int] | None = None,
-) -> int:
+def assign_new_vertex(a: Assignment, tx_neighbors: Mapping[str, int], shard_sizes: Sequence[int]) -> int:
     """Shard for a first-seen vertex.
 
     Picks the shard holding the most already-assigned transaction neighbors
-    (weighted by multiplicity); ties go to the lighter shard, and with no
-    assigned neighbors the globally lightest shard wins.
+    (weighted by multiplicity); ties go to the lighter shard by
+    ``shard_sizes`` (vertices per shard), and with no assigned neighbors the
+    globally lightest shard wins.
     """
-    if not isinstance(tx_neighbors, Mapping):
-        tx_neighbors = Counter(tx_neighbors)
-    if shard_sizes is None:
-        shard_sizes = [0] * a.k
-        for s in a.shard_of.values():
-            shard_sizes[s] += 1
     counts = [0] * a.k
     any_assigned = False
     for v, mult in tx_neighbors.items():

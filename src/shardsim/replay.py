@@ -1,9 +1,12 @@
 """Trace replay: drive records through a sharding strategy over trace time.
 
-The replay maintains the interaction graph, the current shard assignment, and
-per-window activity. At every metric-window boundary it emits a MetricSample
-and evaluates the strategy's repartition trigger; repartitions are applied at
-the boundary, so samples sit on a uniform grid anchored at the first record.
+The replay keeps running interaction counts, never the records: the graph of
+the whole trace so far, the current metric window and, for the strategies
+that partition recent activity, the period since the last repartition. It
+also keeps the current shard assignment. At every metric-window boundary it
+emits a MetricSample and evaluates the strategy's repartition trigger;
+repartitions are applied at the boundary, so samples sit on a uniform grid
+anchored at the first record.
 """
 
 from __future__ import annotations
@@ -14,14 +17,9 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable
 
-from shardsim.graph import (
-    InteractionGraph,
-    WindowActivity,
-    activity_from_records,
-    apply_record,
-    close_window,
-    window_subgraph,
-)
+from shardsim.graph import InteractionGraph, apply_record
+# Unused here; bench/layers.py wraps these names of this module.
+from shardsim.graph import activity_from_records, window_subgraph  # noqa: F401
 from shardsim.metrics import Assignment, MetricSample, balance, count_moves, edge_cut
 from shardsim.partition import (
     MultilevelResult,
@@ -133,13 +131,16 @@ def relabel_to_match(old: Assignment, new: Assignment, k: int) -> Assignment:
 def repartition(
     strategy: Strategy,
     graph: InteractionGraph,
-    period_log: list[TraceRecord],
+    period: InteractionGraph,
     a: Assignment,
     cfg: ReplayConfig,
     clock: int,
-    last_repart: int,
 ) -> tuple[Assignment, int, int, list[tuple[int, int]]]:
-    """Run one repartition. Returns (assignment, moves, raw_moves, pass_cuts)."""
+    """Run one repartition. Returns (assignment, moves, raw_moves, pass_cuts).
+
+    ``graph`` counts the whole trace so far, ``period`` the records since the
+    last repartition; only kl, metis-window and metis-threshold read it.
+    """
     pcfg = cfg.partitioner
     assert pcfg is not None
     pass_cuts: list[tuple[int, int]] = []
@@ -152,20 +153,18 @@ def repartition(
         new = res.assignment
         pass_cuts = res.refinement_cuts
     elif strategy in (Strategy.METIS_WINDOW, Strategy.METIS_THRESHOLD):
-        sub = window_subgraph(period_log, last_repart, clock)
-        if sub.num_vertices == 0:
+        if period.num_vertices == 0:
             return a, 0, 0, pass_cuts
-        res = multilevel_partition(sub, pcfg, weights="activity")
+        res = multilevel_partition(period, pcfg, weights="activity")
         pass_cuts = res.refinement_cuts
         shard_of = dict(a.shard_of)  # vertices outside the window keep their shard
         shard_of.update(res.assignment.shard_of)
         new = Assignment(shard_of, cfg.k)
     elif strategy is Strategy.KL:
-        act = activity_from_records(period_log, last_repart, max(clock - last_repart, 1))
         new = a
         for rnd in range(max(1, pcfg.kl_rounds)):
-            cands = kl_select_candidates(graph, new, act)
-            matrix = kl_build_matrix(cands, new, act, pcfg)
+            cands = kl_select_candidates(new, period)
+            matrix = kl_build_matrix(cands, new, period, pcfg)
             new = kl_exchange(new, cands, matrix, pcfg.rng_seed ^ clock ^ (rnd << 32))
     else:
         return a, 0, 0, pass_cuts
@@ -201,8 +200,10 @@ def run_replay(trace: Iterable[TraceRecord], cfg: ReplayConfig) -> ReplayResult:
     refinement_cuts: list[tuple[int, int]] = []
     total_moves = 0
     total_raw = 0
-    activity: WindowActivity | None = None
-    period_log: list[TraceRecord] = []
+    window = InteractionGraph()
+    window_start: int | None = None
+    keep_period = cfg.strategy in (Strategy.KL, Strategy.METIS_WINDOW, Strategy.METIS_THRESHOLD)
+    period = InteractionGraph()  # the windows finished since the last repartition
     last_repart = 0
     tx_members: dict[str, Counter] = {}
 
@@ -215,28 +216,23 @@ def run_replay(trace: Iterable[TraceRecord], cfg: ReplayConfig) -> ReplayResult:
         shard_sizes[s] += 1
 
     def emit_boundary() -> None:
-        nonlocal activity, assignment, shard_sizes, period_log
+        nonlocal window, window_start, period, assignment, shard_sizes
         nonlocal total_moves, total_raw, last_repart
-        assert activity is not None
-        finished, activity = close_window(activity)
-        if cfg.cumulative_weights:
-            edge_w = graph.undirected
-            vert_w = {v: info.weight for v, info in graph.vertices.items()}
-        else:
-            edge_w = finished.edge_activity
-            vert_w = finished.vertex_activity
+        assert window_start is not None
+        finished, window = window, InteractionGraph()
+        if keep_period:
+            period.merge(finished)
+        weights = graph if cfg.cumulative_weights else finished
         sample = MetricSample(
-            window_start=finished.window_start,
+            window_start=window_start,
             static_edge_cut=edge_cut(graph, assignment, "static"),
-            dynamic_edge_cut=edge_cut(graph, assignment, "dynamic", edge_w),
+            dynamic_edge_cut=edge_cut(graph, assignment, "dynamic", weights.undirected),
             static_balance=balance(graph, assignment, "static"),
-            dynamic_balance=balance(graph, assignment, "dynamic", vert_w),
+            dynamic_balance=balance(graph, assignment, "dynamic", weights.vertices),
         )
-        clock = finished.window_end
+        clock = window_start + cfg.metric_window
         if fire_trigger(cfg.strategy, clock, last_repart, sample, cfg):
-            new, moves, raw, pass_cuts = repartition(
-                cfg.strategy, graph, period_log, assignment, cfg, clock, last_repart
-            )
+            new, moves, raw, pass_cuts = repartition(cfg.strategy, graph, period, assignment, cfg, clock)
             assignment = new
             shard_sizes = [0] * k
             for s in assignment.shard_of.values():
@@ -248,16 +244,16 @@ def run_replay(trace: Iterable[TraceRecord], cfg: ReplayConfig) -> ReplayResult:
             refinement_cuts.extend(pass_cuts)
             repartition_timestamps.append(clock)
             last_repart = clock
-            period_log = []
+            period = InteractionGraph()
             log.debug("repartition at %d: %d moves (%d raw)", clock, moves, raw)
         samples.append(sample)
+        window_start = clock
         tx_members.clear()
 
     for r in trace:
-        if activity is None:
-            activity = WindowActivity(r.timestamp, cfg.metric_window)
-            last_repart = r.timestamp
-        while r.timestamp >= activity.window_end:
+        if window_start is None:
+            window_start = last_repart = r.timestamp
+        while r.timestamp >= window_start + cfg.metric_window:
             emit_boundary()
         members = tx_members.setdefault(r.tx_id, Counter())
         for vertex, other in ((r.src, r.dst), (r.dst, r.src)):
@@ -268,10 +264,9 @@ def run_replay(trace: Iterable[TraceRecord], cfg: ReplayConfig) -> ReplayResult:
                 place(vertex, seen)
         members[r.src] += 1
         members[r.dst] += 1
-        apply_record(graph, activity, r)
-        period_log.append(r)
+        apply_record(graph, window, r)
 
-    if activity is not None:
+    if window_start is not None:
         emit_boundary()
 
     return ReplayResult(

@@ -26,7 +26,7 @@ def make_record(src: int, dst: int, timestamp: int = 0, block: int = 0, tx_id: s
 def graph_from_pairs(pairs) -> InteractionGraph:
     g = InteractionGraph()
     for src, dst in pairs:
-        g.add_interaction(vid(src), VertexKind.ACCOUNT, vid(dst), VertexKind.ACCOUNT)
+        g.record(vid(src), vid(dst))
     return g
 
 

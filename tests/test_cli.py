@@ -117,12 +117,20 @@ def test_synth_invalid_spec_usage_error(tmp_path):
     assert res.exit_code == 2
 
 
+def test_replay_invalid_config_usage_error(tmp_path):
+    trace = make_trace_file(tmp_path)
+    for extra in (["--metric-window", "2d", "--repartition-interval", "1d"], ["--epsilon", "-1"]):
+        res = run("replay", "--trace", str(trace), "--sweep", "k=2,3", "--out", str(tmp_path / "o.csv"), *extra)
+        assert res.exit_code == 2, res.output
+        assert not list(tmp_path.glob("o*.csv"))
+
+
 def test_partition_subcommand(tmp_path):
     g = InteractionGraph()
     for base in (0, 5):
         for i in range(5):
             for j in range(i + 1, 5):
-                g.add_interaction(vid(base + i), VertexKind.ACCOUNT, vid(base + j), VertexKind.ACCOUNT)
+                g.record(vid(base + i), vid(base + j))
     gpath, spath = tmp_path / "g.graph", tmp_path / "g.map"
     write_adjacency(g, str(gpath), str(spath))
     out = tmp_path / "parts.csv"

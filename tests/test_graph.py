@@ -1,7 +1,7 @@
 import random
 
-from shardsim.graph import InteractionGraph, WindowActivity, apply_record, close_window, window_subgraph
-from shardsim.trace import VertexKind
+from shardsim.graph import InteractionGraph, apply_record, window_subgraph
+from shardsim.partition import PartGraph
 
 from conftest import graph_from_pairs, make_record, vid
 
@@ -11,15 +11,15 @@ def test_fig2_style_inweight():
     # incoming interactions is 18
     pairs = [(8900, 9703)] * 13 + [(8930, 9703)] * 3 + [(17303, 9703)] * 2
     g = graph_from_pairs(pairs)
-    assert g.vertices[vid(9703)].weight == 18
+    assert g.vertices[vid(9703)] == 18
     assert g.undirected[(vid(8900) if vid(8900) < vid(9703) else vid(9703),
                          max(vid(8900), vid(9703)))] == 13
 
 
 def test_single_record_counts():
     g = InteractionGraph()
-    act = WindowActivity(0, 100)
-    apply_record(g, act, make_record(1, 2))
+    window = InteractionGraph()
+    apply_record(g, window, make_record(1, 2))
     assert g.num_vertices == 2
     assert g.num_undirected_edges == 1
     assert g.total_edge_weight() == 1
@@ -27,31 +27,32 @@ def test_single_record_counts():
 
 def test_self_loop():
     g = InteractionGraph()
-    act = WindowActivity(0, 100)
-    apply_record(g, act, make_record(5, 5))
+    window = InteractionGraph()
+    apply_record(g, window, make_record(5, 5))
     assert g.undirected[(vid(5), vid(5))] == 1
-    assert act.vertex_activity[vid(5)] == 2
-    assert vid(5) not in g.adj[vid(5)]
+    assert window.vertices[vid(5)] == 2
+    assert PartGraph.from_interaction_graph(g).adj == [{}]
 
 
 def test_vertex_activity_is_twice_edge_activity():
     rng = random.Random(3)
-    act = WindowActivity(0, 10**9)
+    window = InteractionGraph()
     g = InteractionGraph()
     for i in range(200):
-        apply_record(g, act, make_record(rng.randint(0, 20), rng.randint(0, 20), tx_id=f"t{i}"))
-    assert sum(act.vertex_activity.values()) == 2 * sum(act.edge_activity.values())
+        apply_record(g, window, make_record(rng.randint(0, 20), rng.randint(0, 20), tx_id=f"t{i}"))
+    assert sum(window.vertices.values()) == 2 * sum(window.undirected.values())
 
 
-def test_close_window_advances_and_zeroes():
-    act = WindowActivity(100, 50)
-    act.record(vid(1), vid(2))
-    finished, fresh = close_window(act)
-    assert finished.edge_activity and finished.window_start == 100
-    assert fresh.window_start == 150 and fresh.window_len == 50
-    assert not fresh.edge_activity and not fresh.vertex_activity
-    _, fresh2 = close_window(fresh)
-    assert fresh2.window_start == 200
+def test_merge_matches_concatenation():
+    # merged consecutive spans equal one graph of all their records, key order included
+    rng = random.Random(5)
+    records = [make_record(rng.randint(0, 12), rng.randint(0, 12), timestamp=i) for i in range(120)]
+    merged = InteractionGraph()
+    for start, end in ((0, 30), (30, 30), (30, 95), (95, 120)):
+        merged.merge(window_subgraph(records, start, end))
+    whole = window_subgraph(records, 0, 120)
+    assert list(merged.vertices.items()) == list(whole.vertices.items())
+    assert list(merged.undirected.items()) == list(whole.undirected.items())
 
 
 def test_window_subgraph_filters_by_time():
@@ -74,9 +75,9 @@ def test_prefix_replay_matches_brute_force_tally():
     for prefix_len in (0, 1, 57, 300):
         prefix = records[:prefix_len]
         g = InteractionGraph()
-        act = WindowActivity(0, 10**9)
+        window = InteractionGraph()
         for r in prefix:
-            apply_record(g, act, r)
+            apply_record(g, window, r)
         verts = {r.src for r in prefix} | {r.dst for r in prefix}
         und = {}
         for r in prefix:
@@ -92,15 +93,8 @@ def test_cumulative_weight_order_insensitive():
     records = [make_record(rng.randint(0, 8), rng.randint(0, 8), tx_id=f"t{i}") for i in range(100)]
     g1, g2 = InteractionGraph(), InteractionGraph()
     for r in records:
-        g1.add_interaction(r.src, r.src_kind, r.dst, r.dst_kind)
+        g1.record(r.src, r.dst)
     for r in reversed(records):
-        g2.add_interaction(r.src, r.src_kind, r.dst, r.dst_kind)
+        g2.record(r.src, r.dst)
     assert g1.undirected == g2.undirected
-    assert {v: i.weight for v, i in g1.vertices.items()} == {v: i.weight for v, i in g2.vertices.items()}
-
-
-def test_kind_fixed_at_first_observation():
-    g = InteractionGraph()
-    g.add_interaction(vid(1), VertexKind.ACCOUNT, vid(2), VertexKind.CONTRACT)
-    g.add_interaction(vid(3), VertexKind.ACCOUNT, vid(2), VertexKind.CONTRACT)
-    assert g.vertices[vid(2)].kind is VertexKind.CONTRACT
+    assert g1.vertices == g2.vertices

@@ -2,7 +2,6 @@ import random
 
 import pytest
 
-from shardsim.graph import WindowActivity
 from shardsim.metrics import Assignment, DomainMismatch, balance, count_moves, edge_cut, normalized_balance
 
 from conftest import graph_from_pairs, vid

@@ -4,7 +4,6 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from shardsim.graph import WindowActivity
 from shardsim.metrics import Assignment, edge_cut
 from shardsim.partition import (
     Candidate,
@@ -69,32 +68,21 @@ def test_hash64_is_fixed_function():
 # --- KL oracle -------------------------------------------------------------
 
 
-def act_from_pairs(pairs, weights=None):
-    act = WindowActivity(0, 10**9)
-    for idx, (u, v) in enumerate(pairs):
-        w = 1 if weights is None else weights[idx]
-        for _ in range(w):
-            act.record(vid(u), vid(v))
-    return act
-
-
 def test_kl_candidates_gain_arithmetic():
     # vertex 0 in shard 0: 3 unit edges to shard-1 vertices, 1 internal edge
     pairs = [(0, 1), (0, 2), (0, 3), (0, 4)]
-    g = graph_from_pairs(pairs)
     a = Assignment({vid(0): 0, vid(1): 1, vid(2): 1, vid(3): 1, vid(4): 0}, 2)
-    act = act_from_pairs(pairs)
-    cands = kl_select_candidates(g, a, act)
+    act = graph_from_pairs(pairs)
+    cands = kl_select_candidates(a, act)
     c = [c for c in cands[0] if c.vertex == vid(0)]
     assert c == [Candidate(vid(0), 1, 2)]
 
 
 def test_kl_internal_vertex_not_candidate():
     pairs = [(0, 1)]
-    g = graph_from_pairs(pairs)
     a = Assignment({vid(0): 0, vid(1): 0, vid(2): 1}, 2)
-    act = act_from_pairs(pairs)
-    cands = kl_select_candidates(g, a, act)
+    act = graph_from_pairs(pairs)
+    cands = kl_select_candidates(a, act)
     assert cands[0] == [] and cands[1] == []
 
 
@@ -104,23 +92,22 @@ def test_kl_candidate_gain_matches_cut_delta():
         n = rng.randint(4, 12)
         k = rng.randint(2, 4)
         pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(3, 25))]
-        g = graph_from_pairs(pairs)
+        g = act = graph_from_pairs(pairs)
         a = Assignment({vid(i): rng.randrange(k) for i in range(n)}, k)
-        act = act_from_pairs(pairs)
-        for shard, cands in kl_select_candidates(g, a, act).items():
+        for shard, cands in kl_select_candidates(a, act).items():
             for c in cands:
                 assert c.gain > 0
-                before = edge_cut(g, a, "dynamic", act.edge_activity)
+                before = edge_cut(g, a, "dynamic", act.undirected)
                 moved = Assignment(dict(a.shard_of), k)
                 moved.shard_of[c.vertex] = c.target
-                after = edge_cut(g, moved, "dynamic", act.edge_activity)
-                total = act.total_edge_activity()
+                after = edge_cut(g, moved, "dynamic", act.undirected)
+                total = act.total_edge_weight()
                 assert math.isclose((before - after) * total, c.gain, abs_tol=1e-9)
 
 
 def test_kl_matrix_no_candidates_identity():
     a = Assignment({vid(0): 0, vid(1): 1}, 2)
-    act = act_from_pairs([(0, 1)])
+    act = graph_from_pairs([(0, 1)])
     m = kl_build_matrix({0: [], 1: []}, a, act, PartitionerConfig(k=2))
     assert m == [[1.0, 0.0], [0.0, 1.0]]
 
@@ -131,9 +118,8 @@ def test_kl_matrix_two_shard_flow():
     k = 2
     # vertices 0,1 hot in shard 0; vertex 2 in shard 1
     pairs = [(0, 1)] * 6 + [(0, 2)] * 2
-    g = graph_from_pairs(pairs)
     a = Assignment({vid(0): 0, vid(1): 0, vid(2): 1}, k)
-    act = act_from_pairs(pairs)
+    act = graph_from_pairs(pairs)
     # loads: shard0 = va(0)+va(1) = 8+6 = 14, shard1 = va(2) = 2, mean = 8
     cands = {0: [Candidate(vid(1), 1, 1)], 1: []}  # candidate weight 6
     m = kl_build_matrix(cands, a, act, PartitionerConfig(k=k))
@@ -145,9 +131,8 @@ def test_kl_matrix_two_shard_flow():
 
 def test_kl_matrix_symmetric_case():
     pairs = [(0, 1)] * 4 + [(2, 3)] * 4 + [(0, 2)] * 2
-    g = graph_from_pairs(pairs)
     a = Assignment({vid(0): 0, vid(1): 0, vid(2): 1, vid(3): 1}, 2)
-    act = act_from_pairs(pairs)
+    act = graph_from_pairs(pairs)
     cands = {
         0: [Candidate(vid(0), 1, 1)],
         1: [Candidate(vid(2), 0, 1)],
@@ -161,10 +146,9 @@ def test_kl_matrix_rows_stochastic_random():
     for _ in range(30):
         n, k = rng.randint(4, 14), rng.randint(2, 5)
         pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(4, 30))]
-        g = graph_from_pairs(pairs)
         a = Assignment({vid(i): rng.randrange(k) for i in range(n)}, k)
-        act = act_from_pairs(pairs)
-        cands = kl_select_candidates(g, a, act)
+        act = graph_from_pairs(pairs)
+        cands = kl_select_candidates(a, act)
         m = kl_build_matrix(cands, a, act, PartitionerConfig(k=k))
         for row in m:
             assert all(x >= -1e-12 for x in row)
@@ -200,8 +184,6 @@ def test_kl_exchange_flow_statistics():
     verts = {vid(i): 0 for i in range(10)}
     a = Assignment(verts, 2)
     weights = {vid(i): i + 1 for i in range(10)}  # candidate weights 1..10
-    act = WindowActivity(0, 10**9)
-    act.vertex_activity.update(weights)
     cands = {0: [Candidate(vid(i), 1, 1) for i in range(10)], 1: []}
     p01 = 0.3
     m = [[1 - p01, p01], [0.0, 1.0]]
@@ -422,7 +404,7 @@ def test_repair_balance_heaviest_shard_changes():
 
 def test_assign_all_neighbors_one_shard():
     a = Assignment({vid(1): 2, vid(2): 2}, 4)
-    assert assign_new_vertex(a, {vid(1): 1, vid(2): 1}) == 2
+    assert assign_new_vertex(a, {vid(1): 1, vid(2): 1}, [0, 0, 2, 0]) == 2
 
 
 def test_assign_tie_breaks_to_lighter_shard():

@@ -1,6 +1,12 @@
 import logging
 import random
+import weakref
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from shardsim import replay
+from shardsim.graph import InteractionGraph, window_subgraph
 from shardsim.metrics import Assignment, count_moves
 from shardsim.partition import PartitionerConfig
 from shardsim.replay import (
@@ -153,6 +159,78 @@ def test_infeasible_balance_is_logged(caplog):
         for n in (4, 3):
             graph = graph_from_pairs([(i, i + 1) for i in range(n - 1)])
             a = Assignment({vid(i): 0 for i in range(n)}, 2)
-            repartition(Strategy.METIS_FULL, graph, [], a, cfg, 5000 + n, 0)
+            repartition(Strategy.METIS_FULL, graph, InteractionGraph(), a, cfg, 5000 + n)
     messages = [r.getMessage() for r in caplog.records if r.levelno == logging.INFO]
     assert messages == ["repartition at 5003: balance cap 1.575 not met (heaviest vertex weighs 1)"]
+
+
+def test_replay_keeps_no_records():
+    # the replay keeps counts only: at any yield, the record being yielded
+    # and the one before it are the only records alive
+    live = peak = 0
+
+    def dead(_ref):
+        nonlocal live
+        live -= 1
+
+    def stream(refs):
+        nonlocal live, peak
+        rng = random.Random(1)
+        for i in range(2000):
+            r = make_record(rng.randrange(40), rng.randrange(40), timestamp=i * 600, block=i, tx_id=f"t{i}")
+            refs.append(weakref.ref(r, dead))
+            live += 1
+            peak = max(peak, live)
+            yield r
+
+    for strategy in Strategy:
+        refs = []
+        res = run_replay(stream(refs), basic_cfg(strategy, k=3, repartition_interval=DAY))
+        assert len(refs) == 2000 and res.samples
+        assert peak <= 2, f"{strategy.value} kept {peak} records alive"
+
+
+GAPS = (0, 0, 1, 1800, HOUR, 4 * HOUR, 9 * HOUR, 2 * DAY)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    steps=st.lists(st.tuples(st.sampled_from(GAPS), st.integers(0, 7), st.integers(0, 7)), min_size=1, max_size=60),
+    strategy=st.sampled_from([Strategy.KL, Strategy.METIS_WINDOW, Strategy.METIS_THRESHOLD]),
+    k=st.integers(2, 3),
+    interval=st.sampled_from([4 * HOUR, 8 * HOUR, DAY]),
+)
+def test_period_matches_window_subgraph_oracle(steps, strategy, k, interval):
+    # the period a repartition partitions is exactly the records since the
+    # previous repartition, with keys in order of first appearance
+    records, t = [], 1000
+    for i, (gap, src, dst) in enumerate(steps):
+        t += gap
+        records.append(make_record(src, dst, timestamp=t, block=i, tx_id=f"t{i}"))
+    seen = []
+
+    def capture(graph):
+        seen.append((list(graph.vertices.items()), list(graph.undirected.items())))
+
+    real_multilevel, real_select = replay.multilevel_partition, replay.kl_select_candidates
+
+    def multilevel_spy(graph, *args, **kwargs):
+        capture(graph)
+        return real_multilevel(graph, *args, **kwargs)
+
+    def select_spy(a, activity):
+        capture(activity)
+        return real_select(a, activity)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(replay, "multilevel_partition", multilevel_spy)
+        mp.setattr(replay, "kl_select_candidates", select_spy)
+        res = run_replay(records, basic_cfg(strategy, k=k, repartition_interval=interval))
+
+    expected, previous = [], records[0].timestamp
+    for clock in res.repartition_timestamps:
+        oracle = window_subgraph(records, previous, clock)
+        if strategy is Strategy.KL or oracle.num_vertices:  # metis skips an empty period
+            expected.append((list(oracle.vertices.items()), list(oracle.undirected.items())))
+        previous = clock
+    assert seen == expected

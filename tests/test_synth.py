@@ -11,7 +11,7 @@ from shardsim.trace import canonical_address
 def build_graph(records):
     g = InteractionGraph()
     for r in records:
-        g.add_interaction(r.src, r.src_kind, r.dst, r.dst_kind)
+        g.record(r.src, r.dst)
     return g
 
 
