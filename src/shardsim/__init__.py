@@ -12,6 +12,7 @@ from shardsim.trace import (
     CallKind,
     MalformedRow,
     OutOfOrderBlock,
+    OutOfOrderTimestamp,
     TraceError,
     TraceRecord,
     VertexKind,
@@ -43,6 +44,7 @@ __all__ = [
     "MalformedRow",
     "MetricSample",
     "OutOfOrderBlock",
+    "OutOfOrderTimestamp",
     "PartitionerConfig",
     "ReplayConfig",
     "ReplayResult",

@@ -205,13 +205,10 @@ def run_replay(trace: Iterable[TraceRecord], cfg: ReplayConfig) -> ReplayResult:
     keep_period = cfg.strategy in (Strategy.KL, Strategy.METIS_WINDOW, Strategy.METIS_THRESHOLD)
     period = InteractionGraph()  # the windows finished since the last repartition
     last_repart = 0
-    tx_members: dict[str, Counter] = {}
+    place_by_hash = cfg.strategy in (Strategy.HASHING, Strategy.KL)
+    tx_members: dict[str, Counter] = {}  # multilevel placement only
 
-    def place(vertex: str, members: Counter) -> None:
-        if cfg.strategy in (Strategy.HASHING, Strategy.KL):
-            s = hash_partition(vertex, pcfg)
-        else:
-            s = assign_new_vertex(assignment, members, shard_sizes)
+    def place(vertex: str, s: int) -> None:
         assignment.shard_of[vertex] = s
         shard_sizes[s] += 1
 
@@ -255,15 +252,22 @@ def run_replay(trace: Iterable[TraceRecord], cfg: ReplayConfig) -> ReplayResult:
             window_start = last_repart = r.timestamp
         while r.timestamp >= window_start + cfg.metric_window:
             emit_boundary()
-        members = tx_members.setdefault(r.tx_id, Counter())
-        for vertex, other in ((r.src, r.dst), (r.dst, r.src)):
-            if vertex not in assignment.shard_of:
-                seen = Counter(members)
-                if other != vertex:
-                    seen[other] += 1  # the counterpart on this record is a neighbor too
-                place(vertex, seen)
-        members[r.src] += 1
-        members[r.dst] += 1
+        if place_by_hash:
+            for vertex in (r.src, r.dst):
+                if vertex not in assignment.shard_of:
+                    place(vertex, hash_partition(vertex, pcfg))
+        else:
+            members = tx_members.get(r.tx_id)
+            if members is None:
+                members = tx_members[r.tx_id] = Counter()
+            for vertex, other in ((r.src, r.dst), (r.dst, r.src)):
+                if vertex not in assignment.shard_of:
+                    seen = Counter(members)
+                    if other != vertex:
+                        seen[other] += 1  # the counterpart on this record is a neighbor too
+                    place(vertex, assign_new_vertex(assignment, seen, shard_sizes))
+            members[r.src] += 1
+            members[r.dst] += 1
         apply_record(graph, window, r)
 
     if window_start is not None:

@@ -6,7 +6,8 @@ Canonical trace formats:
 * JSONL, one object per line with the same keys
 
 Addresses are 40 hex digits (an optional ``0x`` prefix is stripped and the
-string lowercased on input). ``.gz`` files are decompressed transparently.
+string lowercased on input). Blocks and timestamps must not decrease from
+row to row. ``.gz`` files are decompressed transparently.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import gzip
 import io
 import json
 import logging
+import re
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import IO, Iterable, Iterator
@@ -40,7 +42,16 @@ class CallKind(Enum):
 
     @classmethod
     def _missing_(cls, value: object) -> "CallKind | None":
-        return {"contract_call": cls.CONTRACT_CALL, "contract_create": cls.CONTRACT_CREATE}.get(value)
+        return _CALL_KINDS.get(value)  # type: ignore[arg-type]
+
+
+# Field value -> member, for the parser's exact-spelling fast path.
+_VERTEX_KINDS = {kind.value: kind for kind in VertexKind}
+_CALL_KINDS = {
+    **{kind.value: kind for kind in CallKind},
+    "contract_call": CallKind.CONTRACT_CALL,
+    "contract_create": CallKind.CONTRACT_CREATE,
+}
 
 
 class TraceError(Exception):
@@ -62,6 +73,14 @@ class OutOfOrderBlock(TraceError):
         self.previous = previous
 
 
+class OutOfOrderTimestamp(TraceError):
+    def __init__(self, line_no: int, timestamp: int, previous: int):
+        super().__init__(f"line {line_no}: timestamp {timestamp} after timestamp {previous}")
+        self.line_no = line_no
+        self.timestamp = timestamp
+        self.previous = previous
+
+
 class KindConflict(TraceError):
     def __init__(self, vertex: str, seen: "VertexKind", now: "VertexKind"):
         super().__init__(f"vertex {vertex} seen as {seen.value}, now {now.value}")
@@ -74,14 +93,16 @@ class UseBeforeCreate(TraceError):
         self.vertex = vertex
 
 
+_HEX40 = re.compile("[0-9a-f]{40}")
+
+
 def canonical_address(raw: str) -> str:
     """Lowercase 40-hex-digit form of an address; raises ValueError otherwise."""
     s = raw.strip().lower()
     if s.startswith("0x"):
         s = s[2:]
-    if len(s) != 40:
+    if not _HEX40.fullmatch(s):
         raise ValueError(f"address {raw!r} is not 40 hex digits")
-    int(s, 16)  # raises ValueError on non-hex
     return s
 
 
@@ -107,19 +128,43 @@ class ParseStats:
     warnings: int = 0
 
 
-def _record_from_fields(fields: dict, line_no: int) -> TraceRecord:
+def _kind(table: dict, kind: type[Enum], raw: object):
+    """Member of ``kind`` for a field value: exact spellings by table lookup,
+    anything else (case, spaces, non-strings) through ``kind`` itself."""
+    if isinstance(raw, str):
+        member = table.get(raw)
+        if member is not None:
+            return member
+    return kind(str(raw).strip().lower())
+
+
+def _address(spelling: str, names: dict[str, str]) -> str:
+    """Canonical address of ``spelling`` as one shared string.
+
+    ``names`` maps every spelling seen so far in a parse to the shared string
+    of its canonical address, so a repeated spelling costs one lookup and
+    equal addresses come out as the same object.
+    """
+    address = names.get(spelling)
+    if address is None:
+        address = canonical_address(spelling)
+        address = names[spelling] = names.setdefault(address, address)
+    return address
+
+
+def _record_from_fields(fields: dict, line_no: int, names: dict[str, str]) -> TraceRecord:
     try:
         timestamp = int(fields["timestamp"])
         block = int(fields["block"])
-        src = canonical_address(str(fields["from"]))
-        dst = canonical_address(str(fields["to"]))
-        src_kind = VertexKind(str(fields["from_kind"]).strip().lower())
-        dst_kind = VertexKind(str(fields["to_kind"]).strip().lower())
+        src = _address(str(fields["from"]), names)
+        dst = _address(str(fields["to"]), names)
+        src_kind = _kind(_VERTEX_KINDS, VertexKind, fields["from_kind"])
+        dst_kind = _kind(_VERTEX_KINDS, VertexKind, fields["to_kind"])
         tx_id = str(fields["tx_id"])
     except (KeyError, ValueError) as exc:
         raise MalformedRow(line_no, str(exc)) from exc
     try:
-        call_kind = CallKind(str(fields["call_kind"]).strip().lower())
+        call_kind = _kind(_CALL_KINDS, CallKind, fields["call_kind"])
     except ValueError as exc:
         raise MalformedRow(line_no, f"unknown call kind {fields.get('call_kind')!r}") from exc
     if timestamp < 0 or block < 0:
@@ -137,8 +182,9 @@ def parse_trace(
 ) -> Iterator[TraceRecord]:
     """Yield records from a CSV or JSONL trace stream in file order.
 
-    In strict mode any malformed row or decreasing block number aborts; in
-    lenient mode bad rows are skipped and counted in ``stats``.
+    In strict mode any malformed row or decreasing block number or timestamp
+    aborts; in lenient mode bad rows are skipped and counted in ``stats``.
+    Equal addresses come out as one shared string per parse.
     """
     if format not in ("csv", "jsonl"):
         raise ValueError(f"unknown trace format {format!r}")
@@ -175,15 +221,18 @@ def parse_trace(
                     continue
                 yield line_no, obj
 
-    last_block = -1
+    names: dict[str, str] = {}
+    last_block = last_timestamp = -1
     for line_no, fields in rows():
         stats.data_rows += 1
         try:
             if "__error__" in fields:
                 raise MalformedRow(line_no, fields["__error__"])
-            record = _record_from_fields(fields, line_no)
+            record = _record_from_fields(fields, line_no, names)
             if record.block < last_block:
                 raise OutOfOrderBlock(line_no, record.block, last_block)
+            if record.timestamp < last_timestamp:
+                raise OutOfOrderTimestamp(line_no, record.timestamp, last_timestamp)
         except TraceError as exc:
             if strict:
                 raise
@@ -191,6 +240,7 @@ def parse_trace(
             log.warning("skipping row: %s", exc)
             continue
         last_block = record.block
+        last_timestamp = record.timestamp
         stats.yielded += 1
         yield record
 

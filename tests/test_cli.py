@@ -88,6 +88,23 @@ def test_replay_malformed_strict_vs_lenient(tmp_path):
     assert res.exit_code == 0 and "skipped" not in res.stderr
 
 
+def test_replay_backwards_timestamp_strict_vs_lenient(tmp_path):
+    trace = make_trace_file(tmp_path)
+    lines = trace.read_text().splitlines()
+    first = lines[1].split(",")
+    row = lines[5].split(",")
+    row[0] = str(int(first[0]) - 1)  # before every earlier row; the block stays in order
+    lines[5] = ",".join(row)
+    bad = tmp_path / "backwards.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    res = run("replay", "--trace", str(bad), "--shards", "2")
+    assert res.exit_code == 1
+    assert res.stderr.strip() == f"error: line 6: timestamp {row[0]} after timestamp {lines[4].split(',')[0]}"
+    res = run("replay", "--trace", str(bad), "--shards", "2", "--lenient")
+    assert res.exit_code == 0
+    assert res.stderr.splitlines()[-1] == "skipped 1 malformed rows"
+
+
 def test_sweep_runs_multiple_k(tmp_path):
     trace = make_trace_file(tmp_path)
     out = tmp_path / "s.csv"

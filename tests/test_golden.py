@@ -3,9 +3,11 @@
 SHA-256 digests of the samples CSV for every strategy, plus metis-window with
 cumulative weights, on one small fixed-seed synthetic trace. A change that
 means to alter partitions or metrics updates these digests and says so; any
-other change must leave them as they are.
+other change must leave them as they are. The same digests must come out when
+the trace is written to a file and read back, as CSV and as gzipped JSONL.
 """
 
+import gzip
 import hashlib
 
 import pytest
@@ -13,6 +15,7 @@ import pytest
 from shardsim.replay import DAY, ReplayConfig, Strategy, run_replay
 from shardsim.report import samples_to_csv
 from shardsim.synth import WorkloadSpec, generate_workload
+from shardsim.trace import read_trace, serialize_trace
 
 GOLDEN = {
     ("hashing", False): "d82b54d2fa81d7a18e3bfd2328c4b2a889f60377daac1675e34cf268b688707c",
@@ -30,8 +33,27 @@ def records():
     return generate_workload(spec, seed=11)[0]
 
 
-@pytest.mark.parametrize("strategy,cumulative", list(GOLDEN))
-def test_samples_csv_digest(records, strategy, cumulative):
+@pytest.fixture(scope="module")
+def trace_files(records, tmp_path_factory):
+    root = tmp_path_factory.mktemp("golden")
+    (root / "trace.csv").write_text(serialize_trace(records, "csv"), encoding="utf-8")
+    with gzip.open(root / "trace.jsonl.gz", "wt", encoding="utf-8") as fh:
+        fh.write(serialize_trace(records, "jsonl"))
+    return {"csv": str(root / "trace.csv"), "jsonl.gz": str(root / "trace.jsonl.gz")}
+
+
+def digest(records, strategy, cumulative):
     cfg = ReplayConfig(k=3, strategy=strategy, repartition_interval=7 * DAY, cumulative_weights=cumulative)
     text = samples_to_csv(run_replay(records, cfg).samples, 3)
-    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN[(strategy, cumulative)]
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("strategy,cumulative", list(GOLDEN))
+def test_samples_csv_digest(records, strategy, cumulative):
+    assert digest(records, strategy, cumulative) == GOLDEN[(strategy, cumulative)]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl.gz"])
+@pytest.mark.parametrize("strategy,cumulative", list(GOLDEN))
+def test_samples_csv_digest_through_read_trace(trace_files, fmt, strategy, cumulative):
+    assert digest(read_trace(trace_files[fmt]), strategy, cumulative) == GOLDEN[(strategy, cumulative)]

@@ -234,3 +234,32 @@ def test_period_matches_window_subgraph_oracle(steps, strategy, k, interval):
             expected.append((list(oracle.vertices.items()), list(oracle.undirected.items())))
         previous = clock
     assert seen == expected
+
+
+@pytest.mark.parametrize("strategy", list(Strategy))
+def test_each_vertex_placed_once_by_its_strategy(strategy, monkeypatch):
+    # hashing and kl place by hash alone; the multilevel strategies place by
+    # transaction neighbors
+    spec = WorkloadSpec(vertices=60, communities=2, duration=3 * DAY, records_per_hour=20)
+    recs, _ = generate_workload(spec, seed=7)
+    hashed, assigned = [], []  # the vertex hashed; how many were placed before
+    real_hash, real_assign = replay.hash_partition, replay.assign_new_vertex
+
+    def hash_spy(vertex, pcfg):
+        hashed.append(vertex)
+        return real_hash(vertex, pcfg)
+
+    def assign_spy(a, tx_neighbors, shard_sizes):
+        assigned.append(len(a.shard_of))
+        return real_assign(a, tx_neighbors, shard_sizes)
+
+    monkeypatch.setattr(replay, "hash_partition", hash_spy)
+    monkeypatch.setattr(replay, "assign_new_vertex", assign_spy)
+    vertices = run_replay(recs, basic_cfg(strategy, k=3)).final_assignment.shard_of
+
+    if strategy in (Strategy.HASHING, Strategy.KL):
+        assert assigned == []
+        assert sorted(hashed) == sorted(vertices)
+    else:
+        assert hashed == []
+        assert assigned == list(range(len(vertices)))

@@ -1,5 +1,6 @@
 import gzip
 import io
+import json
 
 import pytest
 from hypothesis import given, strategies as st
@@ -10,6 +11,7 @@ from shardsim.trace import (
     KindConflict,
     MalformedRow,
     OutOfOrderBlock,
+    OutOfOrderTimestamp,
     ParseStats,
     TraceRecord,
     UseBeforeCreate,
@@ -62,6 +64,39 @@ def test_out_of_order_block_strict():
     )
     with pytest.raises(OutOfOrderBlock):
         parse_str(text)
+
+
+# the second row's timestamp goes back, its block does not
+BACKWARDS = [
+    TraceRecord(t, b, A1, VertexKind.ACCOUNT, A2, VertexKind.CONTRACT, CallKind.CONTRACT_CALL, tx)
+    for t, b, tx in ((10, 100, "tx1"), (9, 100, "tx2"), (10, 101, "tx3"))
+]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+def test_backwards_timestamp_strict(fmt):
+    with pytest.raises(OutOfOrderTimestamp) as info:
+        parse_str(serialize_trace(BACKWARDS, fmt), fmt)
+    line_no = 3 if fmt == "csv" else 2
+    assert (info.value.line_no, info.value.timestamp, info.value.previous) == (line_no, 9, 10)
+    assert str(info.value) == f"line {line_no}: timestamp 9 after timestamp 10"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+def test_backwards_timestamp_lenient_skips_row(fmt):
+    stats = ParseStats()
+    records = parse_str(serialize_trace(BACKWARDS, fmt), fmt, strict=False, stats=stats)
+    assert records == [BACKWARDS[0], BACKWARDS[2]]
+    assert (stats.data_rows, stats.yielded, stats.skipped) == (3, 2, 1)
+
+
+def test_equal_timestamps_accepted():
+    text = (
+        ",".join(CSV_HEADER) + "\n"
+        f"10,100,{A1},account,{A2},contract,contractcall,tx1\n"
+        f"10,101,{A1},account,{A2},contract,contractcall,tx2\n"
+    )
+    assert len(parse_str(text)) == 2
 
 
 def test_lenient_counts_balance():
@@ -136,7 +171,10 @@ records_strategy = st.builds(
 )
 
 
-@given(st.lists(records_strategy, max_size=20), st.sampled_from(["csv", "jsonl"]))
+@given(
+    st.lists(records_strategy, max_size=20).map(lambda rs: sorted(rs, key=lambda r: r.timestamp)),
+    st.sampled_from(["csv", "jsonl"]),
+)
 def test_roundtrip_identity(records, fmt):
     assert parse_str(serialize_trace(records, fmt), fmt) == records
 
@@ -151,11 +189,68 @@ def test_gzip_and_format_inference(tmp_path):
 
 
 def test_canonical_address_rejects_bad():
-    with pytest.raises(ValueError):
-        canonical_address("1234")
-    with pytest.raises(ValueError):
-        canonical_address("zz" * 20)
+    # a sign, underscores or an inner space are not hex digits, whatever int() accepts
+    for raw in ("1234", "zz" * 20, "-" + "a" * 39, "+" + "a" * 39, "a_" * 19 + "aa", "a" * 20 + " " + "a" * 19):
+        with pytest.raises(ValueError, match="is not 40 hex digits"):
+            canonical_address(raw)
     assert canonical_address("0x" + A1.upper()) == A1
+    assert canonical_address(f" 0X{A2} ") == A2
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+def test_equal_addresses_share_one_string(fmt):
+    rows = [
+        TraceRecord(5, 1, A1, VertexKind.ACCOUNT, A2, VertexKind.CONTRACT, CallKind.CONTRACT_CALL, "t1"),
+        TraceRecord(6, 1, A2, VertexKind.CONTRACT, A1, VertexKind.ACCOUNT, CallKind.TRANSFER, "t2"),
+        TraceRecord(7, 2, A1, VertexKind.ACCOUNT, A1, VertexKind.ACCOUNT, CallKind.TRANSFER, "t3"),
+    ]
+    # the last row spells A1 with a prefix and in upper case
+    text = serialize_trace(rows, fmt)
+    head, last = text.rsplit(A1, 1)
+    text = head + "0x" + A1.upper() + last
+    a, b, c = parse_str(text, fmt)
+    assert (a, b, c) == tuple(rows)
+    assert a.src is b.dst is c.src is c.dst
+    assert a.dst is b.src
+
+
+def jsonl_row(**fields):
+    obj = {
+        "timestamp": 5, "block": 1, "from": A1, "from_kind": "account", "to": A2,
+        "to_kind": "contract", "call_kind": "transfer", "tx_id": "t",
+    }
+    obj.update(fields)
+    return json.dumps(obj) + "\n"
+
+
+@pytest.mark.parametrize(
+    "fields, src_kind, call_kind",
+    [
+        ({"from_kind": " Account "}, VertexKind.ACCOUNT, CallKind.TRANSFER),
+        ({"from_kind": "CONTRACT", "to_kind": "\tcontract"}, VertexKind.CONTRACT, CallKind.TRANSFER),
+        ({"call_kind": " Contract_Call"}, VertexKind.ACCOUNT, CallKind.CONTRACT_CALL),
+        ({"call_kind": "CONTRACTCREATE "}, VertexKind.ACCOUNT, CallKind.CONTRACT_CREATE),
+    ],
+)
+def test_kinds_accept_case_and_spaces(fields, src_kind, call_kind):
+    (r,) = parse_str(jsonl_row(**fields), "jsonl")
+    assert (r.src_kind, r.dst_kind, r.call_kind) == (src_kind, VertexKind.CONTRACT, call_kind)
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"from_kind": []}, "line 1: '[]' is not a valid VertexKind"),
+        ({"to_kind": 5}, "line 1: '5' is not a valid VertexKind"),
+        ({"from_kind": None}, "line 1: 'none' is not a valid VertexKind"),
+        ({"call_kind": []}, "line 1: unknown call kind []"),
+        ({"call_kind": 5}, "line 1: unknown call kind 5"),
+    ],
+)
+def test_non_string_kinds_are_malformed(fields, message):
+    with pytest.raises(MalformedRow) as info:
+        parse_str(jsonl_row(**fields), "jsonl")
+    assert str(info.value) == message
 
 
 def make(src, src_kind, dst, dst_kind, call, block):
