@@ -14,11 +14,6 @@ from typing import Iterable
 from shardsim.trace import TraceRecord
 
 
-def ukey(a: str, b: str) -> tuple[str, str]:
-    """Canonical undirected key for an edge."""
-    return (a, b) if a <= b else (b, a)
-
-
 class InteractionGraph:
     """Record counts over a span of a trace.
 
@@ -50,8 +45,9 @@ class InteractionGraph:
         vertices = self.vertices
         vertices[src] = vertices.get(src, 0) + 1
         vertices[dst] = vertices.get(dst, 0) + 1
-        key = ukey(src, dst)
-        self.undirected[key] = self.undirected.get(key, 0) + 1
+        key = (src, dst) if src <= dst else (dst, src)
+        undirected = self.undirected
+        undirected[key] = undirected.get(key, 0) + 1
 
     def merge(self, other: InteractionGraph) -> None:
         """Add the counts of a later span; new keys follow in its order."""
@@ -62,9 +58,12 @@ class InteractionGraph:
             undirected[key] = undirected.get(key, 0) + w
 
 
-def apply_record(graph: InteractionGraph, window: InteractionGraph, r: TraceRecord) -> None:
-    """Fold one trace record into the whole-trace graph and the current window."""
-    graph.record(r.src, r.dst)
+def apply_record(window: InteractionGraph, r: TraceRecord) -> None:
+    """Fold one trace record into the current metric window.
+
+    The replay merges each finished window into the whole-trace graph at the
+    window boundary, so a record is counted once on ingest.
+    """
     window.record(r.src, r.dst)
 
 

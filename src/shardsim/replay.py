@@ -1,12 +1,13 @@
 """Trace replay: drive records through a sharding strategy over trace time.
 
-The replay keeps running interaction counts, never the records: the graph of
-the whole trace so far, the current metric window and, for the strategies
-that partition recent activity, the period since the last repartition. It
-also keeps the current shard assignment. At every metric-window boundary it
-emits a MetricSample and evaluates the strategy's repartition trigger;
-repartitions are applied at the boundary, so samples sit on a uniform grid
-anchored at the first record.
+The replay keeps running interaction counts, never the records: each record
+is counted once, into the current metric window; at every window boundary
+the finished window is merged into the graph of the whole trace so far and,
+for the strategies that partition recent activity, into the period since the
+last repartition. It also keeps the current shard assignment and its shard
+sizes. At every metric-window boundary it emits a MetricSample and evaluates
+the strategy's repartition trigger; repartitions are applied at the boundary,
+so samples sit on a uniform grid anchored at the first record.
 """
 
 from __future__ import annotations
@@ -217,14 +218,18 @@ def run_replay(trace: Iterable[TraceRecord], cfg: ReplayConfig) -> ReplayResult:
         nonlocal total_moves, total_raw, last_repart
         assert window_start is not None
         finished, window = window, InteractionGraph()
+        graph.merge(finished)
         if keep_period:
             period.merge(finished)
         weights = graph if cfg.cumulative_weights else finished
+        # The assignment covers exactly the vertices of ``graph`` here, so
+        # ``shard_sizes`` are the static shard sizes ``balance`` would count.
+        n = graph.num_vertices
         sample = MetricSample(
             window_start=window_start,
             static_edge_cut=edge_cut(graph, assignment, "static"),
             dynamic_edge_cut=edge_cut(graph, assignment, "dynamic", weights.undirected),
-            static_balance=balance(graph, assignment, "static"),
+            static_balance=max(shard_sizes) * k / n if n else 1.0,
             dynamic_balance=balance(graph, assignment, "dynamic", weights.vertices),
         )
         clock = window_start + cfg.metric_window
@@ -268,7 +273,7 @@ def run_replay(trace: Iterable[TraceRecord], cfg: ReplayConfig) -> ReplayResult:
                     place(vertex, assign_new_vertex(assignment, seen, shard_sizes))
             members[r.src] += 1
             members[r.dst] += 1
-        apply_record(graph, window, r)
+        apply_record(window, r)
 
     if window_start is not None:
         emit_boundary()

@@ -7,7 +7,9 @@ Canonical trace formats:
 
 Addresses are 40 hex digits (an optional ``0x`` prefix is stripped and the
 string lowercased on input). Blocks and timestamps must not decrease from
-row to row. ``.gz`` files are decompressed transparently.
+row to row. In JSONL, a timestamp or block is an integer (not a boolean or a
+float) or a string holding one, and ``tx_id`` must not be null. ``.gz`` files
+are decompressed transparently.
 """
 
 from __future__ import annotations
@@ -17,10 +19,11 @@ import gzip
 import io
 import json
 import logging
+import operator
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import IO, Iterable, Iterator
+from typing import IO, Iterable, Iterator, Sequence
 
 log = logging.getLogger(__name__)
 
@@ -44,6 +47,9 @@ class CallKind(Enum):
     def _missing_(cls, value: object) -> "CallKind | None":
         return _CALL_KINDS.get(value)  # type: ignore[arg-type]
 
+
+# The field values of a JSONL object in CSV_HEADER order, as a tuple.
+_jsonl_fields = operator.itemgetter(*CSV_HEADER)
 
 # Field value -> member, for the parser's exact-spelling fast path.
 _VERTEX_KINDS = {kind.value: kind for kind in VertexKind}
@@ -128,13 +134,9 @@ class ParseStats:
     warnings: int = 0
 
 
-def _kind(table: dict, kind: type[Enum], raw: object):
-    """Member of ``kind`` for a field value: exact spellings by table lookup,
-    anything else (case, spaces, non-strings) through ``kind`` itself."""
-    if isinstance(raw, str):
-        member = table.get(raw)
-        if member is not None:
-            return member
+def _kind(kind: type[Enum], raw: object):
+    """Member of ``kind`` for a field value the exact-spelling tables miss:
+    case, spaces and non-strings go through ``kind`` itself."""
     return kind(str(raw).strip().lower())
 
 
@@ -152,21 +154,36 @@ def _address(spelling: str, names: dict[str, str]) -> str:
     return address
 
 
-def _record_from_fields(fields: dict, line_no: int, names: dict[str, str]) -> TraceRecord:
+def _integer(raw: object, name: str) -> int:
+    """A timestamp or block given as a non-string: it must be an int."""
+    if type(raw) is not int:  # bool is a subclass of int, so it fails too
+        raise ValueError(f"{name} {raw!r} is not an integer")
+    return raw
+
+
+def _record_from_fields(fields: Sequence, line_no: int, names: dict[str, str]) -> TraceRecord:
+    """Record of the eight field values of one row, in ``CSV_HEADER`` order.
+
+    String fields, which every CSV field and most JSONL fields are, take the
+    table lookups inline; a miss or any other value takes the slow path.
+    """
+    timestamp, block, src, src_kind, dst, dst_kind, call_kind, tx_id = fields
     try:
-        timestamp = int(fields["timestamp"])
-        block = int(fields["block"])
-        src = _address(str(fields["from"]), names)
-        dst = _address(str(fields["to"]), names)
-        src_kind = _kind(_VERTEX_KINDS, VertexKind, fields["from_kind"])
-        dst_kind = _kind(_VERTEX_KINDS, VertexKind, fields["to_kind"])
-        tx_id = str(fields["tx_id"])
-    except (KeyError, ValueError) as exc:
+        timestamp = int(timestamp) if type(timestamp) is str else _integer(timestamp, "timestamp")
+        block = int(block) if type(block) is str else _integer(block, "block")
+        src = (type(src) is str and names.get(src)) or _address(str(src), names)
+        dst = (type(dst) is str and names.get(dst)) or _address(str(dst), names)
+        src_kind = (type(src_kind) is str and _VERTEX_KINDS.get(src_kind)) or _kind(VertexKind, src_kind)
+        dst_kind = (type(dst_kind) is str and _VERTEX_KINDS.get(dst_kind)) or _kind(VertexKind, dst_kind)
+        if tx_id is None:
+            raise ValueError("tx_id is null")
+        tx_id = str(tx_id)
+    except ValueError as exc:
         raise MalformedRow(line_no, str(exc)) from exc
     try:
-        call_kind = _kind(_CALL_KINDS, CallKind, fields["call_kind"])
+        call_kind = (type(call_kind) is str and _CALL_KINDS.get(call_kind)) or _kind(CallKind, call_kind)
     except ValueError as exc:
-        raise MalformedRow(line_no, f"unknown call kind {fields.get('call_kind')!r}") from exc
+        raise MalformedRow(line_no, f"unknown call kind {call_kind!r}") from exc
     if timestamp < 0 or block < 0:
         raise MalformedRow(line_no, "negative timestamp or block")
     if call_kind is CallKind.CONTRACT_CREATE and dst_kind is not VertexKind.CONTRACT:
@@ -191,7 +208,8 @@ def parse_trace(
     if stats is None:
         stats = ParseStats()
 
-    def rows() -> Iterator[tuple[int, dict]]:
+    def rows() -> Iterator[tuple[int, Sequence | str]]:
+        """Line number and field values of each row, or the row's error."""
         if format == "csv":
             reader = csv.reader(stream)
             try:
@@ -204,9 +222,9 @@ def parse_trace(
                 if not row:
                     continue
                 if len(row) != len(CSV_HEADER):
-                    yield line_no, {"__error__": f"expected {len(CSV_HEADER)} fields, got {len(row)}"}
+                    yield line_no, f"expected {len(CSV_HEADER)} fields, got {len(row)}"
                     continue
-                yield line_no, dict(zip(CSV_HEADER, row))
+                yield line_no, row
         else:
             for line_no, line in enumerate(stream, start=1):
                 if not line.strip():
@@ -214,20 +232,24 @@ def parse_trace(
                 try:
                     obj = json.loads(line)
                 except json.JSONDecodeError as exc:
-                    yield line_no, {"__error__": f"bad json: {exc}"}
+                    yield line_no, f"bad json: {exc}"
                     continue
                 if not isinstance(obj, dict):
-                    yield line_no, {"__error__": "record is not an object"}
+                    yield line_no, "record is not an object"
                     continue
-                yield line_no, obj
+                try:
+                    fields = _jsonl_fields(obj)
+                except KeyError as exc:
+                    fields = str(exc)
+                yield line_no, fields
 
     names: dict[str, str] = {}
     last_block = last_timestamp = -1
     for line_no, fields in rows():
         stats.data_rows += 1
         try:
-            if "__error__" in fields:
-                raise MalformedRow(line_no, fields["__error__"])
+            if type(fields) is str:
+                raise MalformedRow(line_no, fields)
             record = _record_from_fields(fields, line_no, names)
             if record.block < last_block:
                 raise OutOfOrderBlock(line_no, record.block, last_block)

@@ -1,5 +1,7 @@
 import gzip
+import json
 
+import pytest
 from click.testing import CliRunner
 
 from shardsim.cli import main, parse_duration
@@ -102,6 +104,27 @@ def test_replay_backwards_timestamp_strict_vs_lenient(tmp_path):
     assert res.stderr.strip() == f"error: line 6: timestamp {row[0]} after timestamp {lines[4].split(',')[0]}"
     res = run("replay", "--trace", str(bad), "--shards", "2", "--lenient")
     assert res.exit_code == 0
+    assert res.stderr.splitlines()[-1] == "skipped 1 malformed rows"
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("timestamp", None), ("timestamp", [1]), ("timestamp", 1.7), ("block", True), ("tx_id", None)],
+)
+def test_replay_jsonl_field_types_strict_vs_lenient(tmp_path, field, value):
+    trace = make_trace_file(tmp_path, "t.jsonl")
+    lines = trace.read_text().splitlines()
+    row = json.loads(lines[0])  # the first row, so no later row is out of order
+    row[field] = value
+    lines[0] = json.dumps(row)
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("\n".join(lines) + "\n")
+    res = run("replay", "--trace", str(bad), "--shards", "2")
+    assert res.exit_code == 1
+    assert res.stderr.startswith("error: line 1: ")
+    res = run("replay", "--trace", str(bad), "--shards", "2", "--lenient")
+    assert res.exit_code == 0
+    assert res.stdout.startswith("window_start,")
     assert res.stderr.splitlines()[-1] == "skipped 1 malformed rows"
 
 

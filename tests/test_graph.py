@@ -17,29 +17,26 @@ def test_fig2_style_inweight():
 
 
 def test_single_record_counts():
-    g = InteractionGraph()
     window = InteractionGraph()
-    apply_record(g, window, make_record(1, 2))
-    assert g.num_vertices == 2
-    assert g.num_undirected_edges == 1
-    assert g.total_edge_weight() == 1
+    apply_record(window, make_record(1, 2))
+    assert window.num_vertices == 2
+    assert window.num_undirected_edges == 1
+    assert window.total_edge_weight() == 1
 
 
 def test_self_loop():
-    g = InteractionGraph()
     window = InteractionGraph()
-    apply_record(g, window, make_record(5, 5))
-    assert g.undirected[(vid(5), vid(5))] == 1
+    apply_record(window, make_record(5, 5))
+    assert window.undirected[(vid(5), vid(5))] == 1
     assert window.vertices[vid(5)] == 2
-    assert PartGraph.from_interaction_graph(g).adj == [{}]
+    assert PartGraph.from_interaction_graph(window).adj == [{}]
 
 
 def test_vertex_activity_is_twice_edge_activity():
     rng = random.Random(3)
     window = InteractionGraph()
-    g = InteractionGraph()
     for i in range(200):
-        apply_record(g, window, make_record(rng.randint(0, 20), rng.randint(0, 20), tx_id=f"t{i}"))
+        apply_record(window, make_record(rng.randint(0, 20), rng.randint(0, 20), tx_id=f"t{i}"))
     assert sum(window.vertices.values()) == 2 * sum(window.undirected.values())
 
 
@@ -74,18 +71,17 @@ def test_prefix_replay_matches_brute_force_tally():
     records = [make_record(rng.randint(0, 15), rng.randint(0, 15), timestamp=i, tx_id=f"t{i}") for i in range(300)]
     for prefix_len in (0, 1, 57, 300):
         prefix = records[:prefix_len]
-        g = InteractionGraph()
         window = InteractionGraph()
         for r in prefix:
-            apply_record(g, window, r)
+            apply_record(window, r)
         verts = {r.src for r in prefix} | {r.dst for r in prefix}
         und = {}
         for r in prefix:
             key = (min(r.src, r.dst), max(r.src, r.dst))
             und[key] = und.get(key, 0) + 1
-        assert set(g.vertices) == verts
-        assert g.undirected == und
-        assert g.total_edge_weight() == prefix_len
+        assert set(window.vertices) == verts
+        assert window.undirected == und
+        assert window.total_edge_weight() == prefix_len
 
 
 def test_cumulative_weight_order_insensitive():

@@ -1,3 +1,4 @@
+import io
 import logging
 import random
 import weakref
@@ -7,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from shardsim import replay
 from shardsim.graph import InteractionGraph, window_subgraph
-from shardsim.metrics import Assignment, count_moves
+from shardsim.metrics import Assignment, balance, count_moves
 from shardsim.partition import PartitionerConfig
 from shardsim.replay import (
     HOUR,
@@ -21,6 +22,7 @@ from shardsim.replay import (
 )
 from shardsim.metrics import MetricSample
 from shardsim.synth import WorkloadSpec, generate_workload
+from shardsim.trace import parse_trace, serialize_trace
 
 from conftest import graph_from_pairs, make_record, vid
 
@@ -164,9 +166,9 @@ def test_infeasible_balance_is_logged(caplog):
     assert messages == ["repartition at 5003: balance cap 1.575 not met (heaviest vertex weighs 1)"]
 
 
-def test_replay_keeps_no_records():
-    # the replay keeps counts only: at any yield, the record being yielded
-    # and the one before it are the only records alive
+def assert_no_records_kept(records):
+    """Replay ``records()`` under every strategy: at any yield, the record
+    being yielded and the one before it are the only records alive."""
     live = peak = 0
 
     def dead(_ref):
@@ -175,9 +177,7 @@ def test_replay_keeps_no_records():
 
     def stream(refs):
         nonlocal live, peak
-        rng = random.Random(1)
-        for i in range(2000):
-            r = make_record(rng.randrange(40), rng.randrange(40), timestamp=i * 600, block=i, tx_id=f"t{i}")
+        for r in records():
             refs.append(weakref.ref(r, dead))
             live += 1
             peak = max(peak, live)
@@ -188,6 +188,23 @@ def test_replay_keeps_no_records():
         res = run_replay(stream(refs), basic_cfg(strategy, k=3, repartition_interval=DAY))
         assert len(refs) == 2000 and res.samples
         assert peak <= 2, f"{strategy.value} kept {peak} records alive"
+
+
+def generated_records():
+    rng = random.Random(1)
+    for i in range(2000):
+        yield make_record(rng.randrange(40), rng.randrange(40), timestamp=i * 600, block=i, tx_id=f"t{i}")
+
+
+def test_replay_keeps_no_records():
+    # the replay keeps counts only
+    assert_no_records_kept(generated_records)
+
+
+def test_replay_keeps_no_records_through_parser():
+    # nor does the parser keep any record it has yielded
+    text = serialize_trace(generated_records(), "csv")
+    assert_no_records_kept(lambda: parse_trace(io.StringIO(text), "csv"))
 
 
 GAPS = (0, 0, 1, 1800, HOUR, 4 * HOUR, 9 * HOUR, 2 * DAY)
@@ -234,6 +251,43 @@ def test_period_matches_window_subgraph_oracle(steps, strategy, k, interval):
             expected.append((list(oracle.vertices.items()), list(oracle.undirected.items())))
         previous = clock
     assert seen == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    steps=st.lists(st.tuples(st.sampled_from(GAPS), st.integers(0, 7), st.integers(0, 7)), min_size=1, max_size=60),
+    strategy=st.sampled_from(list(Strategy)),
+    cumulative=st.booleans(),
+    k=st.integers(2, 3),
+    interval=st.sampled_from([4 * HOUR, 8 * HOUR, DAY]),
+)
+def test_graph_matches_window_subgraph_oracle(steps, strategy, cumulative, k, interval):
+    # at every sample the whole-trace graph holds exactly the records before
+    # the window's end, keys in order of first appearance, and the static
+    # balance read from the shard sizes equals the full scan
+    records, t = [], 1000
+    for i, (gap, src, dst) in enumerate(steps):
+        t += gap
+        records.append(make_record(src, dst, timestamp=t, block=i, tx_id=f"t{i}"))
+    seen = []
+    real_edge_cut = replay.edge_cut
+
+    def edge_cut_spy(graph, a, weighting, *args):
+        if weighting == "static":
+            seen.append((list(graph.vertices.items()), list(graph.undirected.items()), balance(graph, a, "static")))
+        return real_edge_cut(graph, a, weighting, *args)
+
+    cfg = basic_cfg(strategy, k=k, repartition_interval=interval, cumulative_weights=cumulative)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(replay, "edge_cut", edge_cut_spy)
+        res = run_replay(records, cfg)
+
+    assert len(seen) == len(res.samples)
+    for (vertices, undirected, static_balance), s in zip(seen, res.samples):
+        oracle = window_subgraph(records, records[0].timestamp, s.window_start + cfg.metric_window)
+        assert vertices == list(oracle.vertices.items())
+        assert undirected == list(oracle.undirected.items())
+        assert s.static_balance == static_balance
 
 
 @pytest.mark.parametrize("strategy", list(Strategy))

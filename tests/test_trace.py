@@ -284,3 +284,71 @@ def test_validate_kinds_use_before_create():
     stats = ParseStats()
     assert list(validate_kinds(recs, strict=False, stats=stats)) == recs
     assert stats.warnings == 1
+
+
+HEADER = ",".join(CSV_HEADER) + "\n"
+ROW = f"10,100,{A1},account,{A2},contract,contractcall,tx1\n"
+
+
+@pytest.mark.parametrize(
+    "text, fmt, message",
+    [
+        (HEADER + ROW + "1,2,3\n", "csv", "line 3: expected 8 fields, got 3"),
+        # blank lines are skipped but still counted in line numbers
+        (HEADER + "\n" + ROW + "\n" + "x\n", "csv", "line 5: expected 8 fields, got 1"),
+        (HEADER + "  \n", "csv", "line 2: expected 8 fields, got 1"),
+        (HEADER + f"1x,100,{A1},account,{A2},contract,contractcall,tx1\n", "csv",
+         "line 2: invalid literal for int() with base 10: '1x'"),
+        (HEADER + f"-1,100,{A1},account,{A2},contract,contractcall,tx1\n", "csv", "line 2: negative timestamp or block"),
+        (HEADER + f"1,100,xyz,account,{A2},contract,contractcall,tx1\n", "csv", "line 2: address 'xyz' is not 40 hex digits"),
+        ('{"a": \n', "jsonl", "line 1: bad json: Expecting value: line 2 column 1 (char 7)"),
+        ("\n[1, 2]\n", "jsonl", "line 2: record is not an object"),
+        (jsonl_row() + jsonl_row().replace(', "tx_id": "t"', ""), "jsonl", "line 2: 'tx_id'"),
+        (jsonl_row(**{"from": 5}), "jsonl", "line 1: address '5' is not 40 hex digits"),
+        (jsonl_row(to=["a"]), "jsonl", "line 1: address \"['a']\" is not 40 hex digits"),
+    ],
+)
+def test_malformed_row_messages(text, fmt, message):
+    with pytest.raises(MalformedRow) as info:
+        parse_str(text, fmt)
+    assert str(info.value) == message
+    assert info.value.line_no == int(message.split()[1].rstrip(":"))
+    stats = ParseStats()
+    parse_str(text, fmt, strict=False, stats=stats)
+    assert stats.skipped == 1
+
+
+def test_jsonl_error_key_is_an_ordinary_field():
+    (r,) = parse_str(jsonl_row(__error__="not an error"), "jsonl")
+    assert r == TraceRecord(5, 1, A1, VertexKind.ACCOUNT, A2, VertexKind.CONTRACT, CallKind.TRANSFER, "t")
+
+
+JSONL_BAD_TYPES = [
+    ({"timestamp": None}, "line 1: timestamp None is not an integer"),
+    ({"timestamp": [1]}, "line 1: timestamp [1] is not an integer"),
+    ({"timestamp": 1.7}, "line 1: timestamp 1.7 is not an integer"),
+    ({"timestamp": 5.0}, "line 1: timestamp 5.0 is not an integer"),
+    ({"timestamp": True}, "line 1: timestamp True is not an integer"),
+    ({"block": True}, "line 1: block True is not an integer"),
+    ({"block": None}, "line 1: block None is not an integer"),
+    ({"block": "1.5"}, "line 1: invalid literal for int() with base 10: '1.5'"),
+    ({"tx_id": None}, "line 1: tx_id is null"),
+]
+
+
+@pytest.mark.parametrize("fields, message", JSONL_BAD_TYPES)
+def test_jsonl_field_types(fields, message):
+    with pytest.raises(MalformedRow) as info:
+        parse_str(jsonl_row(**fields), "jsonl")
+    assert str(info.value) == message
+    stats = ParseStats()
+    records = parse_str(jsonl_row(**fields) + jsonl_row(timestamp=6), "jsonl", strict=False, stats=stats)
+    assert [r.timestamp for r in records] == [6]
+    assert (stats.data_rows, stats.yielded, stats.skipped) == (2, 1, 1)
+
+
+def test_jsonl_integers_and_digit_strings_accepted():
+    rows = jsonl_row(timestamp=5, block=1, tx_id=7) + jsonl_row(timestamp="6", block="2", tx_id="t")
+    a, b = parse_str(rows, "jsonl")
+    assert (a.timestamp, a.block, a.tx_id) == (5, 1, "7")
+    assert (b.timestamp, b.block, b.tx_id) == (6, 2, "t")
