@@ -5,6 +5,9 @@ one metric window and of one repartition period. Records are directed
 (caller -> callee), but all cut/partition logic works on the undirected view
 kept here: anti-parallel pairs merge with summed weight, keyed by the sorted
 endpoint pair. Self-loops are counted too (they can never be cut).
+
+Vertices are any ordered keys: the replay's graphs are keyed (and their edges
+oriented) by dense int vertex id, ``window_subgraph``'s by address.
 """
 
 from __future__ import annotations
@@ -23,11 +26,8 @@ class InteractionGraph:
     """
 
     def __init__(self) -> None:
-        self.vertices: dict[str, int] = {}
-        self.undirected: dict[tuple[str, str], int] = {}
-
-    def __len__(self) -> int:
-        return len(self.vertices)
+        self.vertices: dict = {}  # vertex -> endpoint touches
+        self.undirected: dict[tuple, int] = {}  # (lesser, greater) vertex -> records
 
     @property
     def num_vertices(self) -> int:
@@ -40,7 +40,7 @@ class InteractionGraph:
     def total_edge_weight(self) -> int:
         return sum(self.undirected.values())
 
-    def record(self, src: str, dst: str) -> None:
+    def record(self, src, dst) -> None:
         """Count one interaction."""
         vertices = self.vertices
         vertices[src] = vertices.get(src, 0) + 1
@@ -58,13 +58,10 @@ class InteractionGraph:
             undirected[key] = undirected.get(key, 0) + w
 
 
-def apply_record(window: InteractionGraph, r: TraceRecord) -> None:
-    """Fold one trace record into the current metric window.
-
-    The replay merges each finished window into the whole-trace graph at the
-    window boundary, so a record is counted once on ingest.
-    """
-    window.record(r.src, r.dst)
+# The replay folds each record's endpoints into the current metric window with
+# ``apply_record(window, src, dst)`` and merges each finished window into the
+# longer spans at its boundary, so a record is counted once on ingest.
+apply_record = InteractionGraph.record
 
 
 def window_subgraph(log: Iterable[TraceRecord], from_t: int, to_t: int) -> InteractionGraph:

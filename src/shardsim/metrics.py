@@ -16,14 +16,19 @@ from shardsim.graph import InteractionGraph
 
 
 class DomainMismatch(ValueError):
-    """Raised when two assignments do not cover the same vertex set."""
+    """Raised when two part vectors do not cover the same vertex set."""
 
 
 @dataclass
 class Assignment:
-    """Total map vertex -> shard index in [0, k)."""
+    """Total map vertex -> shard index in [0, k).
 
-    shard_of: dict[str, int]
+    ``shard_of[v]`` is the shard of ``v``. Inside the replay it is a part
+    vector, a list indexed by dense vertex id; a MultilevelResult keys it by
+    ``PartGraph.names``, ``ReplayResult.final_assignment`` by address.
+    """
+
+    shard_of: list[int] | dict
     k: int
 
     def __post_init__(self) -> None:
@@ -48,7 +53,7 @@ def edge_cut(
     graph: InteractionGraph,
     a: Assignment,
     weighting: str = "static",
-    activity: Mapping[tuple[str, str], int] | None = None,
+    activity: Mapping[tuple, int] | None = None,
 ) -> float:
     """Fraction of (weighted) undirected edges crossing shards, in [0, 1].
 
@@ -61,24 +66,18 @@ def edge_cut(
         if total == 0:
             return 0.0
         shard_of = a.shard_of
-        cut = 0
-        for u, v in graph.undirected:
-            if u != v and shard_of[u] != shard_of[v]:
-                cut += 1
-        return cut / total
+        # Counts the uncut edges (self-loops among them): fewer when most are cut.
+        return (total - sum(1 for u, v in graph.undirected if shard_of[u] == shard_of[v])) / total
     if weighting == "dynamic":
         if activity is None:
             raise ValueError("dynamic edge_cut requires activity weights")
-        total = 0
-        cut = 0
+        total = cut = 0
         shard_of = a.shard_of
         for (u, v), w in activity.items():
             total += w
-            if u != v and shard_of[u] != shard_of[v]:
+            if shard_of[u] != shard_of[v]:
                 cut += w
-        if total == 0:
-            return 0.0
-        return cut / total
+        return cut / total if total else 0.0
     raise ValueError(f"unknown weighting {weighting!r}")
 
 
@@ -86,7 +85,7 @@ def balance(
     graph: InteractionGraph,
     a: Assignment,
     weighting: str = "static",
-    activity: Mapping[str, int] | None = None,
+    activity: Mapping | None = None,
 ) -> float:
     """Heaviest shard relative to the ideal equal share; 1 is perfect.
 
@@ -110,9 +109,7 @@ def balance(
         for v, w in activity.items():
             loads[a.shard_of[v]] += w
             total += w
-        if total == 0:
-            return 1.0
-        return max(loads) * k / total
+        return max(loads) * k / total if total else 1.0
     raise ValueError(f"unknown weighting {weighting!r}")
 
 
@@ -124,8 +121,7 @@ def normalized_balance(b: float, k: int) -> float:
 
 
 def count_moves(old: Assignment, new: Assignment) -> int:
-    """Number of vertices whose shard differs between two assignments."""
-    if old.shard_of.keys() != new.shard_of.keys():
+    """Number of vertices whose shard differs between two part vectors."""
+    if len(old.shard_of) != len(new.shard_of):
         raise DomainMismatch("assignments cover different vertex sets")
-    new_of = new.shard_of
-    return sum(1 for v, s in old.shard_of.items() if new_of[v] != s)
+    return sum(1 for s, t in zip(old.shard_of, new.shard_of) if s != t)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import heapq
 import random
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from shardsim.graph import InteractionGraph
 from shardsim.metrics import Assignment
@@ -79,44 +79,39 @@ def hash_partition(vertex: str, cfg: PartitionerConfig) -> int:
 
 @dataclass(frozen=True)
 class Candidate:
-    vertex: str
+    vertex: int | str  # the vertex's key in the assignment: a dense id in the replay
     target: int
     gain: int  # activity-weighted cut reduction if moved to target
 
 
-def _vertex_neighbor_activity(activity: InteractionGraph) -> dict[str, dict[str, int]]:
-    nbr: dict[str, dict[str, int]] = {}
-    for (u, v), w in activity.undirected.items():
-        nbr.setdefault(u, {})
-        nbr.setdefault(v, {})
-        nbr[u][v] = nbr[u].get(v, 0) + w
-        if u != v:
-            nbr[v][u] = nbr[v].get(u, 0) + w
-    return nbr
-
-
-def kl_select_candidates(a: Assignment, activity: InteractionGraph) -> dict[int, list[Candidate]]:
+def kl_select_candidates(
+    a: Assignment, activity: InteractionGraph, key: Callable | None = None
+) -> dict[int, list[Candidate]]:
     """Per-shard positive-gain move candidates from recent activity.
 
     gain(v, j) = activity toward shard j minus activity inside v's own shard;
     a vertex is a candidate iff its best gain is positive (ties broken toward
     the lowest shard index). Self-loop activity is ignored: it can never be
-    cut, so it contributes nothing to the cut change of a move.
+    cut, so it contributes nothing to the cut change of a move. Each shard's
+    candidates are listed in vertex order, sorted by ``key`` (the replay
+    passes the address of each id, so the order is by address).
     """
+    k = a.k
     shard_of = a.shard_of
-    out: dict[int, list[Candidate]] = {i: [] for i in range(a.k)}
-    nbr = _vertex_neighbor_activity(activity)
-    for v in sorted(nbr):
+    conn = {v: [0] * k for v in activity.vertices}  # activity toward each shard
+    for (u, v), w in activity.undirected.items():
+        if u != v:
+            conn[u][shard_of[v]] += w
+            conn[v][shard_of[u]] += w
+    out: dict[int, list[Candidate]] = {i: [] for i in range(k)}
+    for v in sorted(conn, key=key):
+        c = conn[v]
         own = shard_of[v]
-        conn = [0] * a.k
-        for u, w in nbr[v].items():
-            if u != v:
-                conn[shard_of[u]] += w
         best_j, best_gain = own, 0
-        for j in range(a.k):
+        for j in range(k):
             if j == own:
                 continue
-            gain = conn[j] - conn[own]
+            gain = c[j] - c[own]
             if gain > best_gain:
                 best_j, best_gain = j, gain
         if best_gain > 0:
@@ -208,13 +203,15 @@ def kl_exchange(
 ) -> Assignment:
     """Move each candidate of shard i to shard j with probability matrix[i][j].
 
-    Deterministic for a fixed seed; non-candidates never move.
+    Shards are drawn in index order and each shard's candidates in the order
+    listed. Deterministic for a fixed seed; non-candidates never move. The
+    result is a new assignment.
     """
     rng = random.Random(rng_seed)
-    shard_of = dict(a.shard_of)
+    shard_of = a.shard_of.copy()
     for i in sorted(candidates):
         row = matrix[i]
-        for c in sorted(candidates[i], key=lambda c: c.vertex):
+        for c in candidates[i]:
             u = rng.random()
             acc = 0.0
             dest = i
@@ -578,7 +575,7 @@ def multilevel_partition(
     """
     pg = PartGraph.from_interaction_graph(graph, weights)
     part, infeasible, pass_cuts = partition_partgraph(pg, cfg)
-    shard_of = {pg.names[i]: part[i] for i in range(len(pg))}
+    shard_of = dict(zip(pg.names, part))
     return MultilevelResult(
         Assignment(shard_of, cfg.k), infeasible, pass_cuts, cfg.balance_cap(pg.total_vwgt()), max(pg.vwgt)
     )
@@ -588,23 +585,19 @@ def multilevel_partition(
 # Incremental placement
 
 
-def assign_new_vertex(a: Assignment, tx_neighbors: Mapping[str, int], shard_sizes: Sequence[int]) -> int:
+def assign_new_vertex(a: Assignment, tx_neighbors: Mapping, shard_sizes: Sequence[int]) -> int:
     """Shard for a first-seen vertex.
 
-    Picks the shard holding the most already-assigned transaction neighbors
-    (weighted by multiplicity); ties go to the lighter shard by
-    ``shard_sizes`` (vertices per shard), and with no assigned neighbors the
-    globally lightest shard wins.
+    Picks the shard holding the most transaction neighbors (weighted by
+    multiplicity; every neighbor must already be assigned); ties go to the
+    lighter shard by ``shard_sizes`` (vertices per shard), and with no
+    neighbors the globally lightest shard wins.
     """
-    counts = [0] * a.k
-    any_assigned = False
-    for v, mult in tx_neighbors.items():
-        s = a.shard_of.get(v)
-        if s is not None:
-            counts[s] += mult
-            any_assigned = True
-    if not any_assigned:
+    if not tx_neighbors:
         return min(range(a.k), key=lambda i: (shard_sizes[i], i))
+    counts = [0] * a.k
+    for v, mult in tx_neighbors.items():
+        counts[a.shard_of[v]] += mult
     best = max(counts)
     return min((i for i in range(a.k) if counts[i] == best), key=lambda i: (shard_sizes[i], i))
 

@@ -8,15 +8,20 @@ last repartition. It also keeps the current shard assignment and its shard
 sizes. At every metric-window boundary it emits a MetricSample and evaluates
 the strategy's repartition trigger; repartitions are applied at the boundary,
 so samples sit on a uniform grid anchored at the first record.
+
+Each address becomes a dense int id, in order of first appearance; the graphs
+are keyed by id and the assignment is a part vector indexed by id. Addresses
+are read only to hash a new vertex, to order KL's vertices and to build the
+final assignment.
 """
 
 from __future__ import annotations
 
 import logging
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from shardsim.graph import InteractionGraph, apply_record
 # Unused here; bench/layers.py wraps these names of this module.
@@ -80,7 +85,7 @@ class ReplayResult:
     total_moves: int
     total_raw_moves: int  # moves before shard-label matching, for transparency
     repartition_timestamps: list[int]
-    final_assignment: Assignment
+    final_assignment: Assignment  # address -> shard, addresses in order of first appearance
     refinement_cuts: list[tuple[int, int]] = field(default_factory=list)
 
 
@@ -107,26 +112,18 @@ def fire_trigger(
 def relabel_to_match(old: Assignment, new: Assignment, k: int) -> Assignment:
     """Rename new shard labels to maximize vertex overlap with the old labels.
 
-    Greedy maximum-overlap matching; a pure label permutation relocates no
-    state and must not count as moves.
+    ``old`` and ``new`` are part vectors of the same vertices. Greedy
+    maximum-overlap matching; a pure label permutation relocates no state and
+    must not count as moves.
     """
-    overlap: dict[tuple[int, int], int] = {}
-    for v, s_new in new.shard_of.items():
-        s_old = old.shard_of.get(v)
-        if s_old is not None:
-            overlap[(s_new, s_old)] = overlap.get((s_new, s_old), 0) + 1
-    pairs = sorted(overlap.items(), key=lambda kv: (-kv[1], kv[0]))
+    overlap = Counter(zip(new.shard_of, old.shard_of))
     mapping: dict[int, int] = {}
-    used_old: set[int] = set()
-    for (s_new, s_old), _ in pairs:
-        if s_new not in mapping and s_old not in used_old:
+    for (s_new, s_old), _ in sorted(overlap.items(), key=lambda kv: (-kv[1], kv[0])):
+        if s_new not in mapping and s_old not in mapping.values():
             mapping[s_new] = s_old
-            used_old.add(s_old)
-    free = [i for i in range(k) if i not in used_old]
-    for s_new in range(k):
-        if s_new not in mapping:
-            mapping[s_new] = free.pop(0)
-    return Assignment({v: mapping[s] for v, s in new.shard_of.items()}, k)
+    free = [s for s in range(k) if s not in mapping.values()]
+    mapping.update(zip([s for s in range(k) if s not in mapping], free))
+    return Assignment([mapping[s] for s in new.shard_of], k)
 
 
 def repartition(
@@ -136,11 +133,13 @@ def repartition(
     a: Assignment,
     cfg: ReplayConfig,
     clock: int,
+    names: Sequence[str],
 ) -> tuple[Assignment, int, int, list[tuple[int, int]]]:
     """Run one repartition. Returns (assignment, moves, raw_moves, pass_cuts).
 
     ``graph`` counts the whole trace so far, ``period`` the records since the
-    last repartition; only kl, metis-window and metis-threshold read it.
+    last repartition; only kl, metis-window and metis-threshold read it. Both
+    are keyed by id, ``a`` is a part vector and ``names`` maps id to address.
     """
     pcfg = cfg.partitioner
     assert pcfg is not None
@@ -151,30 +150,30 @@ def repartition(
         if graph.num_vertices == 0:
             return a, 0, 0, pass_cuts
         res = multilevel_partition(graph, pcfg, weights="unit")
-        new = res.assignment
-        pass_cuts = res.refinement_cuts
     elif strategy in (Strategy.METIS_WINDOW, Strategy.METIS_THRESHOLD):
         if period.num_vertices == 0:
             return a, 0, 0, pass_cuts
         res = multilevel_partition(period, pcfg, weights="activity")
-        pass_cuts = res.refinement_cuts
-        shard_of = dict(a.shard_of)  # vertices outside the window keep their shard
-        shard_of.update(res.assignment.shard_of)
-        new = Assignment(shard_of, cfg.k)
     elif strategy is Strategy.KL:
         new = a
         for rnd in range(max(1, pcfg.kl_rounds)):
-            cands = kl_select_candidates(new, period)
+            cands = kl_select_candidates(new, period, names.__getitem__)
             matrix = kl_build_matrix(cands, new, period, pcfg)
             new = kl_exchange(new, cands, matrix, pcfg.rng_seed ^ clock ^ (rnd << 32))
     else:
         return a, 0, 0, pass_cuts
 
-    if res is not None and res.infeasible_balance:
-        log.info(
-            "repartition at %d: balance cap %g not met (heaviest vertex weighs %d)",
-            clock, res.balance_cap, res.max_vertex_weight,
-        )
+    if res is not None:
+        pass_cuts = res.refinement_cuts
+        part = a.shard_of.copy()  # vertices outside the partitioned graph keep their shard
+        for v, s in res.assignment.shard_of.items():
+            part[v] = s
+        new = Assignment(part, cfg.k)
+        if res.infeasible_balance:
+            log.info(
+                "repartition at %d: balance cap %g not met (heaviest vertex weighs %d)",
+                clock, res.balance_cap, res.max_vertex_weight,
+            )
     raw_moves = count_moves(a, new)
     matched = relabel_to_match(a, new, cfg.k)
     moves = count_moves(a, matched)
@@ -194,7 +193,9 @@ def run_replay(trace: Iterable[TraceRecord], cfg: ReplayConfig) -> ReplayResult:
     pcfg = cfg.partitioner
     assert pcfg is not None
     graph = InteractionGraph()
-    assignment = Assignment({}, k)
+    ids: dict[str, int] = {}  # address -> id
+    names: list[str] = []  # id -> address
+    assignment = Assignment([], k)
     shard_sizes = [0] * k
     samples: list[MetricSample] = []
     repartition_timestamps: list[int] = []
@@ -207,11 +208,24 @@ def run_replay(trace: Iterable[TraceRecord], cfg: ReplayConfig) -> ReplayResult:
     period = InteractionGraph()  # the windows finished since the last repartition
     last_repart = 0
     place_by_hash = cfg.strategy in (Strategy.HASHING, Strategy.KL)
-    tx_members: dict[str, Counter] = {}  # multilevel placement only
+    tx_members: defaultdict[str, Counter] = defaultdict(Counter)  # multilevel placement only
 
-    def place(vertex: str, s: int) -> None:
-        assignment.shard_of[vertex] = s
+    def place(address: str, other: int | None, members: Counter | None) -> int:
+        """Give a first-seen vertex the next id and a shard: by hash when
+        ``members`` (the transaction's ids so far) is None, else next to its
+        transaction neighbors and ``other``, the record's placed counterpart."""
+        if members is None:
+            s = hash_partition(address, pcfg)
+        else:
+            seen = Counter(members)
+            if other is not None:
+                seen[other] += 1  # the counterpart on this record is a neighbor too
+            s = assign_new_vertex(assignment, seen, shard_sizes)
+        v = ids[address] = len(names)
+        names.append(address)
+        assignment.shard_of.append(s)
         shard_sizes[s] += 1
+        return v
 
     def emit_boundary() -> None:
         nonlocal window, window_start, period, assignment, shard_sizes
@@ -234,10 +248,10 @@ def run_replay(trace: Iterable[TraceRecord], cfg: ReplayConfig) -> ReplayResult:
         )
         clock = window_start + cfg.metric_window
         if fire_trigger(cfg.strategy, clock, last_repart, sample, cfg):
-            new, moves, raw, pass_cuts = repartition(cfg.strategy, graph, period, assignment, cfg, clock)
+            new, moves, raw, pass_cuts = repartition(cfg.strategy, graph, period, assignment, cfg, clock, names)
             assignment = new
             shard_sizes = [0] * k
-            for s in assignment.shard_of.values():
+            for s in assignment.shard_of:
                 shard_sizes[s] += 1
             sample.moves = moves
             sample.repartitioned = True
@@ -257,32 +271,28 @@ def run_replay(trace: Iterable[TraceRecord], cfg: ReplayConfig) -> ReplayResult:
             window_start = last_repart = r.timestamp
         while r.timestamp >= window_start + cfg.metric_window:
             emit_boundary()
-        if place_by_hash:
-            for vertex in (r.src, r.dst):
-                if vertex not in assignment.shard_of:
-                    place(vertex, hash_partition(vertex, pcfg))
-        else:
-            members = tx_members.get(r.tx_id)
-            if members is None:
-                members = tx_members[r.tx_id] = Counter()
-            for vertex, other in ((r.src, r.dst), (r.dst, r.src)):
-                if vertex not in assignment.shard_of:
-                    seen = Counter(members)
-                    if other != vertex:
-                        seen[other] += 1  # the counterpart on this record is a neighbor too
-                    place(vertex, assign_new_vertex(assignment, seen, shard_sizes))
-            members[r.src] += 1
-            members[r.dst] += 1
-        apply_record(window, r)
+        members = None if place_by_hash else tx_members[r.tx_id]
+        src = ids.get(r.src)
+        if src is None:
+            src = place(r.src, ids.get(r.dst), members)
+        dst = ids.get(r.dst)
+        if dst is None:
+            dst = place(r.dst, src, members)
+        if members is not None:
+            members[src] += 1
+            members[dst] += 1
+        apply_record(window, src, dst)
 
     if window_start is not None:
         emit_boundary()
 
+    for address, s in zip(names, assignment.shard_of):
+        ids[address] = s  # ids becomes the final map, keys still in id order
     return ReplayResult(
         samples=samples,
         total_moves=total_moves,
         total_raw_moves=total_raw,
         repartition_timestamps=repartition_timestamps,
-        final_assignment=assignment,
+        final_assignment=Assignment(ids, k),
         refinement_cuts=refinement_cuts,
     )

@@ -8,8 +8,9 @@ Canonical trace formats:
 Addresses are 40 hex digits (an optional ``0x`` prefix is stripped and the
 string lowercased on input). Blocks and timestamps must not decrease from
 row to row. In JSONL, a timestamp or block is an integer (not a boolean or a
-float) or a string holding one, and ``tx_id`` must not be null. ``.gz`` files
-are decompressed transparently.
+float) or a string holding one, and ``tx_id`` must not be null. ``tx_id``
+must not be empty in either format. ``.gz`` files are decompressed
+transparently.
 """
 
 from __future__ import annotations
@@ -112,10 +113,12 @@ def canonical_address(raw: str) -> str:
     return s
 
 
-@dataclass(frozen=True)
+@dataclass
 class TraceRecord:
     """One caller->callee interaction extracted from a transaction."""
 
+    # Slotted and mutable, so cheap to build; tests take weak references.
+    __slots__ = ("timestamp", "block", "src", "src_kind", "dst", "dst_kind", "call_kind", "tx_id", "__weakref__")
     timestamp: int
     block: int
     src: str
@@ -178,6 +181,8 @@ def _record_from_fields(fields: Sequence, line_no: int, names: dict[str, str]) -
         if tx_id is None:
             raise ValueError("tx_id is null")
         tx_id = str(tx_id)
+        if not tx_id:
+            raise ValueError("tx_id is empty")
     except ValueError as exc:
         raise MalformedRow(line_no, str(exc)) from exc
     try:

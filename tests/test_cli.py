@@ -90,6 +90,20 @@ def test_replay_malformed_strict_vs_lenient(tmp_path):
     assert res.exit_code == 0 and "skipped" not in res.stderr
 
 
+def test_replay_empty_tx_id_strict_vs_lenient(tmp_path):
+    trace = make_trace_file(tmp_path)
+    lines = trace.read_text().splitlines()
+    lines[3] = lines[3].rsplit(",", 1)[0] + ","
+    bad = tmp_path / "empty_tx.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    res = run("replay", "--trace", str(bad), "--shards", "2")
+    assert res.exit_code == 1
+    assert res.stderr.strip() == "error: line 4: tx_id is empty"
+    res = run("replay", "--trace", str(bad), "--shards", "2", "--lenient")
+    assert res.exit_code == 0
+    assert res.stderr.splitlines()[-1] == "skipped 1 malformed rows"
+
+
 def test_replay_backwards_timestamp_strict_vs_lenient(tmp_path):
     trace = make_trace_file(tmp_path)
     lines = trace.read_text().splitlines()
@@ -109,7 +123,7 @@ def test_replay_backwards_timestamp_strict_vs_lenient(tmp_path):
 
 @pytest.mark.parametrize(
     "field, value",
-    [("timestamp", None), ("timestamp", [1]), ("timestamp", 1.7), ("block", True), ("tx_id", None)],
+    [("timestamp", None), ("timestamp", [1]), ("timestamp", 1.7), ("block", True), ("tx_id", None), ("tx_id", "")],
 )
 def test_replay_jsonl_field_types_strict_vs_lenient(tmp_path, field, value):
     trace = make_trace_file(tmp_path, "t.jsonl")

@@ -18,7 +18,7 @@ def test_fig2_style_inweight():
 
 def test_single_record_counts():
     window = InteractionGraph()
-    apply_record(window, make_record(1, 2))
+    apply_record(window, vid(1), vid(2))
     assert window.num_vertices == 2
     assert window.num_undirected_edges == 1
     assert window.total_edge_weight() == 1
@@ -26,7 +26,7 @@ def test_single_record_counts():
 
 def test_self_loop():
     window = InteractionGraph()
-    apply_record(window, make_record(5, 5))
+    apply_record(window, vid(5), vid(5))
     assert window.undirected[(vid(5), vid(5))] == 1
     assert window.vertices[vid(5)] == 2
     assert PartGraph.from_interaction_graph(window).adj == [{}]
@@ -36,7 +36,7 @@ def test_vertex_activity_is_twice_edge_activity():
     rng = random.Random(3)
     window = InteractionGraph()
     for i in range(200):
-        apply_record(window, make_record(rng.randint(0, 20), rng.randint(0, 20), tx_id=f"t{i}"))
+        apply_record(window, rng.randint(0, 20), rng.randint(0, 20))
     assert sum(window.vertices.values()) == 2 * sum(window.undirected.values())
 
 
@@ -73,7 +73,7 @@ def test_prefix_replay_matches_brute_force_tally():
         prefix = records[:prefix_len]
         window = InteractionGraph()
         for r in prefix:
-            apply_record(window, r)
+            apply_record(window, r.src, r.dst)
         verts = {r.src for r in prefix} | {r.dst for r in prefix}
         und = {}
         for r in prefix:

@@ -90,13 +90,13 @@ def test_dynamic_balance_uses_vertex_activity():
 
 
 def test_count_moves():
-    a = assign({0: 0, 1: 1}, 2)
-    b = assign({0: 0, 1: 1}, 2)
+    a = Assignment([0, 1], 2)
+    b = Assignment([0, 1], 2)
     assert count_moves(a, b) == 0
-    c = assign({0: 1, 1: 1}, 2)
+    c = Assignment([1, 1], 2)
     assert count_moves(a, c) == 1
     with pytest.raises(DomainMismatch):
-        count_moves(a, assign({0: 0}, 2))
+        count_moves(a, Assignment([0], 2))
 
 
 def brute_force_metrics(pairs, mapping, k, activity_of_pair):

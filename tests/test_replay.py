@@ -130,16 +130,16 @@ def test_every_seen_vertex_always_assigned():
 
 
 def test_relabel_pure_permutation_zero_moves():
-    old = Assignment({vid(i): i % 3 for i in range(30)}, 3)
-    permuted = Assignment({v: (s + 1) % 3 for v, s in old.shard_of.items()}, 3)
+    old = Assignment([i % 3 for i in range(30)], 3)
+    permuted = Assignment([(s + 1) % 3 for s in old.shard_of], 3)
     matched = relabel_to_match(old, permuted, 3)
     assert count_moves(old, matched) == 0
 
 
 def test_relabel_partial_overlap():
-    old = Assignment({vid(i): 0 if i < 6 else 1 for i in range(10)}, 2)
+    old = Assignment([0 if i < 6 else 1 for i in range(10)], 2)
     # new labels flipped plus one genuine move
-    new = Assignment({vid(i): 1 if i < 5 else 0 for i in range(10)}, 2)
+    new = Assignment([1 if i < 5 else 0 for i in range(10)], 2)
     matched = relabel_to_match(old, new, 2)
     assert count_moves(old, matched) == 1
 
@@ -159,9 +159,11 @@ def test_infeasible_balance_is_logged(caplog):
     cfg = basic_cfg(Strategy.METIS_FULL)
     with caplog.at_level(logging.INFO, logger="shardsim.replay"):
         for n in (4, 3):
-            graph = graph_from_pairs([(i, i + 1) for i in range(n - 1)])
-            a = Assignment({vid(i): 0 for i in range(n)}, 2)
-            repartition(Strategy.METIS_FULL, graph, InteractionGraph(), a, cfg, 5000 + n)
+            graph = InteractionGraph()
+            for i in range(n - 1):
+                graph.record(i, i + 1)
+            a = Assignment([0] * n, 2)
+            repartition(Strategy.METIS_FULL, graph, InteractionGraph(), a, cfg, 5000 + n, [vid(i) for i in range(n)])
     messages = [r.getMessage() for r in caplog.records if r.levelno == logging.INFO]
     assert messages == ["repartition at 5003: balance cap 1.575 not met (heaviest vertex weighs 1)"]
 
@@ -210,6 +212,16 @@ def test_replay_keeps_no_records_through_parser():
 GAPS = (0, 0, 1, 1800, HOUR, 4 * HOUR, 9 * HOUR, 2 * DAY)
 
 
+def by_address(vertices, undirected, names):
+    """Items of an id-keyed graph keyed by address instead, as ``window_subgraph``
+    keys them: ``names`` maps id to address, and an edge is keyed by its
+    endpoints in address order. Item order is kept."""
+    return (
+        [(names[v], w) for v, w in vertices],
+        [(tuple(sorted((names[u], names[v]))), w) for (u, v), w in undirected],
+    )
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     steps=st.lists(st.tuples(st.sampled_from(GAPS), st.integers(0, 7), st.integers(0, 7)), min_size=1, max_size=60),
@@ -224,10 +236,10 @@ def test_period_matches_window_subgraph_oracle(steps, strategy, k, interval):
     for i, (gap, src, dst) in enumerate(steps):
         t += gap
         records.append(make_record(src, dst, timestamp=t, block=i, tx_id=f"t{i}"))
-    seen = []
+    captured = []
 
     def capture(graph):
-        seen.append((list(graph.vertices.items()), list(graph.undirected.items())))
+        captured.append((list(graph.vertices.items()), list(graph.undirected.items())))
 
     real_multilevel, real_select = replay.multilevel_partition, replay.kl_select_candidates
 
@@ -235,14 +247,16 @@ def test_period_matches_window_subgraph_oracle(steps, strategy, k, interval):
         capture(graph)
         return real_multilevel(graph, *args, **kwargs)
 
-    def select_spy(a, activity):
+    def select_spy(a, activity, *args):
         capture(activity)
-        return real_select(a, activity)
+        return real_select(a, activity, *args)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(replay, "multilevel_partition", multilevel_spy)
         mp.setattr(replay, "kl_select_candidates", select_spy)
         res = run_replay(records, basic_cfg(strategy, k=k, repartition_interval=interval))
+    names = list(res.final_assignment.shard_of)
+    seen = [by_address(vertices, undirected, names) for vertices, undirected in captured]
 
     expected, previous = [], records[0].timestamp
     for clock in res.repartition_timestamps:
@@ -269,18 +283,20 @@ def test_graph_matches_window_subgraph_oracle(steps, strategy, cumulative, k, in
     for i, (gap, src, dst) in enumerate(steps):
         t += gap
         records.append(make_record(src, dst, timestamp=t, block=i, tx_id=f"t{i}"))
-    seen = []
+    captured = []
     real_edge_cut = replay.edge_cut
 
     def edge_cut_spy(graph, a, weighting, *args):
         if weighting == "static":
-            seen.append((list(graph.vertices.items()), list(graph.undirected.items()), balance(graph, a, "static")))
+            captured.append((list(graph.vertices.items()), list(graph.undirected.items()), balance(graph, a, "static")))
         return real_edge_cut(graph, a, weighting, *args)
 
     cfg = basic_cfg(strategy, k=k, repartition_interval=interval, cumulative_weights=cumulative)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(replay, "edge_cut", edge_cut_spy)
         res = run_replay(records, cfg)
+    names = list(res.final_assignment.shard_of)
+    seen = [(*by_address(vertices, undirected, names), b) for vertices, undirected, b in captured]
 
     assert len(seen) == len(res.samples)
     for (vertices, undirected, static_balance), s in zip(seen, res.samples):

@@ -301,6 +301,7 @@ ROW = f"10,100,{A1},account,{A2},contract,contractcall,tx1\n"
          "line 2: invalid literal for int() with base 10: '1x'"),
         (HEADER + f"-1,100,{A1},account,{A2},contract,contractcall,tx1\n", "csv", "line 2: negative timestamp or block"),
         (HEADER + f"1,100,xyz,account,{A2},contract,contractcall,tx1\n", "csv", "line 2: address 'xyz' is not 40 hex digits"),
+        (HEADER + ROW + f"11,100,{A1},account,{A2},contract,transfer,\n", "csv", "line 3: tx_id is empty"),
         ('{"a": \n', "jsonl", "line 1: bad json: Expecting value: line 2 column 1 (char 7)"),
         ("\n[1, 2]\n", "jsonl", "line 2: record is not an object"),
         (jsonl_row() + jsonl_row().replace(', "tx_id": "t"', ""), "jsonl", "line 2: 'tx_id'"),
@@ -333,6 +334,7 @@ JSONL_BAD_TYPES = [
     ({"block": None}, "line 1: block None is not an integer"),
     ({"block": "1.5"}, "line 1: invalid literal for int() with base 10: '1.5'"),
     ({"tx_id": None}, "line 1: tx_id is null"),
+    ({"tx_id": ""}, "line 1: tx_id is empty"),
 ]
 
 
