@@ -6,6 +6,10 @@ cumulative weights, on one small fixed-seed synthetic trace. A change that
 means to alter partitions or metrics updates these digests and says so; any
 other change must leave them as they are. The same digests must come out when
 the trace is written to a file and read back, as CSV and as gzipped JSONL.
+
+The small trace's graphs stay below the partitioner's coarsening threshold,
+so ``COARSENING`` pins metis-threshold and metis-full on a larger trace whose
+repartitions do coarsen.
 """
 
 import gzip
@@ -13,7 +17,8 @@ import hashlib
 
 import pytest
 
-from shardsim.replay import DAY, ReplayConfig, Strategy, run_replay
+from shardsim import partition
+from shardsim.replay import DAY, HOUR, ReplayConfig, Strategy, run_replay
 from shardsim.report import samples_to_csv
 from shardsim.synth import WorkloadSpec, generate_workload
 from shardsim.trace import read_trace, serialize_trace
@@ -52,11 +57,12 @@ def trace_files(records, tmp_path_factory):
     return {"csv": str(root / "trace.csv"), "jsonl.gz": str(root / "trace.jsonl.gz")}
 
 
-def digests(records, strategy, cumulative):
+def digests(records, strategy, cumulative, k=3, **kwargs):
     """SHA-256 of the samples CSV and of the final assignment of one replay."""
-    cfg = ReplayConfig(k=3, strategy=strategy, repartition_interval=7 * DAY, cumulative_weights=cumulative)
+    kwargs.setdefault("repartition_interval", 7 * DAY)
+    cfg = ReplayConfig(k=k, strategy=strategy, cumulative_weights=cumulative, **kwargs)
     result = run_replay(records, cfg)
-    text = samples_to_csv(result.samples, 3)
+    text = samples_to_csv(result.samples, k)
     final = repr(sorted(result.final_assignment.shard_of.items()))
     return hashlib.sha256(text.encode()).hexdigest(), hashlib.sha256(final.encode()).hexdigest()
 
@@ -72,3 +78,36 @@ def test_samples_csv_digest(records, strategy, cumulative):
 def test_samples_csv_digest_through_read_trace(trace_files, fmt, strategy, cumulative):
     key = (strategy, cumulative)
     assert digests(read_trace(trace_files[fmt]), strategy, cumulative) == (GOLDEN[key], FINAL_ASSIGNMENT[key])
+
+
+COARSENING = {
+    "metis-threshold": (
+        "63b15f92e2d87ceb6a802206c61fd74eb95fb4b448c8bf8e39593c65aad4dbc8",
+        "85ebb28a42bdcddafa96db629221f6510806e896467e007f6b06851b2b382a98",
+    ),
+    "metis-full": (
+        "8aff9ae95b6ba920db9b3221f92a020ad84dcc7eace9d1c8c3c5d13684f9c9a6",
+        "d3dce4083a1f883a6efe6e1d3da8a779b7c559f66e788dabbf9da0b02b22d716",
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def coarsening_records():
+    spec = WorkloadSpec(vertices=1200, communities=4, duration=6 * DAY, records_per_hour=60, rewire_at=0.5)
+    return generate_workload(spec, seed=11)[0]
+
+
+@pytest.mark.parametrize("strategy", list(COARSENING))
+def test_coarsening_replay_digest(coarsening_records, monkeypatch, strategy):
+    levels = []
+
+    def counted(pg, rng):
+        levels.append(len(pg))
+        return coarsen_once(pg, rng)
+
+    coarsen_once = partition.coarsen_once
+    monkeypatch.setattr(partition, "coarsen_once", counted)
+    got = digests(coarsening_records, strategy, False, k=4, metric_window=12 * HOUR, repartition_interval=3 * DAY)
+    assert levels, "the trace no longer makes the partitioner coarsen"
+    assert got == COARSENING[strategy]

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -9,6 +10,7 @@ from shardsim.partition import (
     Candidate,
     PartGraph,
     PartitionerConfig,
+    _greedy_grow,
     _repair_balance,
     _shard_weights,
     assign_new_vertex,
@@ -397,6 +399,291 @@ def test_repair_balance_heaviest_shard_changes():
     assert fast == ref
     left = {start[v] for v in range(n) if fast[v] != start[v]}
     assert left == {0, 1}
+
+
+# --- multilevel kernel oracles ----------------------------------------------
+#
+# The kernels as they were before they learned to skip work whose outcome is
+# known. The kernels must make the same moves and draw the same random
+# numbers as these, call for call.
+
+
+def _coarsen_once_ref(pg: PartGraph, rng: random.Random) -> tuple[PartGraph, list[int]]:
+    n = len(pg)
+    order = list(range(n))
+    rng.shuffle(order)
+    match = [-1] * n
+    for v in order:
+        if match[v] != -1:
+            continue
+        best, best_w = -1, 0
+        for u, w in pg.adj[v].items():
+            if match[u] == -1 and (w > best_w or (w == best_w and (best == -1 or u < best))):
+                best, best_w = u, w
+        if best == -1:
+            match[v] = v
+        else:
+            match[v] = best
+            match[best] = v
+
+    cmap = [-1] * n
+    nc = 0
+    for v in order:
+        if cmap[v] != -1:
+            continue
+        cmap[v] = nc
+        if match[v] != v:
+            cmap[match[v]] = nc
+        nc += 1
+
+    cvwgt = [0] * nc
+    cadj: list[dict[int, int]] = [{} for _ in range(nc)]
+    for v in range(n):
+        cvwgt[cmap[v]] += pg.vwgt[v]
+        cv = cmap[v]
+        nbrs = cadj[cv]
+        for u, w in pg.adj[v].items():
+            cu = cmap[u]
+            if cu != cv:
+                nbrs[cu] = nbrs.get(cu, 0) + w
+    return PartGraph(cvwgt, cadj), cmap
+
+
+def _greedy_grow_ref(pg: PartGraph, k: int, cap: float, rng: random.Random) -> list[int]:
+    n = len(pg)
+    part = [-1] * n
+    unassigned = set(range(n))
+    total_left = pg.total_vwgt()
+    for shard in range(k - 1):
+        if not unassigned:
+            break
+        target = total_left / (k - shard)
+        weight = 0
+        conn: dict[int, int] = {}
+        while unassigned and weight < target:
+            if conn:
+                v = max(conn, key=lambda u: (conn[u], -u))
+                conn.pop(v)
+            else:
+                v = rng.choice(sorted(unassigned))
+            if weight > 0 and weight + pg.vwgt[v] > cap:
+                break
+            part[v] = shard
+            unassigned.discard(v)
+            weight += pg.vwgt[v]
+            for u, w in pg.adj[v].items():
+                if u in unassigned:
+                    conn[u] = conn.get(u, 0) + w
+        total_left -= weight
+    for v in unassigned:
+        part[v] = k - 1
+    return part
+
+
+def _fm_refine_ref(pg, part, k, cap, max_passes, rng, pass_cuts=None) -> int:
+    n = len(pg)
+    weights = _shard_weights(pg, part, k)
+    cut = cut_weight(pg, part)
+    order = list(range(n))
+    for _ in range(max_passes):
+        cut_before = cut
+        rng.shuffle(order)
+        moved = False
+        for v in order:
+            own = part[v]
+            nbrs = pg.adj[v]
+            if not nbrs:
+                continue
+            conn: dict[int, int] = {}
+            for u, w in nbrs.items():
+                pu = part[u]
+                conn[pu] = conn.get(pu, 0) + w
+            own_conn = conn.get(own, 0)
+            best_j, best_gain = -1, 0
+            for j, c in conn.items():
+                if j == own:
+                    continue
+                gain = c - own_conn
+                if gain > best_gain or (
+                    gain == best_gain and best_gain > 0 and weights[j] < weights[best_j]
+                ):
+                    best_j, best_gain = j, gain
+            if best_gain > 0 and weights[best_j] + pg.vwgt[v] <= cap:
+                part[v] = best_j
+                weights[own] -= pg.vwgt[v]
+                weights[best_j] += pg.vwgt[v]
+                cut -= best_gain
+                moved = True
+        assert cut <= cut_before, "refinement pass increased the cut"
+        if pass_cuts is not None:
+            pass_cuts.append((cut_before, cut))
+        if not moved:
+            break
+    return cut
+
+
+@st.composite
+def kernel_cases(draw):
+    """A symmetric PartGraph with positive weights, some vertices isolated, a
+    starting part, k, a cap that is often tight, and an rng seed."""
+    n = draw(st.integers(1, 40))
+    k = draw(st.integers(2, 6))
+    adj: list[dict[int, int]] = [{} for _ in range(n)]
+    edge = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.integers(1, 4))
+    for u, v, w in draw(st.lists(edge, max_size=3 * n)):
+        if u != v:
+            adj[u][v] = adj[v][u] = w
+    if draw(st.booleans()):
+        vwgt = [1] * n
+    else:
+        vwgt = draw(st.lists(st.integers(1, 12), min_size=n, max_size=n))
+    epsilon = draw(st.sampled_from([0.0, 0.02, 0.1, 0.5]))
+    part = draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
+    return PartGraph(vwgt, adj), part, k, (1 + epsilon) * sum(vwgt) / k, draw(st.integers(0, 2**32))
+
+
+def _adjacency_in_order(pg: PartGraph) -> list[list[tuple[int, int]]]:
+    # refinement breaks ties by neighbour order, so the order is part of the output
+    return [list(nbrs.items()) for nbrs in pg.adj]
+
+
+@settings(max_examples=300, deadline=None)
+@given(kernel_cases())
+def test_coarsen_once_matches_reference(case):
+    pg, _, _, _, seed = case
+    rng, ref_rng = random.Random(seed), random.Random(seed)
+    coarse, cmap = coarsen_once(pg, rng)
+    ref, ref_cmap = _coarsen_once_ref(pg, ref_rng)
+    assert cmap == ref_cmap
+    assert coarse.vwgt == ref.vwgt
+    assert _adjacency_in_order(coarse) == _adjacency_in_order(ref)
+    assert rng.getstate() == ref_rng.getstate()
+
+
+@settings(max_examples=300, deadline=None)
+@given(kernel_cases())
+def test_greedy_grow_matches_reference(case):
+    pg, _, k, cap, seed = case
+    rng, ref_rng = random.Random(seed), random.Random(seed)
+    assert _greedy_grow(pg, k, cap, rng) == _greedy_grow_ref(pg, k, cap, ref_rng)
+    assert rng.getstate() == ref_rng.getstate()
+
+
+@settings(max_examples=400, deadline=None)
+@given(kernel_cases(), st.integers(1, 10))
+def test_fm_refine_matches_reference(case, max_passes):
+    pg, part, k, cap, seed = case
+    rng, ref_rng = random.Random(seed), random.Random(seed)
+    got, ref = list(part), list(part)
+    got_cuts, ref_cuts = [], []
+    assert fm_refine(pg, got, k, cap, max_passes, rng, got_cuts) == _fm_refine_ref(
+        pg, ref, k, cap, max_passes, ref_rng, ref_cuts
+    )
+    assert got == ref
+    assert got_cuts == ref_cuts
+    assert rng.getstate() == ref_rng.getstate()
+
+
+def test_kernels_match_references_on_community_graphs():
+    # larger graphs than hypothesis draws: many moves per pass, and caps
+    # that fill up part-way through a pass
+    for seed in range(6):
+        pg = community_partgraph(seed, 300, 4, 2, "skewed" if seed % 2 else "unit")
+        k = (2, 4, 8)[seed % 3]
+        for epsilon in (0.0, 0.05):
+            cap = (1 + epsilon) * pg.total_vwgt() / k
+            rng, ref_rng = random.Random(seed), random.Random(seed)
+            coarse, cmap = coarsen_once(pg, rng)
+            ref, ref_cmap = _coarsen_once_ref(pg, ref_rng)
+            assert (cmap, _adjacency_in_order(coarse)) == (ref_cmap, _adjacency_in_order(ref))
+            part = _greedy_grow(coarse, k, cap, rng)
+            assert part == _greedy_grow_ref(ref, k, cap, ref_rng)
+            fine, ref_fine = [part[c] for c in cmap], [part[c] for c in cmap]
+            cuts, ref_cuts = [], []
+            assert fm_refine(pg, fine, k, cap, 10, rng, cuts) == _fm_refine_ref(pg, ref_fine, k, cap, 10, ref_rng, ref_cuts)
+            assert (fine, cuts) == (ref_fine, ref_cuts)
+            assert rng.getstate() == ref_rng.getstate()
+
+
+# --- multilevel goldens --------------------------------------------------------
+#
+# The replay goldens' graphs are too small to coarsen. These pin
+# partition_partgraph on graphs that do, and on one whose coarsening stalls.
+
+
+def community_partgraph(seed, n, communities, degree, weights="unit"):
+    """Planted communities (vertex u in community u % communities), edges
+    mostly inside a community, weights 1-5. ``weights``: "unit", "skewed"
+    (heavy-tailed, up to 200) or "heavy" (skewed plus one vertex heavier
+    than any cap)."""
+    rng = random.Random(seed)
+    adj: list[dict[int, int]] = [{} for _ in range(n)]
+    for u in range(n):
+        for _ in range(degree):
+            if rng.random() < 0.85:
+                v = u % communities + communities * rng.randrange(n // communities)
+            else:
+                v = rng.randrange(n)
+            if v != u:
+                adj[u][v] = adj[v][u] = rng.randint(1, 5)
+    if weights == "unit":
+        vwgt = [1] * n
+    else:
+        vwgt = [min(200, int(rng.paretovariate(1.2))) for _ in range(n)]
+    if weights == "heavy":
+        vwgt[rng.randrange(n)] = 2 * sum(vwgt)
+    return PartGraph(vwgt, adj)
+
+
+def stars_partgraph(n, centres):
+    """A forest of ``centres`` stars: each level matches one leaf per star, so coarsening stalls."""
+    adj: list[dict[int, int]] = [{} for _ in range(n)]
+    for leaf in range(centres, n):
+        c = leaf % centres
+        adj[leaf][c] = adj[c][leaf] = 1 + leaf % 3
+    return PartGraph([1] * n, adj)
+
+
+MULTILEVEL_GOLDEN = {
+    "communities-1000-k2-unit": (
+        lambda: community_partgraph(1, 1000, 2, 3), 2,
+        "600f3d9864f8c33f2b685d34edc4ec32de678a8661ae252774d73c5567158752",
+    ),
+    "communities-3000-k8-unit": (
+        lambda: community_partgraph(2, 3000, 8, 2), 8,
+        "a70fc1ef580c14f1f1b3073a439be38da1976396f4fdc782141e9d07930338c5",
+    ),
+    "communities-2000-k16-unit": (
+        lambda: community_partgraph(3, 2000, 16, 2), 16,
+        "590135bba73e5f9988a8dcc99fc5a33af3e2fcc2e6950ebb2e5ff876b28ca515",
+    ),
+    "communities-1500-k8-skewed": (
+        lambda: community_partgraph(4, 1500, 8, 2, "skewed"), 8,
+        "e45380fd4b46d36a50aaa15e0ab8facb2356edf3e9afbbcc67588aab6f99435b",
+    ),
+    "communities-2400-k16-skewed": (  # sparse enough to leave isolated vertices
+        lambda: community_partgraph(5, 2400, 16, 1, "skewed"), 16,
+        "572996a92d5d60b482c58f23cf4c8217a039f83977142c97df3009308557b173",
+    ),
+    "stars-1200-k8": (
+        lambda: stars_partgraph(1200, 6), 8,
+        "3219d2a9825bc7a68aa937766682e2586dacb5ff7b6db3d2263ccfbcd9e6dd15",
+    ),
+    "heavy-800-k2": (
+        lambda: community_partgraph(6, 800, 2, 2, "heavy"), 2,
+        "48e7d9d2c8f7c4d7f24df93a9bb4a98255af6b1e5462ac5eed0ead575bfd78bd",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(MULTILEVEL_GOLDEN))
+def test_multilevel_golden(name):
+    """SHA-256 of repr((part, infeasible, pass_cuts)) with rng_seed 7."""
+    build, k, digest = MULTILEVEL_GOLDEN[name]
+    out = partition_partgraph(build(), PartitionerConfig(k=k, rng_seed=7))
+    assert hashlib.sha256(repr(out).encode()).hexdigest() == digest
+    if name.startswith("heavy"):
+        assert out[1]  # the heavy vertex makes the cap unattainable
 
 
 # --- new-vertex placement ---------------------------------------------------
