@@ -4,13 +4,18 @@ multilevel k-way partitioning, and incremental new-vertex placement.
 The multilevel partitioner follows the standard scheme: heavy-edge-matching
 coarsening, greedy graph growing on the coarsest graph, then boundary
 refinement (positive-gain single-vertex moves under a balance cap) while
-projecting back up the levels.
+projecting back up the levels. Its kernels skip work whose outcome is known
+without changing a move or a random draw: refinement re-evaluates a vertex
+only when its neighbourhood or its targets' room has changed, projection
+hands each level the cut of the last, and graph growing keeps its frontier
+in a heap.
 """
 
 from __future__ import annotations
 
 import heapq
 import random
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
@@ -289,43 +294,36 @@ def cut_weight(pg: PartGraph, part: Sequence[int]) -> int:
 def coarsen_once(pg: PartGraph, rng: random.Random) -> tuple[PartGraph, list[int]]:
     """One level of heavy-edge-matching contraction.
 
-    Returns the coarse graph and the fine->coarse vertex map. Total vertex
-    weight is conserved; matched-pair edges fold away (self-loops dropped).
+    Returns the coarse graph and the fine->coarse vertex map. Vertices are
+    visited in a shuffled order; one still unmatched takes its heaviest
+    unmatched neighbour (lowest index on ties), which is therefore not visited
+    yet, and the pair becomes the next coarse vertex. Total vertex weight is
+    conserved; matched-pair edges fold away (self-loops dropped).
     """
     n = len(pg)
+    adj = pg.adj
     order = list(range(n))
     rng.shuffle(order)
-    match = [-1] * n
-    for v in order:
-        if match[v] != -1:
-            continue
-        best, best_w = -1, 0
-        for u, w in pg.adj[v].items():
-            if match[u] == -1 and (w > best_w or (w == best_w and (best == -1 or u < best))):
-                best, best_w = u, w
-        if best == -1:
-            match[v] = v
-        else:
-            match[v] = best
-            match[best] = v
-
-    cmap = [-1] * n
+    cmap = [-1] * n  # -1 while unmatched
     nc = 0
     for v in order:
         if cmap[v] != -1:
             continue
+        best, best_w = -1, 0
+        for u, w in adj[v].items():
+            if cmap[u] == -1 and (w > best_w or (w == best_w and (best == -1 or u < best))):
+                best, best_w = u, w
         cmap[v] = nc
-        if match[v] != v:
-            cmap[match[v]] = nc
+        if best != -1:
+            cmap[best] = nc
         nc += 1
 
     cvwgt = [0] * nc
     cadj: list[dict[int, int]] = [{} for _ in range(nc)]
-    for v in range(n):
-        cvwgt[cmap[v]] += pg.vwgt[v]
-        cv = cmap[v]
+    for v, cv in enumerate(cmap):
+        cvwgt[cv] += pg.vwgt[v]
         nbrs = cadj[cv]
-        for u, w in pg.adj[v].items():
+        for u, w in adj[v].items():
             cu = cmap[u]
             if cu != cv:
                 nbrs[cu] = nbrs.get(cu, 0) + w
@@ -333,32 +331,42 @@ def coarsen_once(pg: PartGraph, rng: random.Random) -> tuple[PartGraph, list[int
 
 
 def _greedy_grow(pg: PartGraph, k: int, cap: float, rng: random.Random) -> list[int]:
-    """Initial partition by greedy graph growing from random seeds."""
+    """Initial partition by greedy graph growing from random seeds.
+
+    Shards 0..k-2 each grow from a random unassigned vertex by the frontier
+    vertex with the most edge weight into the shard (lowest index on ties).
+    That weight only grows, so a lazy heap of ``(-weight, vertex)`` finds it.
+    """
     n = len(pg)
+    vwgt, adj = pg.vwgt, pg.adj
     part = [-1] * n
-    unassigned = set(range(n))
+    unassigned = list(range(n))  # kept sorted: rng.choice must see the same sequence
     total_left = pg.total_vwgt()
     for shard in range(k - 1):
         if not unassigned:
             break
         target = total_left / (k - shard)
         weight = 0
-        conn: dict[int, int] = {}
+        conn: dict[int, int] = {}  # the frontier's edge weight into the shard
+        frontier: list[tuple[int, int]] = []
         while unassigned and weight < target:
             if conn:
-                v = max(conn, key=lambda u: (conn[u], -u))
-                conn.pop(v)
+                c, v = heapq.heappop(frontier)
+                while conn.get(v) != -c:
+                    c, v = heapq.heappop(frontier)
+                del conn[v]
             else:
-                v = rng.choice(sorted(unassigned))
-            if weight > 0 and weight + pg.vwgt[v] > cap:
+                v = rng.choice(unassigned)
+            if weight > 0 and weight + vwgt[v] > cap:
                 # full enough; do not blow the cap once the region is nonempty
                 break
             part[v] = shard
-            unassigned.discard(v)
-            weight += pg.vwgt[v]
-            for u, w in pg.adj[v].items():
-                if u in unassigned:
-                    conn[u] = conn.get(u, 0) + w
+            del unassigned[bisect_left(unassigned, v)]
+            weight += vwgt[v]
+            for u, w in adj[v].items():
+                if part[u] == -1:
+                    c = conn[u] = conn.get(u, 0) + w
+                    heapq.heappush(frontier, (-c, u))
         total_left -= weight
     for v in unassigned:
         part[v] = k - 1
@@ -383,15 +391,17 @@ def _repair_balance(pg: PartGraph, part: list[int], k: int, cap: float) -> bool:
 
     No vertex ever joins a shard that is over the cap, so ``conn`` is kept
     only for the vertices of shards that start over it, and updated move by
-    move. One heap per target shard ``j`` holds ``(conn[v][over] -
-    conn[v][j], v)`` for the members of ``over``, rebuilt when the heaviest
-    shard changes. A move out of ``over`` lowers every key of the mover's
-    neighbours in ``over``, so their fresh keys are pushed and always sit
-    ahead of the out-of-date ones. An entry is discarded when its vertex has
-    left ``over`` or no longer fits in ``j``; the latter is final while
-    ``over`` stays the heaviest, because the other shards only gain weight.
-    Edge weights must be non-negative and the adjacency symmetric, as in
-    every PartGraph.
+    move. While ``over`` stays the heaviest the other shards only gain
+    weight, so the lightest has the most room, and a vertex that does not
+    fit in a shard never will. Lazy heaps of the members of ``over``,
+    rebuilt when it changes, hold ``(conn[v][over], v)`` in ``nearest``,
+    the key toward any shard v has no edge into, where the lightest is best,
+    and ``(conn[v][over] - conn[v][j], v)`` in ``toward[j]`` for members
+    with edges into j. ``nearest`` over-estimates those keys, so it never
+    beats ``toward[j]`` with them. A move lowers keys of the mover's
+    neighbours in ``over``: their fresh keys are pushed and sit ahead of the
+    old ones. An entry is dropped once its vertex has left ``over`` or no
+    longer fits. Edge weights must be positive and the adjacency symmetric.
     """
     n = len(pg)
     vwgt, adj = pg.vwgt, pg.adj
@@ -404,26 +414,41 @@ def _repair_balance(pg: PartGraph, part: list[int], k: int, cap: float) -> bool:
             c = conn[v] = [0] * k
             for u, w in adj[v].items():
                 c[part[u]] += w
-    heaps: list[list[tuple[int, int]]] = []
+    nearest: list[tuple[int, int]] = []
+    toward: list[list[tuple[int, int]]] = []
     heaps_over = -1
     for _ in range(n * 2):
-        over = max(range(k), key=lambda i: weights[i])
-        if weights[over] <= cap:
+        heaviest = max(weights)
+        if heaviest <= cap:
             return True
+        over = weights.index(heaviest)
         if over != heaps_over:
-            members = [v for v in range(n) if part[v] == over]
-            heaps = [
-                [(conn[v][over] - conn[v][j], v) for v in members if j != over and weights[j] + vwgt[v] <= cap]
-                for j in range(k)
-            ]
-            for h in heaps:
+            nearest, toward = [], [[] for _ in range(k)]
+            for v in range(n):
+                if part[v] == over:
+                    c = conn[v]
+                    nearest.append((c[over], v))
+                    for j in range(k):
+                        if c[j] and j != over:
+                            toward[j].append((c[over] - c[j], v))
+            heapq.heapify(nearest)
+            for h in toward:
                 heapq.heapify(h)
             heaps_over = over
+        lightest, light = min((weights[j], j) for j in range(k) if j != over)
         best: tuple[int, int, int, int] | None = None
-        for j, h in enumerate(heaps):
+        room = cap - lightest
+        while nearest:
+            d, v = nearest[0]
+            if part[v] == over and vwgt[v] <= room:
+                best = (d, lightest, v, light)
+                break
+            heapq.heappop(nearest)
+        for j, h in enumerate(toward):
+            room = cap - weights[j]
             while h:
                 d, v = h[0]
-                if part[v] == over and weights[j] + vwgt[v] <= cap:
+                if part[v] == over and vwgt[v] <= room:
                     if best is None or (d, weights[j], v, j) < best:
                         best = (d, weights[j], v, j)
                     break
@@ -441,9 +466,10 @@ def _repair_balance(pg: PartGraph, part: list[int], k: int, cap: float) -> bool:
             c[over] -= w
             c[to] += w
             if part[u] == over:
-                for j, h in enumerate(heaps):
-                    if j != over and weights[j] + vwgt[u] <= cap:
-                        heapq.heappush(h, (c[over] - c[j], u))
+                heapq.heappush(nearest, (c[over], u))
+                for j in range(k):
+                    if c[j] and j != over:
+                        heapq.heappush(toward[j], (c[over] - c[j], u))
     return max(weights) <= cap
 
 
@@ -455,27 +481,44 @@ def fm_refine(
     max_passes: int,
     rng: random.Random,
     pass_cuts: list[tuple[int, int]] | None = None,
+    cut: int | None = None,
 ) -> int:
     """Boundary refinement: greedy positive-gain single-vertex moves.
 
     Each pass visits vertices in a shuffled order and applies any move with
     a strictly positive cut gain whose target shard stays under the weight
     cap; passes repeat until none improves (or max_passes). The cut is
-    non-increasing per pass by construction. Returns the final cut weight.
+    non-increasing per pass by construction. Returns the final cut weight;
+    ``cut``, the cut of ``part`` if the caller knows it, saves counting it.
+
+    A vertex is evaluated again only when the result could differ: its gains
+    depend only on its neighbours' shards, so it is skipped until a neighbour
+    moves if its best gain was <= 0, or, if every target reaching its positive
+    best gain was too full for it, while they stay too full (the lighter-shard
+    tie-break only picks among them). This needs a symmetric adjacency.
     """
     n = len(pg)
+    vwgt, adj = pg.vwgt, pg.adj
     weights = _shard_weights(pg, part, k)
-    cut = cut_weight(pg, part)
+    if cut is None:
+        cut = cut_weight(pg, part)
     order = list(range(n))
+    # None: evaluate; else the full best-gain targets, () when the gain was <= 0
+    full_targets: list[tuple[int, ...] | None] = [None] * n
     for _ in range(max_passes):
         cut_before = cut
         rng.shuffle(order)
         moved = False
         for v in order:
+            targets = full_targets[v]
+            if targets is not None:
+                for j in targets:
+                    if weights[j] + vwgt[v] <= cap:
+                        break
+                else:
+                    continue
             own = part[v]
-            nbrs = pg.adj[v]
-            if not nbrs:
-                continue
+            nbrs = adj[v]
             conn: dict[int, int] = {}
             for u, w in nbrs.items():
                 pu = part[u]
@@ -490,12 +533,19 @@ def fm_refine(
                     gain == best_gain and best_gain > 0 and weights[j] < weights[best_j]
                 ):
                     best_j, best_gain = j, gain
-            if best_gain > 0 and weights[best_j] + pg.vwgt[v] <= cap:
+            if best_gain <= 0:
+                full_targets[v] = ()
+            elif weights[best_j] + vwgt[v] > cap:
+                full_targets[v] = tuple(j for j, c in conn.items() if j != own and c - own_conn == best_gain)
+            else:
                 part[v] = best_j
-                weights[own] -= pg.vwgt[v]
-                weights[best_j] += pg.vwgt[v]
+                weights[own] -= vwgt[v]
+                weights[best_j] += vwgt[v]
                 cut -= best_gain
                 moved = True
+                full_targets[v] = None
+                for u in nbrs:
+                    full_targets[u] = None
         assert cut <= cut_before, "refinement pass increased the cut"
         if pass_cuts is not None:
             pass_cuts.append((cut_before, cut))
@@ -552,12 +602,12 @@ def partition_partgraph(pg: PartGraph, cfg: PartitionerConfig) -> tuple[list[int
         key = (not feasible, cut)
         if best_key is None or key < best_key:
             best_key, best_part = key, cand
-    part = list(best_part or [])
+    part, cut = best_part, best_key[1]
 
-    # uncoarsening with refinement at each level
+    # uncoarsening with refinement at each level; projection keeps the cut
     for fine, cmap in reversed(levels):
-        part = [part[cmap[v]] for v in range(len(fine))]
-        fm_refine(fine, part, k, cap, cfg.fm_passes, rng, pass_cuts)
+        part = [part[c] for c in cmap]
+        cut = fm_refine(fine, part, k, cap, cfg.fm_passes, rng, pass_cuts, cut)
 
     if not _repair_balance(pg, part, k, cap):
         infeasible = True
@@ -628,23 +678,42 @@ def write_adjacency(graph: InteractionGraph, path: str, sidecar: str, weights: s
 
 
 def read_adjacency(path: str, sidecar: str | None = None) -> PartGraph:
-    """Load a graph written by write_adjacency."""
+    """Load a graph written by write_adjacency.
+
+    Raises ValueError unless it is a PartGraph the kernels accept: neighbour
+    indices in 1..|V|, no self-loops, vertex and edge weights of at least 1,
+    each edge listed from both ends with one weight, and |E| as the header says.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().split()
         if len(header) < 2:
             raise ValueError("bad adjacency header")
-        n = int(header[0])
+        n, m = int(header[0]), int(header[1])
         vwgt = [1] * n
         adj: list[dict[int, int]] = [{} for _ in range(n)]
         for v in range(n):
             tokens = fh.readline().split()
             if not tokens:
                 continue
+            if len(tokens) % 2 == 0:
+                raise ValueError(f"vertex {v + 1}: a neighbour has no edge weight")
             vwgt[v] = int(tokens[0])
+            if vwgt[v] < 1:
+                raise ValueError(f"vertex {v + 1}: weight {vwgt[v]} is below 1")
             for i in range(1, len(tokens), 2):
-                u = int(tokens[i]) - 1
-                w = int(tokens[i + 1])
+                u, w = int(tokens[i]) - 1, int(tokens[i + 1])
+                if not 0 <= u < n or u == v:
+                    raise ValueError(f"vertex {v + 1}: neighbour {u + 1} is not another vertex in 1..{n}")
+                if w < 1:
+                    raise ValueError(f"vertex {v + 1}: edge weight {w} is below 1")
                 adj[v][u] = w
+    for v, nbrs in enumerate(adj):
+        for u, w in nbrs.items():
+            if adj[u].get(v) != w:
+                raise ValueError(f"edge {v + 1}-{u + 1} is not listed from both ends with one weight")
+    edges = sum(len(nbrs) for nbrs in adj) // 2
+    if edges != m:
+        raise ValueError(f"header says {m} edges, the lines list {edges}")
     names = None
     if sidecar:
         with open(sidecar, "r", encoding="utf-8") as fh:

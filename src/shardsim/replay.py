@@ -18,7 +18,7 @@ final assignment.
 from __future__ import annotations
 
 import logging
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Sequence
@@ -208,19 +208,19 @@ def run_replay(trace: Iterable[TraceRecord], cfg: ReplayConfig) -> ReplayResult:
     period = InteractionGraph()  # the windows finished since the last repartition
     last_repart = 0
     place_by_hash = cfg.strategy in (Strategy.HASHING, Strategy.KL)
-    tx_members: defaultdict[str, Counter] = defaultdict(Counter)  # multilevel placement only
+    tx_members: dict[str, dict[int, int]] = {}  # multilevel placement only: id -> multiplicity
 
-    def place(address: str, other: int | None, members: Counter | None) -> int:
+    def place(address: str, other: int | None, members: dict[int, int] | None) -> int:
         """Give a first-seen vertex the next id and a shard: by hash when
         ``members`` (the transaction's ids so far) is None, else next to its
         transaction neighbors and ``other``, the record's placed counterpart."""
         if members is None:
             s = hash_partition(address, pcfg)
         else:
-            seen = Counter(members)
-            if other is not None:
-                seen[other] += 1  # the counterpart on this record is a neighbor too
-            s = assign_new_vertex(assignment, seen, shard_sizes)
+            if other is not None:  # the counterpart on this record is a neighbor too
+                members = members.copy()
+                members[other] = members.get(other, 0) + 1
+            s = assign_new_vertex(assignment, members, shard_sizes)
         v = ids[address] = len(names)
         names.append(address)
         assignment.shard_of.append(s)
@@ -271,7 +271,9 @@ def run_replay(trace: Iterable[TraceRecord], cfg: ReplayConfig) -> ReplayResult:
             window_start = last_repart = r.timestamp
         while r.timestamp >= window_start + cfg.metric_window:
             emit_boundary()
-        members = None if place_by_hash else tx_members[r.tx_id]
+        members = None if place_by_hash else tx_members.get(r.tx_id)
+        if members is None and not place_by_hash:
+            members = tx_members[r.tx_id] = {}
         src = ids.get(r.src)
         if src is None:
             src = place(r.src, ids.get(r.dst), members)
@@ -279,8 +281,8 @@ def run_replay(trace: Iterable[TraceRecord], cfg: ReplayConfig) -> ReplayResult:
         if dst is None:
             dst = place(r.dst, src, members)
         if members is not None:
-            members[src] += 1
-            members[dst] += 1
+            members[src] = members.get(src, 0) + 1
+            members[dst] = members.get(dst, 0) + 1
         apply_record(window, src, dst)
 
     if window_start is not None:

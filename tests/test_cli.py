@@ -179,6 +179,15 @@ def test_replay_invalid_config_usage_error(tmp_path):
         assert not list(tmp_path.glob("o*.csv"))
 
 
+def test_partition_rejects_out_of_range_neighbour(tmp_path):
+    gpath = tmp_path / "g.graph"
+    gpath.write_text("2 1 011\n1 3 1\n1 1 1\n")
+    res = run("partition", "--graph", str(gpath), "--shards", "2")
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)  # a message, not a traceback
+    assert "error: vertex 1: neighbour 3 is not another vertex in 1..2" in res.output
+
+
 def test_partition_subcommand(tmp_path):
     g = InteractionGraph()
     for base in (0, 5):

@@ -530,7 +530,7 @@ def kernel_cases(draw):
     k = draw(st.integers(2, 6))
     adj: list[dict[int, int]] = [{} for _ in range(n)]
     edge = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.integers(1, 4))
-    for u, v, w in draw(st.lists(edge, max_size=3 * n)):
+    for u, v, w in draw(st.lists(edge, min_size=n, max_size=4 * n)):
         if u != v:
             adj[u][v] = adj[v][u] = w
     if draw(st.booleans()):
@@ -547,7 +547,7 @@ def _adjacency_in_order(pg: PartGraph) -> list[list[tuple[int, int]]]:
     return [list(nbrs.items()) for nbrs in pg.adj]
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(kernel_cases())
 def test_coarsen_once_matches_reference(case):
     pg, _, _, _, seed = case
@@ -560,7 +560,7 @@ def test_coarsen_once_matches_reference(case):
     assert rng.getstate() == ref_rng.getstate()
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(kernel_cases())
 def test_greedy_grow_matches_reference(case):
     pg, _, k, cap, seed = case
@@ -570,13 +570,14 @@ def test_greedy_grow_matches_reference(case):
 
 
 @settings(max_examples=400, deadline=None)
-@given(kernel_cases(), st.integers(1, 10))
-def test_fm_refine_matches_reference(case, max_passes):
+@given(kernel_cases(), st.integers(1, 10), st.booleans())
+def test_fm_refine_matches_reference(case, max_passes, pass_cut):
     pg, part, k, cap, seed = case
     rng, ref_rng = random.Random(seed), random.Random(seed)
     got, ref = list(part), list(part)
     got_cuts, ref_cuts = [], []
-    assert fm_refine(pg, got, k, cap, max_passes, rng, got_cuts) == _fm_refine_ref(
+    known_cut = (cut_weight(pg, part),) if pass_cut else ()
+    assert fm_refine(pg, got, k, cap, max_passes, rng, got_cuts, *known_cut) == _fm_refine_ref(
         pg, ref, k, cap, max_passes, ref_rng, ref_cuts
     )
     assert got == ref
@@ -723,3 +724,26 @@ def test_adjacency_roundtrip(tmp_path):
     orig = PartGraph.from_interaction_graph(g, "activity")
     assert pg.adj == orig.adj
     assert pg.vwgt == orig.vwgt
+
+
+BAD_ADJACENCY = {
+    "neighbour-above-n": ("2 1 011\n1 3 1\n1 1 1\n", "not another vertex"),
+    "neighbour-zero": ("2 1 011\n1 0 1\n1 1 1\n", "not another vertex"),
+    "one-way-pair": ("2 1 011\n1 2 1\n1\n", "both ends"),
+    "unequal-pair-weights": ("2 1 011\n1 2 1\n1 1 2\n", "both ends"),
+    "self-loop": ("2 1 011\n1 1 1 2 1\n1 1 1\n", "not another vertex"),
+    "vertex-weight-zero": ("2 1 011\n0 2 1\n1 1 1\n", "weight 0 is below 1"),
+    "edge-weight-zero": ("2 1 011\n1 2 0\n1 1 0\n", "edge weight 0 is below 1"),
+    "edge-weight-negative": ("2 1 011\n1 2 -3\n1 1 -3\n", "edge weight -3 is below 1"),
+    "header-edge-count": ("2 2 011\n1 2 1\n1 1 1\n", "header says 2 edges"),
+    "neighbour-without-weight": ("2 1 011\n1 2\n1 1 1\n", "no edge weight"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_ADJACENCY))
+def test_read_adjacency_rejects_bad_graph(tmp_path, case):
+    text, message = BAD_ADJACENCY[case]
+    path = tmp_path / "g.graph"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=message):
+        read_adjacency(str(path))
