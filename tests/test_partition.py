@@ -224,6 +224,39 @@ def random_partgraph(rng, n, p, wmax=5):
     return PartGraph([1] * n, adj)
 
 
+def community_partgraph(seed, n, communities, degree, weights="unit"):
+    """Planted communities (vertex u in community u % communities), edges
+    mostly inside a community, weights 1-5. ``weights``: "unit", "skewed"
+    (heavy-tailed, up to 200) or "heavy" (skewed plus one vertex heavier
+    than any cap)."""
+    rng = random.Random(seed)
+    adj: list[dict[int, int]] = [{} for _ in range(n)]
+    for u in range(n):
+        for _ in range(degree):
+            if rng.random() < 0.85:
+                v = u % communities + communities * rng.randrange(n // communities)
+            else:
+                v = rng.randrange(n)
+            if v != u:
+                adj[u][v] = adj[v][u] = rng.randint(1, 5)
+    if weights == "unit":
+        vwgt = [1] * n
+    else:
+        vwgt = [min(200, int(rng.paretovariate(1.2))) for _ in range(n)]
+    if weights == "heavy":
+        vwgt[rng.randrange(n)] = 2 * sum(vwgt)
+    return PartGraph(vwgt, adj)
+
+
+def stars_partgraph(n, centres):
+    """A forest of ``centres`` stars: each level matches one leaf per star, so coarsening stalls."""
+    adj: list[dict[int, int]] = [{} for _ in range(n)]
+    for leaf in range(centres, n):
+        c = leaf % centres
+        adj[leaf][c] = adj[c][leaf] = 1 + leaf % 3
+    return PartGraph([1] * n, adj)
+
+
 def test_two_cliques_split_perfectly():
     pairs = []
     for base in (0, 5):
@@ -610,39 +643,6 @@ def test_kernels_match_references_on_community_graphs():
 #
 # The replay goldens' graphs are too small to coarsen. These pin
 # partition_partgraph on graphs that do, and on one whose coarsening stalls.
-
-
-def community_partgraph(seed, n, communities, degree, weights="unit"):
-    """Planted communities (vertex u in community u % communities), edges
-    mostly inside a community, weights 1-5. ``weights``: "unit", "skewed"
-    (heavy-tailed, up to 200) or "heavy" (skewed plus one vertex heavier
-    than any cap)."""
-    rng = random.Random(seed)
-    adj: list[dict[int, int]] = [{} for _ in range(n)]
-    for u in range(n):
-        for _ in range(degree):
-            if rng.random() < 0.85:
-                v = u % communities + communities * rng.randrange(n // communities)
-            else:
-                v = rng.randrange(n)
-            if v != u:
-                adj[u][v] = adj[v][u] = rng.randint(1, 5)
-    if weights == "unit":
-        vwgt = [1] * n
-    else:
-        vwgt = [min(200, int(rng.paretovariate(1.2))) for _ in range(n)]
-    if weights == "heavy":
-        vwgt[rng.randrange(n)] = 2 * sum(vwgt)
-    return PartGraph(vwgt, adj)
-
-
-def stars_partgraph(n, centres):
-    """A forest of ``centres`` stars: each level matches one leaf per star, so coarsening stalls."""
-    adj: list[dict[int, int]] = [{} for _ in range(n)]
-    for leaf in range(centres, n):
-        c = leaf % centres
-        adj[leaf][c] = adj[c][leaf] = 1 + leaf % 3
-    return PartGraph([1] * n, adj)
 
 
 MULTILEVEL_GOLDEN = {
