@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import pytest
@@ -5,7 +6,7 @@ import pytest
 from shardsim.graph import InteractionGraph
 from shardsim.metrics import Assignment, edge_cut
 from shardsim.synth import WorkloadSpec, generate_workload, vertex_id
-from shardsim.trace import canonical_address
+from shardsim.trace import canonical_address, serialize_trace
 
 
 def build_graph(records):
@@ -82,3 +83,54 @@ def test_invalid_specs_rejected():
         WorkloadSpec(vertices=10, inter_prob=1.5)
     with pytest.raises(ValueError):
         WorkloadSpec(vertices=10, rewire_at=1.5)
+
+
+DAY = 86400
+
+# SHA-256 of the CSV trace, the JSONL trace and ``repr(list(truth.items()))``
+# that each spec gives with seed 5. Generation and serialization must keep
+# writing exactly these bytes: every replay result depends on them.
+SETUP = {
+    "rewire": (
+        dict(vertices=300, communities=4, duration=3 * DAY, records_per_hour=60, rewire_at=0.4, rewire_frac=0.3),
+        "5dc2178130a095e6bc8847293ab181fa7ec96f744df38327b394f000f81c26b3",
+        "987843a7dcfcea9c2bdf6218c4a2648ad701eb9d0eff737346c9cad881c367fd",
+        "65dfb3844f9f236e6ffbbacb1dc7810a176c16b08eb9d269d563ebc8aea853a8",
+    ),
+    "one-community": (
+        dict(vertices=200, communities=1, duration=2 * DAY, records_per_hour=60, block_interval=12, start_time=0),
+        "74c2eeeddcf1eb482b62aa05da6fa029176dba31cdc5e465ce5ee1fb4b6c4efc",
+        "100557580e53227a97c9afa7daac9e10ac5ac9817ae8426cadf9e85d0c52d6c3",
+        "944156a37e144c05b3a1a15cd2e58504bf09e63e041ca15e3937540fc2e22d4a",
+    ),
+    "inter-prob-0": (
+        dict(vertices=200, communities=3, inter_prob=0.0, duration=2 * DAY, records_per_hour=60),
+        "19f44de1e168afad5aac0539dce1ae5892b4f0d0f935b9e3d18d1f8d49d72f07",
+        "c11c8847526ff6a588748e60778ce1b3e7c4edc3feb58b3e348b5c8f3394ca27",
+        "e6e720b5649850d9eb45fa834bbcd73c64358167270550d4b3f56b0f6a4911ac",
+    ),
+    "inter-prob-1": (
+        dict(vertices=200, communities=3, inter_prob=1.0, duration=2 * DAY, records_per_hour=60),
+        "cb0ff782f63db231f843a16f7a841b1a3e6a69eca832e965c737d9e82f022103",
+        "eb74395b3cc020c8730c2c2ad97bb4586817e55b16fac5627b52025493eca79b",
+        "e6e720b5649850d9eb45fa834bbcd73c64358167270550d4b3f56b0f6a4911ac",
+    ),
+    "zipf-0": (
+        dict(vertices=200, communities=3, zipf_exponent=0.0, duration=2 * DAY, records_per_hour=60),
+        "b6eca5e6cf33c23a887ef82f4bc59f9e16f9767ac4d20c3cd53ab926d85d24bb",
+        "ef76fd23119d882553650a9607097759215838f98918d4078646f390fab685f1",
+        "e6e720b5649850d9eb45fa834bbcd73c64358167270550d4b3f56b0f6a4911ac",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(SETUP))
+def test_setup_output_digest(name):
+    spec, csv_digest, jsonl_digest, truth_digest = SETUP[name]
+    records, truth = generate_workload(WorkloadSpec(**spec), seed=5)
+
+    def sha(text):
+        return hashlib.sha256(text.encode()).hexdigest()
+
+    got = (sha(serialize_trace(records, "csv")), sha(serialize_trace(records, "jsonl")), sha(repr(list(truth.items()))))
+    assert got == (csv_digest, jsonl_digest, truth_digest)
