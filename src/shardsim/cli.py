@@ -21,7 +21,7 @@ from shardsim.partition import PartitionerConfig, partition_partgraph, read_adja
 from shardsim.replay import ReplayConfig, Strategy, run_replay
 from shardsim.report import format_summary, read_samples_csv, samples_to_csv, samples_to_json, summarize
 from shardsim.synth import WorkloadSpec, generate_workload, write_truth
-from shardsim.trace import ParseStats, TraceError, infer_format, read_trace, serialize_trace
+from shardsim.trace import ParseStats, TraceError, infer_format, open_trace, read_trace, serialize_trace
 
 _DURATION_RE = re.compile(r"^(\d+)\s*(s|m|h|d|w)?$")
 _DURATION_UNITS = {"s": 1, "m": 60, "h": 3600, "d": 86400, "w": 7 * 86400}
@@ -228,9 +228,8 @@ def synth(vertices, communities, inter_prob, zipf_exponent, duration, records_pe
     except ValueError as exc:
         raise click.UsageError(str(exc))
     records, truth = generate_workload(spec, seed)
-    fmt = infer_format(out_path)
-    with open(out_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(serialize_trace(records, fmt))
+    with open_trace(out_path, "w") as fh:
+        fh.write(serialize_trace(records, infer_format(out_path)))
     if truth_out:
         write_truth(truth, truth_out)
     click.echo(f"wrote {len(records)} records to {out_path}")

@@ -9,8 +9,10 @@ community, shifting the interaction structure.
 
 from __future__ import annotations
 
-import bisect
+import itertools
+import math
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from shardsim.trace import CallKind, TraceRecord, VertexKind
@@ -42,6 +44,12 @@ class WorkloadSpec:
             raise ValueError("duration and records_per_hour must be positive")
         if self.rewire_at is not None and not 0.0 < self.rewire_at < 1.0:
             raise ValueError("rewire_at must be in (0, 1)")
+        if not 0.0 <= self.rewire_frac <= 1.0:
+            raise ValueError("rewire_frac must be in [0, 1]")
+        if self.block_interval < 1:
+            raise ValueError("block_interval must be >= 1")
+        if self.start_time < 0:
+            raise ValueError("start_time must be >= 0")
 
     @property
     def num_records(self) -> int:
@@ -53,80 +61,70 @@ def vertex_id(i: int) -> str:
     return f"{i:040x}"
 
 
-class _ZipfSampler:
-    """Zipf sampling over an index list: P(rank r) proportional to 1/(r+1)^s."""
-
-    def __init__(self, indices: list[int], s: float):
-        self.indices = indices
-        self.cum: list[float] = []
-        acc = 0.0
-        for r in range(len(indices)):
-            acc += 1.0 / (r + 1) ** s
-            self.cum.append(acc)
-
-    def sample(self, rng: random.Random) -> int:
-        u = rng.random() * self.cum[-1]
-        return self.indices[bisect.bisect_right(self.cum, u)]
-
-
 def generate_workload(spec: WorkloadSpec, seed: int = 0) -> tuple[list[TraceRecord], dict[str, int]]:
     """Build the trace and the planted community of each vertex.
 
     The returned ground truth is the initial membership (before any rewiring).
-    Deterministic for a fixed (spec, seed).
+    Deterministic for a fixed (spec, seed). Each vertex's address is one
+    string, shared by every record that names it and by the ground truth.
     """
     rng = random.Random(seed)
+    random_, choice = rng.random, rng.choice
     n, c = spec.vertices, spec.communities
     # contiguous rank blocks: community 0 holds the globally hottest vertices
     per = n // c
     membership = [min(i // per, c - 1) if per else c - 1 for i in range(n)]
-    truth = {vertex_id(i): membership[i] for i in range(n)}
+    names = [vertex_id(i) for i in range(n)]
+    truth = dict(zip(names, membership))
 
-    def community_samplers(member: list[int]) -> tuple[_ZipfSampler, list[_ZipfSampler]]:
+    # Zipf sampling: P(rank r) is proportional to 1/(r+1)^s. The cumulative
+    # weights of ranks 0..m-1 are the first m entries of ``cum``, so one list
+    # serves the global sampler (ranks = vertex indices) and every community
+    # (ranks = positions in its ascending member list).
+    cum = list(itertools.accumulate(1.0 / (r + 1) ** spec.zipf_exponent for r in range(n)))
+    top = cum[-1]
+
+    def community_tables(member: list[int]) -> tuple[list, list[list[int]]]:
+        """Per community: (members, their count, their total weight), or None
+        when empty; and the other non-empty communities of each community."""
         groups: list[list[int]] = [[] for _ in range(c)]
         for i in range(n):
             groups[member[i]].append(i)
-        global_sampler = _ZipfSampler(list(range(n)), spec.zipf_exponent)
-        per_comm = [_ZipfSampler(g, spec.zipf_exponent) if g else None for g in groups]
-        return global_sampler, per_comm  # type: ignore[return-value]
+        tables = [(g, len(g), cum[len(g) - 1]) if g else None for g in groups]
+        others = [[j for j in range(c) if j != comm and groups[j]] for comm in range(c)]
+        return tables, others
 
-    global_sampler, comm_samplers = community_samplers(membership)
-    rewire_time = None
+    tables, others_of = community_tables(membership)
+    rewire_time = math.inf
     if spec.rewire_at is not None and c > 1:
         rewire_time = spec.start_time + int(spec.rewire_at * spec.duration)
 
     total = spec.num_records
+    duration, start_time, block_interval = spec.duration, spec.start_time, spec.block_interval
+    inter_prob = spec.inter_prob
+    account, transfer = VertexKind.ACCOUNT, CallKind.TRANSFER
     records: list[TraceRecord] = []
-    rewired = False
+    append = records.append
     for idx in range(total):
-        elapsed = idx * spec.duration // total
-        timestamp = spec.start_time + elapsed
-        if rewire_time is not None and not rewired and timestamp >= rewire_time:
-            moved = rng.sample(range(n), int(spec.rewire_frac * n))
-            for i in moved:
+        elapsed = idx * duration // total
+        timestamp = start_time + elapsed
+        if timestamp >= rewire_time:
+            for i in rng.sample(range(n), int(spec.rewire_frac * n)):
                 membership[i] = (membership[i] + 1) % c
-            global_sampler, comm_samplers = community_samplers(membership)
-            rewired = True
-        src = global_sampler.sample(rng)
+            tables, others_of = community_tables(membership)
+            rewire_time = math.inf
+        src = bisect_right(cum, random_() * top)
         comm = membership[src]
-        if c > 1 and rng.random() < spec.inter_prob:
-            others = [j for j in range(c) if j != comm and comm_samplers[j] is not None]
-            comm = rng.choice(others) if others else comm
-        sampler = comm_samplers[comm]
-        dst = sampler.sample(rng)
+        if c > 1 and random_() < inter_prob:
+            others = others_of[comm]
+            comm = choice(others) if others else comm
+        members, size, weight = tables[comm]
+        dst = members[bisect_right(cum, random_() * weight, 0, size)]
         if dst == src:  # one resample to keep self-loops rare but possible
-            dst = sampler.sample(rng)
-        block = elapsed // spec.block_interval
-        records.append(
+            dst = members[bisect_right(cum, random_() * weight, 0, size)]
+        append(
             TraceRecord(
-                timestamp=timestamp,
-                block=block,
-                src=vertex_id(src),
-                src_kind=VertexKind.ACCOUNT,
-                dst=vertex_id(dst),
-                dst_kind=VertexKind.ACCOUNT,
-                call_kind=CallKind.TRANSFER,
-                tx_id=f"tx{idx}",
+                timestamp, elapsed // block_interval, names[src], account, names[dst], account, transfer, f"tx{idx}"
             )
         )
     return records, truth

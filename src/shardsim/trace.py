@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import csv
 import gzip
-import io
 import json
 import logging
 import operator
@@ -223,13 +222,21 @@ def parse_trace(
                 return
             if [h.strip().lower() for h in header] != CSV_HEADER:
                 raise MalformedRow(1, f"bad header {header!r}, expected {','.join(CSV_HEADER)}")
-            for line_no, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                if len(row) != len(CSV_HEADER):
-                    yield line_no, f"expected {len(CSV_HEADER)} fields, got {len(row)}"
-                    continue
-                yield line_no, row
+            line_no = 1
+            while True:
+                try:
+                    for row in reader:
+                        line_no += 1
+                        if not row:
+                            continue
+                        if len(row) != len(CSV_HEADER):
+                            yield line_no, f"expected {len(CSV_HEADER)} fields, got {len(row)}"
+                            continue
+                        yield line_no, row
+                    return
+                except csv.Error as exc:  # the reader goes on at the next line
+                    line_no += 1
+                    yield line_no, str(exc)
         else:
             for line_no, line in enumerate(stream, start=1):
                 if not line.strip():
@@ -272,35 +279,44 @@ def parse_trace(
         yield record
 
 
+def _csv_field(text: str) -> str:
+    """``text`` as a CSV field, quoted the way ``csv`` quotes (inner quotes
+    doubled) when it holds a comma, a quote or a line break."""
+    if "," in text or '"' in text or "\n" in text or "\r" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def serialize_trace(records: Iterable[TraceRecord], format: str = "csv") -> str:
     """Inverse of parse_trace on canonical records (round-trip identity)."""
+    # Kinds are read through ``_value_``, a plain attribute: ``.value`` is a
+    # property, and hashing a member calls the Python-level Enum.__hash__.
     if format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(CSV_HEADER)
+        lines = [",".join(CSV_HEADER)]
+        append = lines.append
         for r in records:
-            writer.writerow(
-                [r.timestamp, r.block, r.src, r.src_kind.value, r.dst, r.dst_kind.value, r.call_kind.value, r.tx_id]
+            append(
+                f"{r.timestamp},{r.block},{_csv_field(r.src)},{r.src_kind._value_},{_csv_field(r.dst)},"
+                f"{r.dst_kind._value_},{r.call_kind._value_},{_csv_field(r.tx_id)}"
             )
-        return buf.getvalue()
+        return "\n".join(lines) + "\n"
     if format == "jsonl":
-        lines = []
-        for r in records:
-            lines.append(
-                json.dumps(
-                    {
-                        "timestamp": r.timestamp,
-                        "block": r.block,
-                        "from": r.src,
-                        "from_kind": r.src_kind.value,
-                        "to": r.dst,
-                        "to_kind": r.dst_kind.value,
-                        "call_kind": r.call_kind.value,
-                        "tx_id": r.tx_id,
-                    },
-                    separators=(",", ":"),
-                )
+        encode = json.JSONEncoder(separators=(",", ":")).encode
+        lines = [
+            encode(
+                {
+                    "timestamp": r.timestamp,
+                    "block": r.block,
+                    "from": r.src,
+                    "from_kind": r.src_kind._value_,
+                    "to": r.dst,
+                    "to_kind": r.dst_kind._value_,
+                    "call_kind": r.call_kind._value_,
+                    "tx_id": r.tx_id,
+                }
             )
+            for r in records
+        ]
         return "\n".join(lines) + ("\n" if lines else "")
     raise ValueError(f"unknown trace format {format!r}")
 
@@ -312,10 +328,12 @@ def infer_format(path: str) -> str:
     return "csv"
 
 
-def open_trace(path: str) -> IO[str]:
-    if path.endswith(".gz"):
-        return io.TextIOWrapper(gzip.open(path, "rb"), encoding="utf-8")
-    return open(path, "r", encoding="utf-8")
+def open_trace(path: str, mode: str = "r") -> IO[str]:
+    """Open a trace file for reading (``"r"``) or writing (``"w"``) as UTF-8
+    text, gzip-compressed when its name ends in ``.gz``. Line ends are passed
+    through untranslated, so a line break inside a quoted CSV field survives."""
+    opener = gzip.open if path.endswith(".gz") else open
+    return opener(path, mode + "t", encoding="utf-8", newline="")
 
 
 def read_trace(

@@ -166,9 +166,42 @@ def test_synth_then_summarize(tmp_path):
     assert "dynamic_edge_cut" in res.output and "total_moves:" in res.output
 
 
-def test_synth_invalid_spec_usage_error(tmp_path):
-    res = run("synth", "--vertices", "1", "--out", str(tmp_path / "w.csv"))
+@pytest.mark.parametrize("args", [["--vertices", "1"], ["--rewire-frac", "2"], ["--rewire-frac", "-0.5"]])
+def test_synth_invalid_spec_usage_error(tmp_path, args):
+    res = run("synth", "--vertices", "40", *args, "--out", str(tmp_path / "w.csv"))
     assert res.exit_code == 2
+    assert isinstance(res.exception, SystemExit)  # a message, not a traceback
+    assert not (tmp_path / "w.csv").exists()
+
+
+def test_synth_gzip_output_replays(tmp_path):
+    outputs = {}
+    for name in ("w.csv", "w.csv.gz", "w.jsonl.gz"):
+        trace = tmp_path / name
+        res = run("synth", "--vertices", "40", "--duration", "2d", "--rate", "30", "--out", str(trace))
+        assert res.exit_code == 0, res.output
+        if name.endswith(".gz"):
+            with gzip.open(trace, "rb") as fh:
+                fh.read()  # raises unless the file is gzip
+        res = run("replay", "--trace", str(trace), "--shards", "2")
+        assert res.exit_code == 0, res.output
+        outputs[name] = res.stdout
+    assert outputs["w.csv.gz"] == outputs["w.jsonl.gz"] == outputs["w.csv"]
+
+
+def test_replay_oversize_field_strict_vs_lenient(tmp_path):
+    trace = make_trace_file(tmp_path)
+    lines = trace.read_text().splitlines()
+    lines[3] = lines[3].rsplit(",", 1)[0] + "," + "x" * 200_000
+    bad = tmp_path / "oversize.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    res = run("replay", "--trace", str(bad), "--shards", "2")
+    assert res.exit_code == 1
+    assert res.stderr.strip() == "error: line 4: field larger than field limit (131072)"
+    res = run("replay", "--trace", str(bad), "--shards", "2", "--lenient")
+    assert res.exit_code == 0
+    assert res.stdout.startswith("window_start,")
+    assert res.stderr.splitlines()[-1] == "skipped 1 malformed rows"
 
 
 def test_replay_invalid_config_usage_error(tmp_path):

@@ -85,6 +85,27 @@ def test_invalid_specs_rejected():
         WorkloadSpec(vertices=10, rewire_at=1.5)
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("rewire_frac", 1.5, "rewire_frac must be in"),
+        ("rewire_frac", -0.1, "rewire_frac must be in"),
+        ("block_interval", 0, "block_interval must be >= 1"),
+        ("start_time", -1, "start_time must be >= 0"),
+    ],
+)
+def test_out_of_range_spec_fields_rejected(field, value, message):
+    with pytest.raises(ValueError, match=message):
+        WorkloadSpec(vertices=10, **{field: value})
+
+
+def test_range_ends_accepted():
+    for frac in (0.0, 1.0):
+        spec = WorkloadSpec(vertices=10, duration=86400, rewire_at=0.5, rewire_frac=frac, block_interval=1, start_time=0)
+        records, _ = generate_workload(spec, seed=3)
+        assert records[0].timestamp == records[0].block == 0
+
+
 DAY = 86400
 
 # SHA-256 of the CSV trace, the JSONL trace and ``repr(list(truth.items()))``

@@ -19,6 +19,7 @@ from shardsim.trace import (
     VertexKind,
     canonical_address,
     infer_format,
+    open_trace,
     parse_trace,
     read_trace,
     serialize_trace,
@@ -168,7 +169,7 @@ records_strategy = st.builds(
     dst=addresses,
     dst_kind=st.just(VertexKind.CONTRACT),
     call_kind=st.sampled_from(list(CallKind)),
-    tx_id=st.text(alphabet="abcdef0123456789x", min_size=1, max_size=16),
+    tx_id=st.text(min_size=1, max_size=16),
 )
 
 
@@ -215,6 +216,24 @@ no_cr_text = st.text(st.characters(exclude_characters="\r"))
 )
 def test_csv_writer_matches_csv_module(records):
     assert serialize_trace(records, "csv") == csv_module_reference(records)
+
+
+# tx_ids that need CSV quoting, each line break among them
+AWKWARD_TX_IDS = ["a\rb", "a\nb", "a\r\nb", "\r", "a,b", 'say "hi"', " padded "]
+
+
+@pytest.mark.parametrize("name", ["t.csv", "t.csv.gz", "t.jsonl", "t.jsonl.gz"])
+def test_roundtrip_through_file(tmp_path, name):
+    records = [
+        TraceRecord(i, i, A1, VertexKind.ACCOUNT, A2, VertexKind.CONTRACT, CallKind.CONTRACT_CALL, tx_id)
+        for i, tx_id in enumerate(AWKWARD_TX_IDS)
+    ]
+    path = str(tmp_path / name)
+    with open_trace(path, "w") as fh:
+        fh.write(serialize_trace(records, infer_format(path)))
+    with open(path, "rb") as fh:
+        assert (fh.read(2) == b"\x1f\x8b") == name.endswith(".gz")
+    assert list(read_trace(path)) == records
 
 
 def test_gzip_and_format_inference(tmp_path):
@@ -392,3 +411,28 @@ def test_jsonl_integers_and_digit_strings_accepted():
     a, b = parse_str(rows, "jsonl")
     assert (a.timestamp, a.block, a.tx_id) == (5, 1, "7")
     assert (b.timestamp, b.block, b.tx_id) == (6, 2, "t")
+
+
+@pytest.mark.parametrize(
+    "field, message",
+    [
+        # a bare "\r" reaches the reader inside a line only from a stream;
+        # files are opened so that it ends the line
+        ("tx\rx", "new-line character seen in unquoted field"),
+        ("x" * (csv.field_size_limit() + 1), f"field larger than field limit ({csv.field_size_limit()})"),
+    ],
+    ids=["bare-cr", "oversize"],
+)
+def test_csv_reader_error_is_malformed_row(caplog, field, message):
+    text = HEADER + ROW + f"11,100,{A1},account,{A2},contract,transfer,{field}\n" + ROW.replace("10,", "12,", 1)
+    with pytest.raises(MalformedRow) as info:
+        parse_str(text)
+    assert info.value.line_no == 3 and info.value.reason.startswith(message)
+    # lenient parsing goes on at the next line, and line numbers stay right
+    stats = ParseStats()
+    records = parse_str(text + "1,2,3\n", strict=False, stats=stats)
+    assert [r.timestamp for r in records] == [10, 12]
+    assert (stats.data_rows, stats.yielded, stats.skipped) == (4, 2, 2)
+    skipped = [rec.getMessage() for rec in caplog.records]
+    assert len(skipped) == 2 and skipped[0].startswith(f"skipping row: line 3: {message}")
+    assert skipped[1] == "skipping row: line 5: expected 8 fields, got 3"
