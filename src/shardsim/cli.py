@@ -208,7 +208,8 @@ def partition(graph_path, sidecar, k, epsilon, seed, out_path):
               help="Fraction of the duration at which communities rewire.")
 @click.option("--rewire-frac", type=float, default=0.5, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--out", "out_path", required=True, type=click.Path(dir_okay=False))
+@click.option("--out", "out_path", required=True, type=click.Path(dir_okay=False),
+              help="Trace file: JSONL for .jsonl/.ndjson, CSV otherwise; gzipped when it ends in .gz.")
 @click.option("--truth-out", type=click.Path(dir_okay=False), default=None,
               help="Where to write the planted vertex,community ground truth.")
 def synth(vertices, communities, inter_prob, zipf_exponent, duration, records_per_hour,

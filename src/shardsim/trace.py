@@ -11,6 +11,11 @@ row to row. In JSONL, a timestamp or block is an integer (not a boolean or a
 float) or a string holding one, and ``tx_id`` must not be null. ``tx_id``
 must not be empty in either format. ``.gz`` files are decompressed
 transparently.
+
+A CSV field is written in double quotes, inner quotes doubled, when it holds
+a comma, a quote, a carriage return or a line feed, as ``csv`` reads it back.
+Trace files are read and written with line ends untranslated, so a line break
+inside a quoted field survives a round trip.
 """
 
 from __future__ import annotations
