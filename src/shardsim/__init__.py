@@ -19,7 +19,6 @@ from shardsim.trace import (
     parse_trace,
     read_trace,
     serialize_trace,
-    validate_kinds,
 )
 from shardsim.graph import InteractionGraph, apply_record, window_subgraph
 from shardsim.metrics import Assignment, MetricSample, balance, count_moves, edge_cut, normalized_balance
@@ -69,6 +68,5 @@ __all__ = [
     "read_trace",
     "run_replay",
     "serialize_trace",
-    "validate_kinds",
     "window_subgraph",
 ]

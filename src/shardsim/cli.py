@@ -116,9 +116,7 @@ def replay(trace_path, fmt, k, strategy, metric_window, repartition_interval, cu
                 repartition_interval=repartition_interval,
                 cut_threshold=cut_threshold,
                 balance_threshold=balance_threshold,
-                partitioner=PartitionerConfig(
-                    k=kk, epsilon=epsilon, hash_seed=seed, rng_seed=seed, kl_rounds=kl_rounds
-                ),
+                partitioner=PartitionerConfig(k=kk, epsilon=epsilon, seed=seed, kl_rounds=kl_rounds),
                 cumulative_weights=weights == "cumulative",
             )
             for kk in ks
@@ -183,7 +181,7 @@ def partition(graph_path, sidecar, k, epsilon, seed, out_path):
     except (OSError, ValueError) as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(1)
-    cfg = PartitionerConfig(k=k, epsilon=epsilon, rng_seed=seed)
+    cfg = PartitionerConfig(k=k, epsilon=epsilon, seed=seed)
     part, infeasible, _ = partition_partgraph(pg, cfg)
     lines = ["vertex,shard"] + [f"{pg.names[i]},{part[i]}" for i in range(len(pg))]
     payload = "\n".join(lines) + "\n"
@@ -229,10 +227,14 @@ def synth(vertices, communities, inter_prob, zipf_exponent, duration, records_pe
     except ValueError as exc:
         raise click.UsageError(str(exc))
     records, truth = generate_workload(spec, seed)
-    with open_trace(out_path, "w") as fh:
-        fh.write(serialize_trace(records, infer_format(out_path)))
-    if truth_out:
-        write_truth(truth, truth_out)
+    try:
+        with open_trace(out_path, "w") as fh:
+            fh.write(serialize_trace(records, infer_format(out_path)))
+        if truth_out:
+            write_truth(truth, truth_out)
+    except OSError as exc:
+        click.echo(f"error: {exc}", err=True)
+        sys.exit(1)
     click.echo(f"wrote {len(records)} records to {out_path}")
 
 

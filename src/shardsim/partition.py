@@ -17,30 +17,31 @@ import heapq
 import random
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Callable, ClassVar, Mapping, Sequence
 
 from shardsim.graph import InteractionGraph
 from shardsim.metrics import Assignment
 
 MASK64 = (1 << 64) - 1
+REFINE_PASSES = 10  # refinement pass cap per level
+INITIAL_TRIES = 4  # greedy-growing restarts on the coarsest graph
 
 
 @dataclass
 class PartitionerConfig:
     k: int = 2
     epsilon: float = 0.05  # shard weight cap, see balance_cap
-    hash_seed: int = 0
-    rng_seed: int = 0
+    seed: int = 0  # of identifier hashing, KL's draws and the multilevel partitioner
     kl_rounds: int = 1
-    fm_passes: int = 10  # refinement pass cap per level
-    init_tries: int = 4  # greedy-growing restarts on the coarsest graph
-    coarsen_min: int = 200  # stop coarsening at max(30*k, coarsen_min) vertices
+    coarsen_min: ClassVar[int] = 200  # stop coarsening at max(30*k, coarsen_min) vertices
 
     def __post_init__(self) -> None:
         if self.k < 1:
             raise ValueError("k must be >= 1")
         if self.epsilon < 0:
             raise ValueError("epsilon must be >= 0")
+        if self.kl_rounds < 1:
+            raise ValueError("kl_rounds must be >= 1")
 
     def balance_cap(self, total_weight: int) -> float:
         """Largest shard weight allowed: (1 + epsilon) * total / k."""
@@ -71,11 +72,7 @@ def hash64(data: bytes, seed: int = 0) -> int:
 
 def hash_partition(vertex: str, cfg: PartitionerConfig) -> int:
     """Shard of a vertex by hashing its canonical address, mod k."""
-    try:
-        data = bytes.fromhex(vertex)
-    except ValueError:
-        data = vertex.encode("utf-8")
-    return hash64(data, cfg.hash_seed) % cfg.k
+    return hash64(bytes.fromhex(vertex), cfg.seed) % cfg.k
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +125,6 @@ def kl_build_matrix(
     candidates: dict[int, list[Candidate]],
     a: Assignment,
     activity: InteractionGraph,
-    cfg: PartitionerConfig,
 ) -> list[list[float]]:
     """Row-stochastic k x k matrix directing candidate exchanges.
 
@@ -204,7 +200,7 @@ def kl_exchange(
     a: Assignment,
     candidates: dict[int, list[Candidate]],
     matrix: Sequence[Sequence[float]],
-    rng_seed: int,
+    seed: int,
 ) -> Assignment:
     """Move each candidate of shard i to shard j with probability matrix[i][j].
 
@@ -212,7 +208,7 @@ def kl_exchange(
     listed. Deterministic for a fixed seed; non-candidates never move. The
     result is a new assignment.
     """
-    rng = random.Random(rng_seed)
+    rng = random.Random(seed)
     shard_of = a.shard_of.copy()
     for i in sorted(candidates):
         row = matrix[i]
@@ -237,12 +233,13 @@ class PartGraph:
     """Undirected weighted graph in dense index form for partitioning kernels.
 
     Self-loops are dropped on construction (they never affect a cut).
+    ``names`` maps index to vertex id; without it each index names itself.
     """
 
-    def __init__(self, vwgt: list[int], adj: list[dict[int, int]], names: list[str] | None = None):
+    def __init__(self, vwgt: list[int], adj: list[dict[int, int]], names: Sequence | None = None):
         self.vwgt = vwgt
         self.adj = adj
-        self.names = names if names is not None else [str(i) for i in range(len(vwgt))]
+        self.names = names if names is not None else range(len(vwgt))
 
     def __len__(self) -> int:
         return len(self.vwgt)
@@ -576,7 +573,7 @@ def partition_partgraph(pg: PartGraph, cfg: PartitionerConfig) -> tuple[list[int
     if k == 1:
         return [0] * n, False, []
 
-    rng = random.Random(cfg.rng_seed)
+    rng = random.Random(cfg.seed)
     cap = cfg.balance_cap(pg.total_vwgt())
     infeasible = max(pg.vwgt) > cap
     pass_cuts: list[tuple[int, int]] = []
@@ -595,10 +592,10 @@ def partition_partgraph(pg: PartGraph, cfg: PartitionerConfig) -> tuple[list[int
     # initial partitioning on the coarsest graph, best of several tries
     best_part: list[int] | None = None
     best_key: tuple | None = None
-    for _ in range(max(1, cfg.init_tries)):
+    for _ in range(INITIAL_TRIES):
         cand = _greedy_grow(cur, k, cap, rng)
         feasible = _repair_balance(cur, cand, k, cap)
-        cut = fm_refine(cur, cand, k, cap, cfg.fm_passes, rng, pass_cuts)
+        cut = fm_refine(cur, cand, k, cap, REFINE_PASSES, rng, pass_cuts)
         key = (not feasible, cut)
         if best_key is None or key < best_key:
             best_key, best_part = key, cand
@@ -607,7 +604,7 @@ def partition_partgraph(pg: PartGraph, cfg: PartitionerConfig) -> tuple[list[int
     # uncoarsening with refinement at each level; projection keeps the cut
     for fine, cmap in reversed(levels):
         part = [part[c] for c in cmap]
-        cut = fm_refine(fine, part, k, cap, cfg.fm_passes, rng, pass_cuts, cut)
+        cut = fm_refine(fine, part, k, cap, REFINE_PASSES, rng, pass_cuts, cut)
 
     if not _repair_balance(pg, part, k, cap):
         infeasible = True
@@ -680,9 +677,10 @@ def write_adjacency(graph: InteractionGraph, path: str, sidecar: str, weights: s
 def read_adjacency(path: str, sidecar: str | None = None) -> PartGraph:
     """Load a graph written by write_adjacency.
 
-    Raises ValueError unless it is a PartGraph the kernels accept: neighbour
-    indices in 1..|V|, no self-loops, vertex and edge weights of at least 1,
-    each edge listed from both ends with one weight, and |E| as the header says.
+    Raises ValueError unless it is a PartGraph the kernels accept: exactly
+    |V| vertex lines (blank lines after them are ignored), neighbour indices
+    in 1..|V|, no self-loops, vertex and edge weights of at least 1, each edge
+    listed from both ends with one weight, and |E| as the header says.
     """
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().split()
@@ -692,7 +690,10 @@ def read_adjacency(path: str, sidecar: str | None = None) -> PartGraph:
         vwgt = [1] * n
         adj: list[dict[int, int]] = [{} for _ in range(n)]
         for v in range(n):
-            tokens = fh.readline().split()
+            line = fh.readline()
+            if not line:
+                raise ValueError(f"header says {n} vertices, the file ends after {v} vertex lines")
+            tokens = line.split()
             if not tokens:
                 continue
             if len(tokens) % 2 == 0:
@@ -707,6 +708,8 @@ def read_adjacency(path: str, sidecar: str | None = None) -> PartGraph:
                 if w < 1:
                     raise ValueError(f"vertex {v + 1}: edge weight {w} is below 1")
                 adj[v][u] = w
+        if any(line.strip() for line in fh):
+            raise ValueError(f"a non-blank line follows the {n} vertex lines the header gives")
     for v, nbrs in enumerate(adj):
         for u, w in nbrs.items():
             if adj[u].get(v) != w:

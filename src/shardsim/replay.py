@@ -109,13 +109,14 @@ def fire_trigger(
     raise ValueError(f"unknown strategy {strategy}")
 
 
-def relabel_to_match(old: Assignment, new: Assignment, k: int) -> Assignment:
+def relabel_to_match(old: Assignment, new: Assignment) -> Assignment:
     """Rename new shard labels to maximize vertex overlap with the old labels.
 
-    ``old`` and ``new`` are part vectors of the same vertices. Greedy
-    maximum-overlap matching; a pure label permutation relocates no state and
-    must not count as moves.
+    ``old`` and ``new`` are part vectors of the same vertices over ``old.k``
+    shards. Greedy maximum-overlap matching; a pure label permutation
+    relocates no state and must not count as moves.
     """
+    k = old.k
     overlap = Counter(zip(new.shard_of, old.shard_of))
     mapping: dict[int, int] = {}
     for (s_new, s_old), _ in sorted(overlap.items(), key=lambda kv: (-kv[1], kv[0])):
@@ -156,10 +157,10 @@ def repartition(
         res = multilevel_partition(period, pcfg, weights="activity")
     elif strategy is Strategy.KL:
         new = a
-        for rnd in range(max(1, pcfg.kl_rounds)):
+        for rnd in range(pcfg.kl_rounds):
             cands = kl_select_candidates(new, period, names.__getitem__)
-            matrix = kl_build_matrix(cands, new, period, pcfg)
-            new = kl_exchange(new, cands, matrix, pcfg.rng_seed ^ clock ^ (rnd << 32))
+            matrix = kl_build_matrix(cands, new, period)
+            new = kl_exchange(new, cands, matrix, pcfg.seed ^ clock ^ (rnd << 32))
     else:
         return a, 0, 0, pass_cuts
 
@@ -175,7 +176,7 @@ def repartition(
                 clock, res.balance_cap, res.max_vertex_weight,
             )
     raw_moves = count_moves(a, new)
-    matched = relabel_to_match(a, new, cfg.k)
+    matched = relabel_to_match(a, new)
     moves = count_moves(a, matched)
     return matched, moves, raw_moves, pass_cuts
 

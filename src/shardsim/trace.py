@@ -26,7 +26,7 @@ import json
 import logging
 import operator
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import IO, Iterable, Iterator, Sequence
 
@@ -92,18 +92,6 @@ class OutOfOrderTimestamp(TraceError):
         self.previous = previous
 
 
-class KindConflict(TraceError):
-    def __init__(self, vertex: str, seen: "VertexKind", now: "VertexKind"):
-        super().__init__(f"vertex {vertex} seen as {seen.value}, now {now.value}")
-        self.vertex = vertex
-
-
-class UseBeforeCreate(TraceError):
-    def __init__(self, vertex: str):
-        super().__init__(f"contract {vertex} used before its create record")
-        self.vertex = vertex
-
-
 _HEX40 = re.compile("[0-9a-f]{40}")
 
 
@@ -135,10 +123,7 @@ class TraceRecord:
 
 @dataclass
 class ParseStats:
-    data_rows: int = 0
-    yielded: int = 0
     skipped: int = 0
-    warnings: int = 0
 
 
 def _kind(kind: type[Enum], raw: object):
@@ -218,7 +203,8 @@ def parse_trace(
         stats = ParseStats()
 
     def rows() -> Iterator[tuple[int, Sequence | str]]:
-        """Line number and field values of each row, or the row's error."""
+        """File line number and field values of each row, or the row's error.
+        A CSV row that spans lines is numbered by its last line."""
         if format == "csv":
             reader = csv.reader(stream)
             try:
@@ -227,21 +213,18 @@ def parse_trace(
                 return
             if [h.strip().lower() for h in header] != CSV_HEADER:
                 raise MalformedRow(1, f"bad header {header!r}, expected {','.join(CSV_HEADER)}")
-            line_no = 1
             while True:
                 try:
                     for row in reader:
-                        line_no += 1
                         if not row:
                             continue
                         if len(row) != len(CSV_HEADER):
-                            yield line_no, f"expected {len(CSV_HEADER)} fields, got {len(row)}"
+                            yield reader.line_num, f"expected {len(CSV_HEADER)} fields, got {len(row)}"
                             continue
-                        yield line_no, row
+                        yield reader.line_num, row
                     return
                 except csv.Error as exc:  # the reader goes on at the next line
-                    line_no += 1
-                    yield line_no, str(exc)
+                    yield reader.line_num, str(exc)
         else:
             for line_no, line in enumerate(stream, start=1):
                 if not line.strip():
@@ -263,7 +246,6 @@ def parse_trace(
     names: dict[str, str] = {}
     last_block = last_timestamp = -1
     for line_no, fields in rows():
-        stats.data_rows += 1
         try:
             if type(fields) is str:
                 raise MalformedRow(line_no, fields)
@@ -280,7 +262,6 @@ def parse_trace(
             continue
         last_block = record.block
         last_timestamp = record.timestamp
-        stats.yielded += 1
         yield record
 
 
@@ -351,43 +332,3 @@ def read_trace(
     fmt = format or infer_format(path)
     with open_trace(path) as fh:
         yield from parse_trace(fh, fmt, strict=strict, stats=stats)
-
-
-def validate_kinds(
-    records: Iterable[TraceRecord],
-    strict: bool = True,
-    stats: ParseStats | None = None,
-) -> Iterator[TraceRecord]:
-    """Check full-trace kind invariants while passing records through.
-
-    Every vertex must keep a single kind, and a contract's create record must
-    precede any other use of it. In lenient mode violations are logged as
-    warnings (real chains can break the assumptions at fork boundaries).
-    """
-    kinds: dict[str, VertexKind] = {}
-    created: set[str] = set()
-    seen: set[str] = set()
-    for r in records:
-        for vertex, kind in ((r.src, r.src_kind), (r.dst, r.dst_kind)):
-            prior = kinds.get(vertex)
-            if prior is None:
-                kinds[vertex] = kind
-            elif prior is not kind:
-                err = KindConflict(vertex, prior, kind)
-                if strict:
-                    raise err
-                if stats is not None:
-                    stats.warnings += 1
-                log.warning("%s", err)
-        if r.call_kind is CallKind.CONTRACT_CREATE:
-            if r.dst in seen:
-                err = UseBeforeCreate(r.dst)
-                if strict:
-                    raise err
-                if stats is not None:
-                    stats.warnings += 1
-                log.warning("%s", err)
-            created.add(r.dst)
-        seen.add(r.src)
-        seen.add(r.dst)
-        yield r

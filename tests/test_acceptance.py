@@ -41,7 +41,7 @@ def test_criterion_1_hashing_cut_matches_theory():
     g = graph_from_pairs(pairs)
     results = {}
     for k in (8, 2):
-        cfg = PartitionerConfig(k=k, hash_seed=1)
+        cfg = PartitionerConfig(k=k, seed=1)
         a = Assignment({v: hash_partition(v, cfg) for v in g.vertices}, k)
         results[k] = edge_cut(g, a)
     ok = abs(results[8] - 0.875) <= 0.02 and abs(results[2] - 0.50) <= 0.02
@@ -120,7 +120,7 @@ def test_criterion_4_partitioner_quality():
             pairs = [(0, 1)]
         g = graph_from_pairs(pairs)
         n_seen = g.num_vertices
-        cfg = PartitionerConfig(k=2, epsilon=0.05, rng_seed=trial)
+        cfg = PartitionerConfig(k=2, epsilon=0.05, seed=trial)
         res = multilevel_partition(g, cfg)
         part = res.assignment.shard_of
         und = {}
@@ -149,7 +149,7 @@ def test_criterion_4_partitioner_quality():
                     if r2.random() < 0.8 or j == i + 1:
                         pairs.append((base + i, base + j))
         g = graph_from_pairs(pairs)
-        res = multilevel_partition(g, PartitionerConfig(k=2, epsilon=0.05, rng_seed=seed))
+        res = multilevel_partition(g, PartitionerConfig(k=2, epsilon=0.05, seed=seed))
         if edge_cut(g, res.assignment) != 0.0 or balance(g, res.assignment) != 1.0:
             planted_ok = False
     ok = frac >= 0.90 and planted_ok

@@ -9,7 +9,7 @@ from shardsim.graph import InteractionGraph
 from shardsim.partition import write_adjacency
 from shardsim.report import read_samples_csv
 from shardsim.synth import WorkloadSpec, generate_workload
-from shardsim.trace import VertexKind, serialize_trace
+from shardsim.trace import VertexKind, read_trace, serialize_trace
 
 from conftest import vid
 
@@ -174,6 +174,17 @@ def test_synth_invalid_spec_usage_error(tmp_path, args):
     assert not (tmp_path / "w.csv").exists()
 
 
+@pytest.mark.parametrize("missing", ["--out", "--truth-out"])
+def test_synth_unwritable_output_is_an_error(tmp_path, missing):
+    paths = {"--out": tmp_path / "w.csv", "--truth-out": tmp_path / "truth.csv"}
+    paths[missing] = tmp_path / "no-such-dir" / "x.csv"
+    res = run("synth", "--vertices", "40", "--duration", "1d", "--rate", "10",
+              "--out", str(paths["--out"]), "--truth-out", str(paths["--truth-out"]))
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)  # a message, not a traceback
+    assert res.stderr.startswith("error: ") and "no-such-dir" in res.stderr
+
+
 def test_synth_gzip_output_replays(tmp_path):
     outputs = {}
     for name in ("w.csv", "w.csv.gz", "w.jsonl.gz"):
@@ -206,7 +217,12 @@ def test_replay_oversize_field_strict_vs_lenient(tmp_path):
 
 def test_replay_invalid_config_usage_error(tmp_path):
     trace = make_trace_file(tmp_path)
-    for extra in (["--metric-window", "2d", "--repartition-interval", "1d"], ["--epsilon", "-1"]):
+    for extra in (
+        ["--metric-window", "2d", "--repartition-interval", "1d"],
+        ["--epsilon", "-1"],
+        ["--kl-rounds", "0"],
+        ["--kl-rounds", "-3"],
+    ):
         res = run("replay", "--trace", str(trace), "--sweep", "k=2,3", "--out", str(tmp_path / "o.csv"), *extra)
         assert res.exit_code == 2, res.output
         assert not list(tmp_path.glob("o*.csv"))
@@ -219,6 +235,42 @@ def test_partition_rejects_out_of_range_neighbour(tmp_path):
     assert res.exit_code == 1
     assert isinstance(res.exception, SystemExit)  # a message, not a traceback
     assert "error: vertex 1: neighbour 3 is not another vertex in 1..2" in res.output
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("3 1 011\n1 2 1\n1 1 1\n", "error: header says 3 vertices, the file ends after 2 vertex lines"),
+        ("2 1 011\n1 2 1\n1 1 1\n1\n", "error: a non-blank line follows the 2 vertex lines the header gives"),
+    ],
+    ids=["too-few-lines", "line-after-last"],
+)
+def test_partition_rejects_wrong_vertex_line_count(tmp_path, text, message):
+    gpath = tmp_path / "g.graph"
+    gpath.write_text(text)
+    res = run("partition", "--graph", str(gpath), "--shards", "2")
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)
+    assert res.stderr.strip() == message
+
+
+def test_seed_reaches_hashing_and_partitioner(tmp_path):
+    trace = make_trace_file(tmp_path)
+    g = InteractionGraph()
+    for r in read_trace(str(trace)):
+        g.record(r.src, r.dst)
+    gpath, spath = tmp_path / "g.graph", tmp_path / "g.map"
+    write_adjacency(g, str(gpath), str(spath))
+    hashed, parted = [], []
+    for seed in ("1", "2"):
+        res = run("replay", "--trace", str(trace), "--shards", "4", "--seed", seed)
+        assert res.exit_code == 0, res.output
+        hashed.append(res.stdout)
+        res = run("partition", "--graph", str(gpath), "--sidecar", str(spath), "--shards", "4", "--seed", seed)
+        assert res.exit_code == 0, res.output
+        parted.append(res.stdout)
+    assert hashed[0] != hashed[1]
+    assert parted[0] != parted[1]
 
 
 def test_partition_subcommand(tmp_path):

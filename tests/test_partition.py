@@ -40,16 +40,16 @@ def test_hash_k1_always_zero():
 
 
 def test_hash_deterministic_and_seed_sensitive():
-    cfg = PartitionerConfig(k=16, hash_seed=7)
+    cfg = PartitionerConfig(k=16, seed=7)
     assert hash_partition(vid(42), cfg) == hash_partition(vid(42), cfg)
-    other = PartitionerConfig(k=16, hash_seed=8)
+    other = PartitionerConfig(k=16, seed=8)
     results = [hash_partition(vid(i), cfg) != hash_partition(vid(i), other) for i in range(200)]
     assert any(results)
 
 
 def test_hash_uniformity_multinomial():
     rng = random.Random(5)
-    cfg = PartitionerConfig(k=8, hash_seed=1)
+    cfg = PartitionerConfig(k=8, seed=1)
     n = 100_000
     counts = [0] * 8
     for _ in range(n):
@@ -110,7 +110,7 @@ def test_kl_candidate_gain_matches_cut_delta():
 def test_kl_matrix_no_candidates_identity():
     a = Assignment({vid(0): 0, vid(1): 1}, 2)
     act = graph_from_pairs([(0, 1)])
-    m = kl_build_matrix({0: [], 1: []}, a, act, PartitionerConfig(k=2))
+    m = kl_build_matrix({0: [], 1: []}, a, act)
     assert m == [[1.0, 0.0], [0.0, 1.0]]
 
 
@@ -124,7 +124,7 @@ def test_kl_matrix_two_shard_flow():
     act = graph_from_pairs(pairs)
     # loads: shard0 = va(0)+va(1) = 8+6 = 14, shard1 = va(2) = 2, mean = 8
     cands = {0: [Candidate(vid(1), 1, 1)], 1: []}  # candidate weight 6
-    m = kl_build_matrix(cands, a, act, PartitionerConfig(k=k))
+    m = kl_build_matrix(cands, a, act)
     # surplus = 6, demand 6 -> flow 6 capped by receiver room 6 -> p = 6/6
     assert math.isclose(m[0][1], 1.0)
     assert m[1][0] == 0.0
@@ -139,7 +139,7 @@ def test_kl_matrix_symmetric_case():
         0: [Candidate(vid(0), 1, 1)],
         1: [Candidate(vid(2), 0, 1)],
     }
-    m = kl_build_matrix(cands, a, act, PartitionerConfig(k=2))
+    m = kl_build_matrix(cands, a, act)
     assert math.isclose(m[0][1], m[1][0])
 
 
@@ -151,7 +151,7 @@ def test_kl_matrix_rows_stochastic_random():
         a = Assignment({vid(i): rng.randrange(k) for i in range(n)}, k)
         act = graph_from_pairs(pairs)
         cands = kl_select_candidates(a, act)
-        m = kl_build_matrix(cands, a, act, PartitionerConfig(k=k))
+        m = kl_build_matrix(cands, a, act)
         for row in m:
             assert all(x >= -1e-12 for x in row)
             assert math.isclose(sum(row), 1.0, abs_tol=1e-9)
@@ -264,7 +264,7 @@ def test_two_cliques_split_perfectly():
             for j in range(i + 1, 5):
                 pairs.append((base + i, base + j))
     g = graph_from_pairs(pairs)
-    res = multilevel_partition(g, PartitionerConfig(k=2, epsilon=0.05, rng_seed=3))
+    res = multilevel_partition(g, PartitionerConfig(k=2, epsilon=0.05, seed=3))
     a = res.assignment
     assert edge_cut(g, a) == 0.0
     shards = [sum(1 for s in a.shard_of.values() if s == i) for i in range(2)]
@@ -326,7 +326,7 @@ def test_multilevel_respects_balance_cap():
         n = rng.choice([40, 100, 400])
         pg = random_partgraph(rng, n, 0.05)
         k = rng.choice([2, 4])
-        cfg = PartitionerConfig(k=k, epsilon=0.05, rng_seed=trial)
+        cfg = PartitionerConfig(k=k, epsilon=0.05, seed=trial)
         part, infeasible, _ = partition_partgraph(pg, cfg)
         assert len(part) == n and all(0 <= s < k for s in part)
         if not infeasible:
@@ -339,7 +339,7 @@ def test_multilevel_respects_balance_cap():
 def test_multilevel_deterministic():
     rng = random.Random(77)
     pg = random_partgraph(rng, 300, 0.03)
-    cfg = PartitionerConfig(k=4, rng_seed=5)
+    cfg = PartitionerConfig(k=4, seed=5)
     a = partition_partgraph(pg, cfg)[0]
     b = partition_partgraph(pg, cfg)[0]
     assert a == b
@@ -348,7 +348,7 @@ def test_multilevel_deterministic():
 def test_coarsening_kicks_in_on_large_graph():
     rng = random.Random(3)
     pg = random_partgraph(rng, 800, 0.01)
-    cfg = PartitionerConfig(k=2, rng_seed=1)
+    cfg = PartitionerConfig(k=2, seed=1)
     part, _, pass_cuts = partition_partgraph(pg, cfg)
     assert len(set(part)) == 2
     assert pass_cuts  # refinement ran on at least one level
@@ -679,9 +679,9 @@ MULTILEVEL_GOLDEN = {
 
 @pytest.mark.parametrize("name", list(MULTILEVEL_GOLDEN))
 def test_multilevel_golden(name):
-    """SHA-256 of repr((part, infeasible, pass_cuts)) with rng_seed 7."""
+    """SHA-256 of repr((part, infeasible, pass_cuts)) with seed 7."""
     build, k, digest = MULTILEVEL_GOLDEN[name]
-    out = partition_partgraph(build(), PartitionerConfig(k=k, rng_seed=7))
+    out = partition_partgraph(build(), PartitionerConfig(k=k, seed=7))
     assert hashlib.sha256(repr(out).encode()).hexdigest() == digest
     if name.startswith("heavy"):
         assert out[1]  # the heavy vertex makes the cap unattainable
@@ -737,6 +737,8 @@ BAD_ADJACENCY = {
     "edge-weight-negative": ("2 1 011\n1 2 -3\n1 1 -3\n", "edge weight -3 is below 1"),
     "header-edge-count": ("2 2 011\n1 2 1\n1 1 1\n", "header says 2 edges"),
     "neighbour-without-weight": ("2 1 011\n1 2\n1 1 1\n", "no edge weight"),
+    "too-few-vertex-lines": ("3 1 011\n1 2 1\n1 1 1\n", "header says 3 vertices, the file ends after 2"),
+    "line-after-last-vertex": ("2 1 011\n1 2 1\n1 1 1\n1\n", "non-blank line follows the 2 vertex lines"),
 }
 
 

@@ -101,8 +101,8 @@ def test_replay_deterministic():
     spec = WorkloadSpec(vertices=80, communities=2, duration=30 * DAY, records_per_hour=30)
     recs, _ = generate_workload(spec, seed=2)
     for strategy in Strategy:
-        cfg1 = basic_cfg(strategy, k=3, partitioner=PartitionerConfig(k=3, rng_seed=9, hash_seed=9))
-        cfg2 = basic_cfg(strategy, k=3, partitioner=PartitionerConfig(k=3, rng_seed=9, hash_seed=9))
+        cfg1 = basic_cfg(strategy, k=3, partitioner=PartitionerConfig(k=3, seed=9))
+        cfg2 = basic_cfg(strategy, k=3, partitioner=PartitionerConfig(k=3, seed=9))
         r1, r2 = run_replay(recs, cfg1), run_replay(recs, cfg2)
         assert r1.samples == r2.samples
         assert r1.final_assignment.shard_of == r2.final_assignment.shard_of
@@ -132,7 +132,7 @@ def test_every_seen_vertex_always_assigned():
 def test_relabel_pure_permutation_zero_moves():
     old = Assignment([i % 3 for i in range(30)], 3)
     permuted = Assignment([(s + 1) % 3 for s in old.shard_of], 3)
-    matched = relabel_to_match(old, permuted, 3)
+    matched = relabel_to_match(old, permuted)
     assert count_moves(old, matched) == 0
 
 
@@ -140,7 +140,7 @@ def test_relabel_partial_overlap():
     old = Assignment([0 if i < 6 else 1 for i in range(10)], 2)
     # new labels flipped plus one genuine move
     new = Assignment([1 if i < 5 else 0 for i in range(10)], 2)
-    matched = relabel_to_match(old, new, 2)
+    matched = relabel_to_match(old, new)
     assert count_moves(old, matched) == 1
 
 
