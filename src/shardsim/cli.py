@@ -14,6 +14,7 @@ import logging
 import os
 import re
 import sys
+from typing import NoReturn
 
 import click
 
@@ -51,6 +52,24 @@ def _positive_int(ctx, param, value):
     if value is not None and value < 1:
         raise click.BadParameter("must be >= 1")
     return value
+
+
+def _fail(exc: Exception) -> NoReturn:
+    """Print ``error: ...`` on stderr and exit 1."""
+    click.echo(f"error: {exc}", err=True)
+    sys.exit(1)
+
+
+def _emit(payload: str, path: str | None) -> None:
+    """Write ``payload`` to ``path``, or to stdout when it is None."""
+    if path is None:
+        click.echo(payload, nl=False)
+        return
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(payload)
+    except OSError as exc:
+        _fail(exc)
 
 
 @click.group()
@@ -116,7 +135,9 @@ def replay(trace_path, fmt, k, strategy, metric_window, repartition_interval, cu
                 repartition_interval=repartition_interval,
                 cut_threshold=cut_threshold,
                 balance_threshold=balance_threshold,
-                partitioner=PartitionerConfig(k=kk, epsilon=epsilon, seed=seed, kl_rounds=kl_rounds),
+                epsilon=epsilon,
+                seed=seed,
+                kl_rounds=kl_rounds,
                 cumulative_weights=weights == "cumulative",
             )
             for kk in ks
@@ -131,22 +152,12 @@ def replay(trace_path, fmt, k, strategy, metric_window, repartition_interval, cu
             with concurrent.futures.ProcessPoolExecutor(max_workers=min(len(cfgs), os.cpu_count() or 1)) as pool:
                 results = list(pool.map(run_one, cfgs))
     except TraceError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(1)
+        _fail(exc)
     skipped = results[0][2]  # every job reads the same trace
     if skipped:
         click.echo(f"skipped {skipped} malformed rows", err=True)
     for kk, payload, _ in results:
-        path = out_path if len(results) == 1 else _sweep_path(out_path, kk)
-        if path is None:
-            click.echo(payload, nl=False)
-        else:
-            try:
-                with open(path, "w", encoding="utf-8", newline="") as fh:
-                    fh.write(payload)
-            except OSError as exc:
-                click.echo(f"error: {exc}", err=True)
-                sys.exit(1)
+        _emit(payload, out_path if len(results) == 1 else _sweep_path(out_path, kk))
 
 
 def _parse_sweep(sweep: str) -> list[int]:
@@ -177,20 +188,16 @@ def _sweep_path(out_path: str, k: int) -> str:
 def partition(graph_path, sidecar, k, epsilon, seed, out_path):
     """Partition an exported adjacency file offline; emits vertex,shard CSV."""
     try:
-        pg = read_adjacency(graph_path, sidecar)
+        cfg = PartitionerConfig(k=k, epsilon=epsilon, seed=seed)
+    except ValueError as exc:
+        raise click.UsageError(str(exc))
+    try:
+        res = partition_partgraph(read_adjacency(graph_path, sidecar), cfg)
     except (OSError, ValueError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(1)
-    cfg = PartitionerConfig(k=k, epsilon=epsilon, seed=seed)
-    part, infeasible, _ = partition_partgraph(pg, cfg)
-    lines = ["vertex,shard"] + [f"{pg.names[i]},{part[i]}" for i in range(len(pg))]
-    payload = "\n".join(lines) + "\n"
-    if out_path is None:
-        click.echo(payload, nl=False)
-    else:
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(payload)
-    if infeasible:
+        _fail(exc)
+    lines = ["vertex,shard"] + [f"{v},{s}" for v, s in res.assignment.shard_of.items()]
+    _emit("\n".join(lines) + "\n", out_path)
+    if res.infeasible_balance:
         click.echo("warning: balance bound unattainable, best-effort result", err=True)
 
 
@@ -233,8 +240,7 @@ def synth(vertices, communities, inter_prob, zipf_exponent, duration, records_pe
         if truth_out:
             write_truth(truth, truth_out)
     except OSError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(1)
+        _fail(exc)
     click.echo(f"wrote {len(records)} records to {out_path}")
 
 
@@ -245,9 +251,8 @@ def summarize_cmd(in_path):
     try:
         rows = read_samples_csv(in_path)
         stats, total_moves = summarize(rows)
-    except (OSError, ValueError, KeyError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(1)
+    except (OSError, ValueError) as exc:
+        _fail(exc)
     click.echo(format_summary(stats, total_moves), nl=False)
 
 

@@ -16,7 +16,8 @@ from __future__ import annotations
 import heapq
 import random
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 from typing import Callable, ClassVar, Mapping, Sequence
 
 from shardsim.graph import InteractionGraph
@@ -246,9 +247,6 @@ class PartGraph:
 
     def total_vwgt(self) -> int:
         return sum(self.vwgt)
-
-    def total_edge_weight(self) -> int:
-        return sum(sum(nbrs.values()) for nbrs in self.adj) // 2
 
     def num_edges(self) -> int:
         return sum(len(nbrs) for nbrs in self.adj) // 2
@@ -553,29 +551,26 @@ def fm_refine(
 
 @dataclass
 class MultilevelResult:
-    assignment: Assignment
-    infeasible_balance: bool = False
+    assignment: Assignment  # keyed by PartGraph.names
+    infeasible_balance: bool
     # (cut_before, cut_after) per refinement pass, for monotonicity checks
-    refinement_cuts: list[tuple[int, int]] = field(default_factory=list)
-    balance_cap: float = 0.0
-    max_vertex_weight: int = 0  # the cap cannot be met when this exceeds it
+    refinement_cuts: list[tuple[int, int]]
+    balance_cap: float
+    max_vertex_weight: int  # the cap cannot be met when this exceeds it
 
 
-def partition_partgraph(pg: PartGraph, cfg: PartitionerConfig) -> tuple[list[int], bool, list[tuple[int, int]]]:
-    """Multilevel k-way partition of an index-form graph.
-
-    Returns (partition vector, infeasible-balance flag, per-pass cut pairs).
-    """
+def partition_partgraph(pg: PartGraph, cfg: PartitionerConfig) -> MultilevelResult:
+    """Multilevel k-way partition of an index-form graph into cfg.k shards."""
     k = cfg.k
     n = len(pg)
     if n == 0:
         raise ValueError("cannot partition an empty graph")
+    cap = cfg.balance_cap(pg.total_vwgt())
+    heaviest = max(pg.vwgt)
     if k == 1:
-        return [0] * n, False, []
+        return MultilevelResult(Assignment(dict.fromkeys(pg.names, 0), k), False, [], cap, heaviest)
 
     rng = random.Random(cfg.seed)
-    cap = cfg.balance_cap(pg.total_vwgt())
-    infeasible = max(pg.vwgt) > cap
     pass_cuts: list[tuple[int, int]] = []
 
     # coarsening
@@ -606,9 +601,8 @@ def partition_partgraph(pg: PartGraph, cfg: PartitionerConfig) -> tuple[list[int
         part = [part[c] for c in cmap]
         cut = fm_refine(fine, part, k, cap, REFINE_PASSES, rng, pass_cuts, cut)
 
-    if not _repair_balance(pg, part, k, cap):
-        infeasible = True
-    return part, infeasible, pass_cuts
+    infeasible = not _repair_balance(pg, part, k, cap) or heaviest > cap
+    return MultilevelResult(Assignment(dict(zip(pg.names, part)), k), infeasible, pass_cuts, cap, heaviest)
 
 
 def multilevel_partition(
@@ -620,12 +614,7 @@ def multilevel_partition(
     full-graph strategy), "activity" balances per-vertex record counts (the
     windowed strategies).
     """
-    pg = PartGraph.from_interaction_graph(graph, weights)
-    part, infeasible, pass_cuts = partition_partgraph(pg, cfg)
-    shard_of = dict(zip(pg.names, part))
-    return MultilevelResult(
-        Assignment(shard_of, cfg.k), infeasible, pass_cuts, cfg.balance_cap(pg.total_vwgt()), max(pg.vwgt)
-    )
+    return partition_partgraph(PartGraph.from_interaction_graph(graph, weights), cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -678,15 +667,18 @@ def read_adjacency(path: str, sidecar: str | None = None) -> PartGraph:
     """Load a graph written by write_adjacency.
 
     Raises ValueError unless it is a PartGraph the kernels accept: exactly
-    |V| vertex lines (blank lines after them are ignored), neighbour indices
-    in 1..|V|, no self-loops, vertex and edge weights of at least 1, each edge
-    listed from both ends with one weight, and |E| as the header says.
+    |V| >= 0 vertex lines (blank lines after them are ignored), neighbour
+    indices in 1..|V|, no self-loops, vertex and edge weights of at least 1,
+    each edge listed from both ends with one weight, |E| as the header says,
+    and a sidecar, if given, of |V| distinct names.
     """
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().split()
         if len(header) < 2:
             raise ValueError("bad adjacency header")
         n, m = int(header[0]), int(header[1])
+        if n < 0:
+            raise ValueError(f"header says {n} vertices, a negative count")
         vwgt = [1] * n
         adj: list[dict[int, int]] = [{} for _ in range(n)]
         for v in range(n):
@@ -723,4 +715,7 @@ def read_adjacency(path: str, sidecar: str | None = None) -> PartGraph:
             names = [line.strip() for line in fh if line.strip()]
         if len(names) != n:
             raise ValueError("sidecar length does not match vertex count")
+        repeated = [name for name, count in Counter(names).items() if count > 1]
+        if repeated:
+            raise ValueError(f"sidecar names vertex {repeated[0]!r} more than once")
     return PartGraph(vwgt, adj, names)

@@ -61,42 +61,33 @@ class ReplayConfig:
     repartition_interval: int = 14 * DAY
     cut_threshold: float = 0.3
     balance_threshold: float = 1.5
-    partitioner: PartitionerConfig | None = None
+    epsilon: float = 0.05  # this and the next two go to the partitioner
+    seed: int = 0
+    kl_rounds: int = 1
     cumulative_weights: bool = False  # dynamic metrics from all-history weights
+    partitioner: PartitionerConfig = field(init=False)  # built from k and the three above
 
     def __post_init__(self) -> None:
         if isinstance(self.strategy, str):
             self.strategy = Strategy(self.strategy)
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
+        self.partitioner = PartitionerConfig(self.k, self.epsilon, self.seed, self.kl_rounds)
         if self.metric_window <= 0:
             raise ValueError("metric_window must be positive")
         if self.repartition_interval < self.metric_window:
             raise ValueError("repartition_interval must be >= metric_window")
-        if self.partitioner is None:
-            self.partitioner = PartitionerConfig(k=self.k)
-        elif self.partitioner.k != self.k:
-            raise ValueError("partitioner config k differs from replay k")
 
 
 @dataclass
 class ReplayResult:
     samples: list[MetricSample]
     total_moves: int
-    total_raw_moves: int  # moves before shard-label matching, for transparency
     repartition_timestamps: list[int]
     final_assignment: Assignment  # address -> shard, addresses in order of first appearance
-    refinement_cuts: list[tuple[int, int]] = field(default_factory=list)
 
 
-def fire_trigger(
-    strategy: Strategy,
-    clock: int,
-    last_repart: int,
-    last_sample: MetricSample,
-    cfg: ReplayConfig,
-) -> bool:
+def fire_trigger(clock: int, last_repart: int, last_sample: MetricSample, cfg: ReplayConfig) -> bool:
     """Should a repartition run at this metric-window boundary?"""
+    strategy = cfg.strategy
     if strategy is Strategy.HASHING:
         return False
     if strategy in (Strategy.KL, Strategy.METIS_FULL, Strategy.METIS_WINDOW):
@@ -128,32 +119,30 @@ def relabel_to_match(old: Assignment, new: Assignment) -> Assignment:
 
 
 def repartition(
-    strategy: Strategy,
     graph: InteractionGraph,
     period: InteractionGraph,
     a: Assignment,
     cfg: ReplayConfig,
     clock: int,
     names: Sequence[str],
-) -> tuple[Assignment, int, int, list[tuple[int, int]]]:
-    """Run one repartition. Returns (assignment, moves, raw_moves, pass_cuts).
+) -> tuple[Assignment, int, int]:
+    """Run one repartition under ``cfg.strategy``. Returns (assignment, moves,
+    raw_moves), raw moves being those before shard-label matching.
 
     ``graph`` counts the whole trace so far, ``period`` the records since the
     last repartition; only kl, metis-window and metis-threshold read it. Both
     are keyed by id, ``a`` is a part vector and ``names`` maps id to address.
     """
-    pcfg = cfg.partitioner
-    assert pcfg is not None
-    pass_cuts: list[tuple[int, int]] = []
+    strategy, pcfg = cfg.strategy, cfg.partitioner
     res: MultilevelResult | None = None
 
     if strategy is Strategy.METIS_FULL:
         if graph.num_vertices == 0:
-            return a, 0, 0, pass_cuts
+            return a, 0, 0
         res = multilevel_partition(graph, pcfg, weights="unit")
     elif strategy in (Strategy.METIS_WINDOW, Strategy.METIS_THRESHOLD):
         if period.num_vertices == 0:
-            return a, 0, 0, pass_cuts
+            return a, 0, 0
         res = multilevel_partition(period, pcfg, weights="activity")
     elif strategy is Strategy.KL:
         new = a
@@ -162,10 +151,9 @@ def repartition(
             matrix = kl_build_matrix(cands, new, period)
             new = kl_exchange(new, cands, matrix, pcfg.seed ^ clock ^ (rnd << 32))
     else:
-        return a, 0, 0, pass_cuts
+        return a, 0, 0
 
     if res is not None:
-        pass_cuts = res.refinement_cuts
         part = a.shard_of.copy()  # vertices outside the partitioned graph keep their shard
         for v, s in res.assignment.shard_of.items():
             part[v] = s
@@ -178,7 +166,7 @@ def repartition(
     raw_moves = count_moves(a, new)
     matched = relabel_to_match(a, new)
     moves = count_moves(a, matched)
-    return matched, moves, raw_moves, pass_cuts
+    return matched, moves, raw_moves
 
 
 def run_replay(trace: Iterable[TraceRecord], cfg: ReplayConfig) -> ReplayResult:
@@ -192,7 +180,6 @@ def run_replay(trace: Iterable[TraceRecord], cfg: ReplayConfig) -> ReplayResult:
     """
     k = cfg.k
     pcfg = cfg.partitioner
-    assert pcfg is not None
     graph = InteractionGraph()
     ids: dict[str, int] = {}  # address -> id
     names: list[str] = []  # id -> address
@@ -200,9 +187,7 @@ def run_replay(trace: Iterable[TraceRecord], cfg: ReplayConfig) -> ReplayResult:
     shard_sizes = [0] * k
     samples: list[MetricSample] = []
     repartition_timestamps: list[int] = []
-    refinement_cuts: list[tuple[int, int]] = []
     total_moves = 0
-    total_raw = 0
     window = InteractionGraph()
     window_start: int | None = None
     keep_period = cfg.strategy in (Strategy.KL, Strategy.METIS_WINDOW, Strategy.METIS_THRESHOLD)
@@ -230,7 +215,7 @@ def run_replay(trace: Iterable[TraceRecord], cfg: ReplayConfig) -> ReplayResult:
 
     def emit_boundary() -> None:
         nonlocal window, window_start, period, assignment, shard_sizes
-        nonlocal total_moves, total_raw, last_repart
+        nonlocal total_moves, last_repart
         assert window_start is not None
         finished, window = window, InteractionGraph()
         graph.merge(finished)
@@ -248,8 +233,8 @@ def run_replay(trace: Iterable[TraceRecord], cfg: ReplayConfig) -> ReplayResult:
             dynamic_balance=balance(graph, assignment, "dynamic", weights.vertices),
         )
         clock = window_start + cfg.metric_window
-        if fire_trigger(cfg.strategy, clock, last_repart, sample, cfg):
-            new, moves, raw, pass_cuts = repartition(cfg.strategy, graph, period, assignment, cfg, clock, names)
+        if fire_trigger(clock, last_repart, sample, cfg):
+            new, moves, raw = repartition(graph, period, assignment, cfg, clock, names)
             assignment = new
             shard_sizes = [0] * k
             for s in assignment.shard_of:
@@ -257,8 +242,6 @@ def run_replay(trace: Iterable[TraceRecord], cfg: ReplayConfig) -> ReplayResult:
             sample.moves = moves
             sample.repartitioned = True
             total_moves += moves
-            total_raw += raw
-            refinement_cuts.extend(pass_cuts)
             repartition_timestamps.append(clock)
             last_repart = clock
             period = InteractionGraph()
@@ -294,8 +277,6 @@ def run_replay(trace: Iterable[TraceRecord], cfg: ReplayConfig) -> ReplayResult:
     return ReplayResult(
         samples=samples,
         total_moves=total_moves,
-        total_raw_moves=total_raw,
         repartition_timestamps=repartition_timestamps,
         final_assignment=Assignment(ids, k),
-        refinement_cuts=refinement_cuts,
     )

@@ -1,7 +1,7 @@
 """Result serialization and summary statistics.
 
-Per-window CSV columns (stable order):
-``window_start,static_edge_cut,dynamic_edge_cut,static_balance,dynamic_balance,normalized_dynamic_balance,moves,repartitioned``
+One row per metric window, its columns named by ``SAMPLE_COLUMNS`` in that
+order (a stable order), their types by ``COLUMN_READERS``.
 
 Floats are serialized with 6 significant digits using round-half-even, so
 identical replays produce byte-identical files.
@@ -27,14 +27,9 @@ SAMPLE_COLUMNS = [
     "moves",
     "repartitioned",
 ]
-
-METRIC_COLUMNS = [
-    "static_edge_cut",
-    "dynamic_edge_cut",
-    "static_balance",
-    "dynamic_balance",
-    "normalized_dynamic_balance",
-]
+# The typed value of each column from its CSV text, in SAMPLE_COLUMNS order.
+COLUMN_READERS = [int, float, float, float, float, float, int, lambda text: text == "true"]
+METRIC_COLUMNS = SAMPLE_COLUMNS[1:6]
 
 
 def fmt6(x: float) -> str:
@@ -55,6 +50,11 @@ def sample_row(s: MetricSample, k: int) -> list:
     ]
 
 
+def typed_row(row: Sequence) -> dict:
+    """Column name -> typed value of one row in SAMPLE_COLUMNS order."""
+    return {col: read(value) for col, read, value in zip(SAMPLE_COLUMNS, COLUMN_READERS, row)}
+
+
 def samples_to_csv(samples: Iterable[MetricSample], k: int) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -65,41 +65,34 @@ def samples_to_csv(samples: Iterable[MetricSample], k: int) -> str:
 
 
 def samples_to_json(samples: Iterable[MetricSample], k: int) -> str:
-    rows = []
-    for s in samples:
-        row = sample_row(s, k)
-        rows.append(
-            {
-                "window_start": row[0],
-                "static_edge_cut": float(row[1]),
-                "dynamic_edge_cut": float(row[2]),
-                "static_balance": float(row[3]),
-                "dynamic_balance": float(row[4]),
-                "normalized_dynamic_balance": float(row[5]),
-                "moves": row[6],
-                "repartitioned": s.repartitioned,
-            }
-        )
-    return json.dumps(rows, indent=2) + "\n"
+    """The CSV's rows as a JSON list of objects, each value read back from its text."""
+    return json.dumps([typed_row(sample_row(s, k)) for s in samples], indent=2) + "\n"
 
 
 def read_samples_csv(path: str) -> list[dict]:
-    """Load a per-window CSV back into typed dicts (for summarize)."""
+    """Load a per-window CSV back into typed dicts (for summarize).
+
+    Columns are found by header name. Raises ValueError when the header lacks
+    a column or a row has a field too few or too many or one that does not
+    parse; blank lines are skipped.
+    """
     out: list[dict] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            out.append(
-                {
-                    "window_start": int(row["window_start"]),
-                    "static_edge_cut": float(row["static_edge_cut"]),
-                    "dynamic_edge_cut": float(row["dynamic_edge_cut"]),
-                    "static_balance": float(row["static_balance"]),
-                    "dynamic_balance": float(row["dynamic_balance"]),
-                    "normalized_dynamic_balance": float(row["normalized_dynamic_balance"]),
-                    "moves": int(row["moves"]),
-                    "repartitioned": row["repartitioned"] == "true",
-                }
-            )
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        missing = [col for col in SAMPLE_COLUMNS if col not in header]
+        if missing:
+            raise ValueError(f"missing columns: {', '.join(missing)}")
+        index = [header.index(col) for col in SAMPLE_COLUMNS]
+        for row in reader:
+            if not row:
+                continue
+            try:
+                if len(row) != len(header):
+                    raise ValueError(f"expected {len(header)} fields, got {len(row)}")
+                out.append(typed_row([row[i] for i in index]))
+            except ValueError as exc:
+                raise ValueError(f"line {reader.line_num}: {exc}") from None
     return out
 
 

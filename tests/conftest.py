@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from shardsim import replay
 from shardsim.graph import InteractionGraph
 from shardsim.trace import CallKind, TraceRecord, VertexKind
 
@@ -39,6 +40,23 @@ def random_graph(rng: random.Random, n: int, p: float, max_weight: int = 1):
                 for _ in range(rng.randint(1, max_weight)):
                     pairs.append((u, v))
     return pairs
+
+
+def refinement_cuts_of_replay(records, cfg):
+    """Replay and return the (cut_before, cut_after) pairs of every refinement
+    pass of the multilevel partitions it ran."""
+    pass_cuts = []
+    real_multilevel = replay.multilevel_partition
+
+    def multilevel_spy(*args, **kwargs):
+        res = real_multilevel(*args, **kwargs)
+        pass_cuts.extend(res.refinement_cuts)
+        return res
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(replay, "multilevel_partition", multilevel_spy)
+        replay.run_replay(records, cfg)
+    return pass_cuts
 
 
 @pytest.fixture

@@ -20,7 +20,7 @@ from shardsim.report import samples_to_csv
 from shardsim.synth import WorkloadSpec, generate_workload
 from shardsim.trace import serialize_trace
 
-from conftest import graph_from_pairs, random_graph, vid
+from conftest import graph_from_pairs, random_graph, refinement_cuts_of_replay, vid
 from test_metrics import brute_force_metrics
 
 
@@ -165,8 +165,7 @@ def test_criterion_5_refinement_monotone():
         recs, _ = generate_workload(spec, seed=seed)
         cfg = ReplayConfig(k=3, strategy=strategy, repartition_interval=14 * DAY,
                            cut_threshold=0.2, balance_threshold=1.5)
-        res = run_replay(recs, cfg)
-        for before, after in res.refinement_cuts:
+        for before, after in refinement_cuts_of_replay(recs, cfg):
             checked += 1
             if after > before:
                 violations += 1

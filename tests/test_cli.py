@@ -254,6 +254,68 @@ def test_partition_rejects_wrong_vertex_line_count(tmp_path, text, message):
     assert res.stderr.strip() == message
 
 
+@pytest.mark.parametrize(
+    "text, sidecar, message",
+    [
+        ("0 0 011\n", None, "error: cannot partition an empty graph"),
+        ("-1 0 011\n", None, "error: header says -1 vertices, a negative count"),
+        ("2 1 011\n1 2 1\n1 1 1\n", "a\na\n", "error: sidecar names vertex 'a' more than once"),
+    ],
+    ids=["empty-graph", "negative-vertex-count", "repeated-sidecar-name"],
+)
+def test_partition_rejects_graph_it_cannot_partition(tmp_path, text, sidecar, message):
+    gpath, spath = tmp_path / "g.graph", tmp_path / "g.map"
+    gpath.write_text(text)
+    args = ["partition", "--graph", str(gpath), "--shards", "2"]
+    if sidecar is not None:
+        spath.write_text(sidecar)
+        args += ["--sidecar", str(spath)]
+    res = run(*args)
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)  # a message, not a traceback
+    assert res.stderr.strip() == message
+    assert res.stdout == ""
+
+
+def test_partition_negative_epsilon_usage_error(tmp_path):
+    gpath = tmp_path / "g.graph"
+    gpath.write_text("2 1 011\n1 2 1\n1 1 1\n")
+    res = run("partition", "--graph", str(gpath), "--shards", "2", "--epsilon", "-1")
+    assert res.exit_code == 2
+    assert isinstance(res.exception, SystemExit)
+    assert "epsilon must be >= 0" in res.stderr
+
+
+def test_partition_unwritable_output_is_an_error(tmp_path):
+    gpath = tmp_path / "g.graph"
+    gpath.write_text("2 1 011\n1 2 1\n1 1 1\n")
+    res = run("partition", "--graph", str(gpath), "--shards", "2", "--out", str(tmp_path / "no-such-dir" / "x.csv"))
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)
+    assert res.stderr.startswith("error: ") and "no-such-dir" in res.stderr
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda lines: [lines[0].replace(",dynamic_edge_cut", "")] + lines[1:],
+         "error: missing columns: dynamic_edge_cut"),
+        (lambda lines: lines[:2] + [lines[2].rsplit(",", 1)[0]] + lines[3:],
+         "error: line 3: expected 8 fields, got 7"),
+    ],
+    ids=["missing-column", "short-row"],
+)
+def test_summarize_rejects_bad_samples_file(tmp_path, edit, message):
+    trace = make_trace_file(tmp_path)
+    out = tmp_path / "s.csv"
+    assert run("replay", "--trace", str(trace), "--shards", "2", "--out", str(out)).exit_code == 0
+    out.write_text("\n".join(edit(out.read_text().splitlines())) + "\n")
+    res = run("summarize", "--in", str(out))
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)  # a message, not a traceback
+    assert res.stderr.strip() == message
+
+
 def test_seed_reaches_hashing_and_partitioner(tmp_path):
     trace = make_trace_file(tmp_path)
     g = InteractionGraph()

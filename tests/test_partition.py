@@ -295,7 +295,10 @@ def test_coarsening_conserves_weight():
         for v, w in pg.adj[u].items():
             if v > u and cmap[u] == cmap[v]:
                 folded += w
-    assert pg.total_edge_weight() == coarse.total_edge_weight() + folded
+    def total_edge_weight(g):
+        return sum(sum(nbrs.values()) for nbrs in g.adj) // 2
+
+    assert total_edge_weight(pg) == total_edge_weight(coarse) + folded
 
 
 def test_projection_preserves_cut():
@@ -327,9 +330,10 @@ def test_multilevel_respects_balance_cap():
         pg = random_partgraph(rng, n, 0.05)
         k = rng.choice([2, 4])
         cfg = PartitionerConfig(k=k, epsilon=0.05, seed=trial)
-        part, infeasible, _ = partition_partgraph(pg, cfg)
-        assert len(part) == n and all(0 <= s < k for s in part)
-        if not infeasible:
+        res = partition_partgraph(pg, cfg)
+        part = res.assignment.shard_of
+        assert len(part) == n and all(0 <= s < k for s in part.values())
+        if not res.infeasible_balance:
             weights = [0] * k
             for v in range(n):
                 weights[part[v]] += pg.vwgt[v]
@@ -340,8 +344,8 @@ def test_multilevel_deterministic():
     rng = random.Random(77)
     pg = random_partgraph(rng, 300, 0.03)
     cfg = PartitionerConfig(k=4, seed=5)
-    a = partition_partgraph(pg, cfg)[0]
-    b = partition_partgraph(pg, cfg)[0]
+    a = partition_partgraph(pg, cfg).assignment.shard_of
+    b = partition_partgraph(pg, cfg).assignment.shard_of
     assert a == b
 
 
@@ -349,9 +353,9 @@ def test_coarsening_kicks_in_on_large_graph():
     rng = random.Random(3)
     pg = random_partgraph(rng, 800, 0.01)
     cfg = PartitionerConfig(k=2, seed=1)
-    part, _, pass_cuts = partition_partgraph(pg, cfg)
-    assert len(set(part)) == 2
-    assert pass_cuts  # refinement ran on at least one level
+    res = partition_partgraph(pg, cfg)
+    assert len(set(res.assignment.shard_of.values())) == 2
+    assert res.refinement_cuts  # refinement ran on at least one level
 
 
 # --- balance repair oracle ---------------------------------------------------
@@ -681,7 +685,8 @@ MULTILEVEL_GOLDEN = {
 def test_multilevel_golden(name):
     """SHA-256 of repr((part, infeasible, pass_cuts)) with seed 7."""
     build, k, digest = MULTILEVEL_GOLDEN[name]
-    out = partition_partgraph(build(), PartitionerConfig(k=k, seed=7))
+    res = partition_partgraph(build(), PartitionerConfig(k=k, seed=7))
+    out = (list(res.assignment.shard_of.values()), res.infeasible_balance, res.refinement_cuts)
     assert hashlib.sha256(repr(out).encode()).hexdigest() == digest
     if name.startswith("heavy"):
         assert out[1]  # the heavy vertex makes the cap unattainable
@@ -739,13 +744,18 @@ BAD_ADJACENCY = {
     "neighbour-without-weight": ("2 1 011\n1 2\n1 1 1\n", "no edge weight"),
     "too-few-vertex-lines": ("3 1 011\n1 2 1\n1 1 1\n", "header says 3 vertices, the file ends after 2"),
     "line-after-last-vertex": ("2 1 011\n1 2 1\n1 1 1\n1\n", "non-blank line follows the 2 vertex lines"),
+    "negative-vertex-count": ("-1 0 011\n", "header says -1 vertices"),
+    # a third entry is the sidecar's text
+    "repeated-sidecar-name": ("2 1 011\n1 2 1\n1 1 1\n", "sidecar names vertex 'a' more than once", "a\na\n"),
 }
 
 
 @pytest.mark.parametrize("case", list(BAD_ADJACENCY))
 def test_read_adjacency_rejects_bad_graph(tmp_path, case):
-    text, message = BAD_ADJACENCY[case]
-    path = tmp_path / "g.graph"
+    text, message, *sidecar = BAD_ADJACENCY[case]
+    path, sidecar_path = tmp_path / "g.graph", tmp_path / "g.map"
     path.write_text(text)
+    if sidecar:
+        sidecar_path.write_text(sidecar[0])
     with pytest.raises(ValueError, match=message):
-        read_adjacency(str(path))
+        read_adjacency(str(path), str(sidecar_path) if sidecar else None)

@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from shardsim import replay
 from shardsim.graph import InteractionGraph, window_subgraph
 from shardsim.metrics import Assignment, balance, count_moves
-from shardsim.partition import PartitionerConfig
 from shardsim.replay import (
     HOUR,
     DAY,
@@ -24,7 +23,7 @@ from shardsim.metrics import MetricSample
 from shardsim.synth import WorkloadSpec, generate_workload
 from shardsim.trace import parse_trace, serialize_trace
 
-from conftest import graph_from_pairs, make_record, vid
+from conftest import graph_from_pairs, make_record, refinement_cuts_of_replay, vid
 
 
 def sample(cut=0.0, bal=1.0, start=0):
@@ -77,15 +76,18 @@ def test_k1_degenerate_all_metrics_flat():
 
 
 def test_fire_trigger_semantics():
-    cfg = basic_cfg(Strategy.METIS_FULL, repartition_interval=14 * DAY)
-    assert not fire_trigger(Strategy.HASHING, 10**9, 0, sample(), cfg)
-    assert fire_trigger(Strategy.METIS_FULL, 14 * DAY, 0, sample(), cfg)
-    assert not fire_trigger(Strategy.METIS_FULL, 14 * DAY - 1, 0, sample(), cfg)
-    assert fire_trigger(Strategy.KL, 15 * DAY, DAY, sample(), cfg)
+    hcfg, fcfg, kcfg = (
+        basic_cfg(strategy, repartition_interval=14 * DAY)
+        for strategy in (Strategy.HASHING, Strategy.METIS_FULL, Strategy.KL)
+    )
+    assert not fire_trigger(10**9, 0, sample(), hcfg)
+    assert fire_trigger(14 * DAY, 0, sample(), fcfg)
+    assert not fire_trigger(14 * DAY - 1, 0, sample(), fcfg)
+    assert fire_trigger(15 * DAY, DAY, sample(), kcfg)
     tcfg = basic_cfg(Strategy.METIS_THRESHOLD, cut_threshold=0.3, balance_threshold=1.5)
-    assert fire_trigger(Strategy.METIS_THRESHOLD, 0, 0, sample(cut=0.4), tcfg)
-    assert fire_trigger(Strategy.METIS_THRESHOLD, 0, 0, sample(bal=1.6), tcfg)
-    assert not fire_trigger(Strategy.METIS_THRESHOLD, 0, 0, sample(cut=0.3, bal=1.5), tcfg)
+    assert fire_trigger(0, 0, sample(cut=0.4), tcfg)
+    assert fire_trigger(0, 0, sample(bal=1.6), tcfg)
+    assert not fire_trigger(0, 0, sample(cut=0.3, bal=1.5), tcfg)
 
 
 def test_threshold_unreachable_never_fires():
@@ -101,8 +103,8 @@ def test_replay_deterministic():
     spec = WorkloadSpec(vertices=80, communities=2, duration=30 * DAY, records_per_hour=30)
     recs, _ = generate_workload(spec, seed=2)
     for strategy in Strategy:
-        cfg1 = basic_cfg(strategy, k=3, partitioner=PartitionerConfig(k=3, seed=9))
-        cfg2 = basic_cfg(strategy, k=3, partitioner=PartitionerConfig(k=3, seed=9))
+        cfg1 = basic_cfg(strategy, k=3, seed=9)
+        cfg2 = basic_cfg(strategy, k=3, seed=9)
         r1, r2 = run_replay(recs, cfg1), run_replay(recs, cfg2)
         assert r1.samples == r2.samples
         assert r1.final_assignment.shard_of == r2.final_assignment.shard_of
@@ -148,9 +150,9 @@ def test_refinement_monotone_in_replays():
     spec = WorkloadSpec(vertices=120, communities=3, duration=40 * DAY, records_per_hour=30)
     recs, _ = generate_workload(spec, seed=9)
     for strategy in (Strategy.METIS_FULL, Strategy.METIS_WINDOW):
-        res = run_replay(recs, basic_cfg(strategy, k=3, repartition_interval=14 * DAY))
-        assert res.refinement_cuts
-        for before, after in res.refinement_cuts:
+        refinement_cuts = refinement_cuts_of_replay(recs, basic_cfg(strategy, k=3, repartition_interval=14 * DAY))
+        assert refinement_cuts
+        for before, after in refinement_cuts:
             assert after <= before
 
 
@@ -163,7 +165,7 @@ def test_infeasible_balance_is_logged(caplog):
             for i in range(n - 1):
                 graph.record(i, i + 1)
             a = Assignment([0] * n, 2)
-            repartition(Strategy.METIS_FULL, graph, InteractionGraph(), a, cfg, 5000 + n, [vid(i) for i in range(n)])
+            repartition(graph, InteractionGraph(), a, cfg, 5000 + n, [vid(i) for i in range(n)])
     messages = [r.getMessage() for r in caplog.records if r.levelno == logging.INFO]
     assert messages == ["repartition at 5003: balance cap 1.575 not met (heaviest vertex weighs 1)"]
 

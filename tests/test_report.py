@@ -69,6 +69,28 @@ def test_csv_columns_and_roundtrip(tmp_path):
     assert rows[1]["normalized_dynamic_balance"] == 0.5
 
 
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda header, first, second: ["window_start,moves", "0,1"],
+         "missing columns: static_edge_cut, dynamic_edge_cut, static_balance, "
+         "dynamic_balance, normalized_dynamic_balance, repartitioned"),
+        (lambda header, first, second: [header, ",".join(first.split(",")[:6]), second],
+         "line 2: expected 8 fields, got 6"),
+        (lambda header, first, second: [header, first, second.replace(",0.3,", ",x,")],
+         "line 3: could not convert string to float: 'x'"),
+    ],
+    ids=["missing-columns", "short-row", "unparsable-field"],
+)
+def test_read_samples_csv_rejects_bad_file(tmp_path, edit, message):
+    lines = edit(*samples_to_csv(make_samples(), k=2).splitlines())
+    path = tmp_path / "bad.csv"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError) as info:
+        read_samples_csv(str(path))
+    assert str(info.value) == message
+
+
 def test_json_mirrors_csv():
     import json
 
