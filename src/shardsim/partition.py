@@ -8,7 +8,9 @@ projecting back up the levels. Its kernels skip work whose outcome is known
 without changing a move or a random draw: refinement re-evaluates a vertex
 only when its neighbourhood or its targets' room has changed, projection
 hands each level the cut of the last, and graph growing keeps its frontier
-in a heap.
+in a heap. Kernels shuffle through ``_shuffle``, which makes
+``Random.shuffle``'s ``getrandbits`` draws and swaps inline: it leaves the
+same order and generator state, without two Python-level calls per element.
 """
 
 from __future__ import annotations
@@ -286,6 +288,18 @@ def cut_weight(pg: PartGraph, part: Sequence[int]) -> int:
     return cut
 
 
+def _shuffle(x: list, getrandbits: Callable[[int], int]) -> None:
+    """Shuffle ``x`` in place exactly as ``Random.shuffle`` would, given
+    that generator's ``getrandbits``: the same draws, swaps and final state."""
+    for i in range(len(x) - 1, 0, -1):
+        # Random._randbelow(i + 1): draw bit_length(i + 1) bits until <= i
+        k = (i + 1).bit_length()
+        j = getrandbits(k)
+        while j > i:
+            j = getrandbits(k)
+        x[i], x[j] = x[j], x[i]
+
+
 def coarsen_once(pg: PartGraph, rng: random.Random) -> tuple[PartGraph, list[int]]:
     """One level of heavy-edge-matching contraction.
 
@@ -298,7 +312,7 @@ def coarsen_once(pg: PartGraph, rng: random.Random) -> tuple[PartGraph, list[int
     n = len(pg)
     adj = pg.adj
     order = list(range(n))
-    rng.shuffle(order)
+    _shuffle(order, rng.getrandbits)
     cmap = [-1] * n  # -1 while unmatched
     nc = 0
     for v in order:
@@ -500,9 +514,10 @@ def fm_refine(
     order = list(range(n))
     # None: evaluate; else the full best-gain targets, () when the gain was <= 0
     full_targets: list[tuple[int, ...] | None] = [None] * n
+    getrandbits = rng.getrandbits
     for _ in range(max_passes):
         cut_before = cut
-        rng.shuffle(order)
+        _shuffle(order, getrandbits)
         moved = False
         for v in order:
             targets = full_targets[v]

@@ -220,7 +220,10 @@ def run_replay(trace: Iterable[TraceRecord], cfg: ReplayConfig) -> ReplayResult:
         finished, window = window, InteractionGraph()
         graph.merge(finished)
         if keep_period:
-            period.merge(finished)
+            if period.vertices:
+                period.merge(finished)
+            else:  # the same counts in the same key order as a merge
+                period = finished
         weights = graph if cfg.cumulative_weights else finished
         # The assignment covers exactly the vertices of ``graph`` here, so
         # ``shard_sizes`` are the static shard sizes ``balance`` would count.

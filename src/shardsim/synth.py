@@ -9,6 +9,7 @@ community, shifting the interaction structure.
 
 from __future__ import annotations
 
+import gc
 import itertools
 import math
 import random
@@ -68,6 +69,18 @@ def generate_workload(spec: WorkloadSpec, seed: int = 0) -> tuple[list[TraceReco
     Deterministic for a fixed (spec, seed). Each vertex's address is one
     string, shared by every record that names it and by the ground truth.
     """
+    # Each record is a GC-tracked object in no cycle, and every older-generation
+    # collection would rescan the growing list: pause the cyclic collector.
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _generate(spec, seed)
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+def _generate(spec: WorkloadSpec, seed: int) -> tuple[list[TraceRecord], dict[str, int]]:
     rng = random.Random(seed)
     random_, choice = rng.random, rng.choice
     n, c = spec.vertices, spec.communities

@@ -28,6 +28,7 @@ import operator
 import re
 from dataclasses import dataclass
 from enum import Enum
+from json.encoder import encode_basestring_ascii
 from typing import IO, Iterable, Iterator, Sequence
 
 log = logging.getLogger(__name__)
@@ -226,14 +227,24 @@ def parse_trace(
                 except csv.Error as exc:  # the reader goes on at the next line
                     yield reader.line_num, str(exc)
         else:
+            decode = json.JSONDecoder().raw_decode
             for line_no, line in enumerate(stream, start=1):
-                if not line.strip():
-                    continue
+                # A value that starts the line and is followed only by JSON
+                # whitespace is what json.loads would return; any other line
+                # goes through json.loads, for its skip rule and messages.
                 try:
-                    obj = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    yield line_no, f"bad json: {exc}"
-                    continue
+                    obj, end = decode(line)
+                    decoded = not line[end:].strip(" \t\n\r")
+                except ValueError:
+                    decoded = False
+                if not decoded:
+                    if not line.strip():
+                        continue
+                    try:
+                        obj = json.loads(line)
+                    except json.JSONDecodeError as exc:
+                        yield line_no, f"bad json: {exc}"
+                        continue
                 if not isinstance(obj, dict):
                     yield line_no, "record is not an object"
                     continue
@@ -287,20 +298,12 @@ def serialize_trace(records: Iterable[TraceRecord], format: str = "csv") -> str:
             )
         return "\n".join(lines) + "\n"
     if format == "jsonl":
-        encode = json.JSONEncoder(separators=(",", ":")).encode
+        # As json.JSONEncoder(separators=(",", ":")) writes the row dict:
+        # strings ASCII-escaped, kind values (plain ASCII words) and ints as is.
+        q = encode_basestring_ascii
         lines = [
-            encode(
-                {
-                    "timestamp": r.timestamp,
-                    "block": r.block,
-                    "from": r.src,
-                    "from_kind": r.src_kind._value_,
-                    "to": r.dst,
-                    "to_kind": r.dst_kind._value_,
-                    "call_kind": r.call_kind._value_,
-                    "tx_id": r.tx_id,
-                }
-            )
+            f'{{"timestamp":{r.timestamp},"block":{r.block},"from":{q(r.src)},"from_kind":"{r.src_kind._value_}",'
+            f'"to":{q(r.dst)},"to_kind":"{r.dst_kind._value_}","call_kind":"{r.call_kind._value_}","tx_id":{q(r.tx_id)}}}'
             for r in records
         ]
         return "\n".join(lines) + ("\n" if lines else "")

@@ -5,6 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from shardsim.graph import InteractionGraph
 from shardsim.metrics import Assignment, edge_cut
 from shardsim.partition import (
     Candidate,
@@ -13,6 +14,7 @@ from shardsim.partition import (
     _greedy_grow,
     _repair_balance,
     _shard_weights,
+    _shuffle,
     assign_new_vertex,
     coarsen_once,
     cut_weight,
@@ -105,6 +107,47 @@ def test_kl_candidate_gain_matches_cut_delta():
                 after = edge_cut(g, moved, "dynamic", act.undirected)
                 total = act.total_edge_weight()
                 assert math.isclose((before - after) * total, c.gain, abs_tol=1e-9)
+
+
+def kl_candidates_brute_force(k, shard, edges, key):
+    """Every vertex's gain toward every other shard, summed edge by edge."""
+    out = {i: [] for i in range(k)}
+    for v in sorted({u for e in edges for u in e[:2]}, key=key):
+        own = shard[v]
+        toward = [0] * k
+        for a, b, w in edges:
+            if a != b and v in (a, b):
+                toward[shard[b if a == v else a]] += w
+        gains = [(toward[j] - toward[own], j) for j in range(k) if j != own]
+        best = max((g for g, _ in gains), default=0)
+        if best > 0:
+            out[own].append(Candidate(v, min(j for g, j in gains if g == best), best))
+    return out
+
+
+@st.composite
+def kl_cases(draw):
+    k = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 10))
+    shard = draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
+    vertex = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(vertex, vertex, st.integers(1, 3)), max_size=30))
+    # deliberate ties: v gets the same weight toward a and toward b
+    for v, a, b, w in draw(st.lists(st.tuples(vertex, vertex, vertex, st.integers(1, 3)), max_size=4)):
+        edges += [(v, a, w), (b, v, w)]
+    order = draw(st.permutations(range(n)))
+    return k, shard, edges, [vid(i) for i in order]
+
+
+@given(kl_cases())
+def test_kl_candidates_match_brute_force(case):
+    k, shard, edges, names = case
+    activity = InteractionGraph()
+    for a, b, w in edges:
+        for _ in range(w):
+            activity.record(a, b)
+    got = kl_select_candidates(Assignment(shard, k), activity, names.__getitem__)
+    assert got == kl_candidates_brute_force(k, shard, edges, names.__getitem__)
 
 
 def test_kl_matrix_no_candidates_identity():
@@ -582,6 +625,16 @@ def kernel_cases(draw):
 def _adjacency_in_order(pg: PartGraph) -> list[list[tuple[int, int]]]:
     # refinement breaks ties by neighbour order, so the order is part of the output
     return [list(nbrs.items()) for nbrs in pg.adj]
+
+
+def test_shuffle_matches_random_shuffle():
+    for n in range(65):
+        for seed in range(50):
+            reference, expected = random.Random(seed), list(range(n))
+            reference.shuffle(expected)
+            rng, got = random.Random(seed), list(range(n))
+            _shuffle(got, rng.getrandbits)
+            assert got == expected and rng.getstate() == reference.getstate(), (n, seed)
 
 
 @settings(max_examples=150, deadline=None)

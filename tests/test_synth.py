@@ -1,8 +1,10 @@
+import gc
 import hashlib
 import math
 
 import pytest
 
+from shardsim import synth
 from shardsim.graph import InteractionGraph
 from shardsim.metrics import Assignment, edge_cut
 from shardsim.synth import WorkloadSpec, generate_workload, vertex_id
@@ -31,6 +33,33 @@ def test_deterministic_output():
     assert r1 == r2 and t1 == t2
     r3, _ = generate_workload(spec, seed=10)
     assert r3 != r1
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_collector_paused_and_restored(monkeypatch, enabled):
+    spec = WorkloadSpec(vertices=20, duration=3600, records_per_hour=20)
+    seen = []
+
+    def spy(i):
+        seen.append(gc.isenabled())
+        return vertex_id(i)
+
+    def fail(i):
+        raise RuntimeError("boom")
+
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        monkeypatch.setattr(synth, "vertex_id", spy)
+        generate_workload(spec, seed=1)
+        assert seen and not any(seen)
+        assert gc.isenabled() is enabled
+        monkeypatch.setattr(synth, "vertex_id", fail)
+        with pytest.raises(RuntimeError, match="boom"):
+            generate_workload(spec, seed=1)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
 
 
 def test_records_sorted_and_valid():

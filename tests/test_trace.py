@@ -2,6 +2,7 @@ import csv
 import gzip
 import io
 import json
+import math
 
 import pytest
 from hypothesis import given, strategies as st
@@ -214,6 +215,45 @@ def test_csv_writer_matches_csv_module(records):
     assert serialize_trace(records, "csv") == csv_module_reference(records)
 
 
+def json_module_reference(records):
+    """The JSONL trace as ``json.JSONEncoder`` writes each row's dict."""
+    encode = json.JSONEncoder(separators=(",", ":")).encode
+    return "".join(
+        encode(
+            {
+                "timestamp": r.timestamp, "block": r.block, "from": r.src, "from_kind": r.src_kind.value,
+                "to": r.dst, "to_kind": r.dst_kind.value, "call_kind": r.call_kind.value, "tx_id": r.tx_id,
+            }
+        )
+        + "\n"
+        for r in records
+    )
+
+
+# text with quotes, backslashes, control and non-ASCII characters in plenty
+json_text = st.text(st.one_of(st.sampled_from('"\\\n\r\t\x00\x1f\x7f\xe9\u2028\U0001f600'), st.characters()))
+
+
+@given(
+    st.lists(
+        st.builds(
+            TraceRecord,
+            timestamp=st.integers(min_value=0),
+            block=st.integers(min_value=0),
+            src=json_text,
+            src_kind=st.sampled_from(list(VertexKind)),
+            dst=json_text,
+            dst_kind=st.sampled_from(list(VertexKind)),
+            call_kind=st.sampled_from(list(CallKind)),
+            tx_id=json_text,
+        ),
+        max_size=10,
+    )
+)
+def test_jsonl_writer_matches_json_module(records):
+    assert serialize_trace(records, "jsonl") == json_module_reference(records)
+
+
 # tx_ids that need CSV quoting, each line break among them
 AWKWARD_TX_IDS = ["a\rb", "a\nb", "a\r\nb", "\r", "a,b", 'say "hi"', " padded "]
 
@@ -307,6 +347,7 @@ def test_non_string_kinds_are_malformed(fields, message):
 
 
 HEADER = ",".join(CSV_HEADER) + "\n"
+JSONL_LINE = jsonl_row().rstrip("\n")  # 216 characters
 ROW = f"10,100,{A1},account,{A2},contract,contractcall,tx1\n"
 
 
@@ -329,6 +370,14 @@ ROW = f"10,100,{A1},account,{A2},contract,contractcall,tx1\n"
         (jsonl_row() + jsonl_row().replace(', "tx_id": "t"', ""), "jsonl", "line 2: 'tx_id'"),
         (jsonl_row(**{"from": 5}), "jsonl", "line 1: address '5' is not 40 hex digits"),
         (jsonl_row(to=["a"]), "jsonl", "line 1: address \"['a']\" is not 40 hex digits"),
+        # lines a decoded value does not fill up to JSON whitespace
+        (jsonl_row() + JSONL_LINE + " x\n", "jsonl", "line 2: bad json: Extra data: line 1 column 218 (char 217)"),
+        (JSONL_LINE + JSONL_LINE + "\n", "jsonl", "line 1: bad json: Extra data: line 1 column 217 (char 216)"),
+        (jsonl_row() + "\ufeff" + jsonl_row(), "jsonl",
+         "line 2: bad json: Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)"),
+        (JSONL_LINE + "\f\n", "jsonl", "line 1: bad json: Extra data: line 1 column 217 (char 216)"),
+        (jsonl_row() + JSONL_LINE + "\xa0\n", "jsonl", "line 2: bad json: Extra data: line 1 column 217 (char 216)"),
+        (jsonl_row(timestamp=math.nan), "jsonl", "line 1: timestamp nan is not an integer"),
     ],
 )
 def test_malformed_row_messages(text, fmt, message):
@@ -339,6 +388,19 @@ def test_malformed_row_messages(text, fmt, message):
     stats = ParseStats()
     parse_str(text, fmt, strict=False, stats=stats)
     assert stats.skipped == 1
+
+
+def test_jsonl_whitespace_around_rows_accepted():
+    text = (
+        "  " + JSONL_LINE + "\n" + JSONL_LINE + "\t\n" + "\xa0 \n" + JSONL_LINE + "\r\n"
+        + " \t\r\n" + "\n" + " " + JSONL_LINE + " \r\n" + "\xa0"
+    )
+    expected = TraceRecord(5, 1, A1, VertexKind.ACCOUNT, A2, VertexKind.CONTRACT, CallKind.TRANSFER, "t")
+    assert parse_str(text, "jsonl") == [expected] * 4
+    # blank lines still count in line numbers
+    assert parse_str(text + "\n[]\n", "jsonl", strict=False) == [expected] * 4
+    with pytest.raises(MalformedRow, match="^line 9: record is not an object$"):
+        parse_str(text + "\n[]\n", "jsonl")
 
 
 def test_jsonl_error_key_is_an_ordinary_field():
