@@ -14,6 +14,7 @@ import logging
 import os
 import re
 import sys
+import zlib
 from typing import NoReturn
 
 import click
@@ -54,7 +55,7 @@ def _positive_int(ctx, param, value):
     return value
 
 
-def _fail(exc: Exception) -> NoReturn:
+def _fail(exc: Exception | str) -> NoReturn:
     """Print ``error: ...`` on stderr and exit 1."""
     click.echo(f"error: {exc}", err=True)
     sys.exit(1)
@@ -153,6 +154,8 @@ def replay(trace_path, fmt, k, strategy, metric_window, repartition_interval, cu
                 results = list(pool.map(run_one, cfgs))
     except TraceError as exc:
         _fail(exc)
+    except (OSError, EOFError, UnicodeDecodeError, zlib.error) as exc:  # cannot open, decompress or decode
+        _fail(f"cannot read {trace_path}: {exc}")
     skipped = results[0][2]  # every job reads the same trace
     if skipped:
         click.echo(f"skipped {skipped} malformed rows", err=True)

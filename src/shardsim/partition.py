@@ -15,6 +15,7 @@ same order and generator state, without two Python-level calls per element.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import random
 from bisect import bisect_left
@@ -55,14 +56,25 @@ class PartitionerConfig:
 # Hashing
 
 
+@functools.cache
+def _fnv_seed_state(seed: int) -> int:
+    """FNV-1a state after the 8 little-endian bytes of ``seed`` mod 2**64."""
+    h = 0xCBF29CE484222325
+    for b in (seed & MASK64).to_bytes(8, "little"):
+        h ^= b
+        h = (h * 0x100000001B3) & MASK64
+    return h
+
+
 def hash64(data: bytes, seed: int = 0) -> int:
     """Seeded 64-bit FNV-1a with a splitmix64-style avalanche finalizer.
 
-    Fixed and platform-independent so shard placement is reproducible
+    The seed's 8 bytes come before ``data``; their state is computed once per
+    seed. Fixed and platform-independent so shard placement is reproducible
     everywhere (never Python's builtin hash).
     """
-    h = 0xCBF29CE484222325
-    for b in (seed & MASK64).to_bytes(8, "little") + data:
+    h = _fnv_seed_state(seed)
+    for b in data:
         h ^= b
         h = (h * 0x100000001B3) & MASK64
     h ^= h >> 30
@@ -82,7 +94,7 @@ def hash_partition(vertex: str, cfg: PartitionerConfig) -> int:
 # KL-style probabilistic exchange
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Candidate:
     vertex: int | str  # the vertex's key in the assignment: a dense id in the replay
     target: int
@@ -112,15 +124,11 @@ def kl_select_candidates(
     for v in sorted(conn, key=key):
         c = conn[v]
         own = shard_of[v]
-        best_j, best_gain = own, 0
-        for j in range(k):
-            if j == own:
-                continue
-            gain = c[j] - c[own]
-            if gain > best_gain:
-                best_j, best_gain = j, gain
-        if best_gain > 0:
-            out[own].append(Candidate(v, best_j, best_gain))
+        inside = c[own]
+        c[own] = -1  # activity is never negative, so max picks another shard
+        best = max(c)
+        if best > inside:
+            out[own].append(Candidate(v, c.index(best), best - inside))
     return out
 
 

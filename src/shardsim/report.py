@@ -73,26 +73,30 @@ def read_samples_csv(path: str) -> list[dict]:
     """Load a per-window CSV back into typed dicts (for summarize).
 
     Columns are found by header name. Raises ValueError when the header lacks
-    a column or a row has a field too few or too many or one that does not
-    parse; blank lines are skipped.
+    a column, when a row has a field too few or too many or one that does not
+    parse, or when the CSV reader cannot split a line (such as a field longer
+    than ``csv.field_size_limit()``); blank lines are skipped.
     """
     out: list[dict] = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, [])
-        missing = [col for col in SAMPLE_COLUMNS if col not in header]
-        if missing:
-            raise ValueError(f"missing columns: {', '.join(missing)}")
-        index = [header.index(col) for col in SAMPLE_COLUMNS]
-        for row in reader:
-            if not row:
-                continue
-            try:
-                if len(row) != len(header):
-                    raise ValueError(f"expected {len(header)} fields, got {len(row)}")
-                out.append(typed_row([row[i] for i in index]))
-            except ValueError as exc:
-                raise ValueError(f"line {reader.line_num}: {exc}") from None
+        try:
+            header = next(reader, [])
+            missing = [col for col in SAMPLE_COLUMNS if col not in header]
+            if missing:
+                raise ValueError(f"missing columns: {', '.join(missing)}")
+            index = [header.index(col) for col in SAMPLE_COLUMNS]
+            for row in reader:
+                if not row:
+                    continue
+                try:
+                    if len(row) != len(header):
+                        raise ValueError(f"expected {len(header)} fields, got {len(row)}")
+                    out.append(typed_row([row[i] for i in index]))
+                except ValueError as exc:
+                    raise ValueError(f"line {reader.line_num}: {exc}") from None
+        except csv.Error as exc:
+            raise ValueError(f"line {reader.line_num}: {exc}") from None
     return out
 
 

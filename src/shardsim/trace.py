@@ -16,12 +16,21 @@ A CSV field is written in double quotes, inner quotes doubled, when it holds
 a comma, a quote, a carriage return or a line feed, as ``csv`` reads it back.
 Trace files are read and written with line ends untranslated, so a line break
 inside a quoted field survives a round trip.
+
+A CSV line is split at its commas directly unless it holds a double quote or
+a NUL, holds a carriage return or line feed anywhere but in its line end, or
+is longer than ``csv.field_size_limit()`` (read once per parse). Those lines,
+and the header, are read by ``csv.reader``, which takes in the lines that a
+quoted field runs on into. Both routes give the same fields, errors, line
+numbers and skip counts, so the result never depends on which route a line
+takes.
 """
 
 from __future__ import annotations
 
 import csv
 import gzip
+import itertools
 import json
 import logging
 import operator
@@ -207,25 +216,44 @@ def parse_trace(
         """File line number and field values of each row, or the row's error.
         A CSV row that spans lines is numbered by its last line."""
         if format == "csv":
-            reader = csv.reader(stream)
-            try:
-                header = next(reader)
-            except StopIteration:
+            lines = iter(stream)
+            limit = csv.field_size_limit()
+
+            def csv_row(line: str) -> tuple[list[str] | str, int]:
+                """The csv module's row starting at ``line``, or its error,
+                and the number of lines the row took from ``lines``."""
+                reader = csv.reader(itertools.chain((line,), lines))
+                try:
+                    return next(reader), reader.line_num
+                except csv.Error as exc:  # reading goes on at the next line
+                    return str(exc), reader.line_num
+
+            first = next(lines, None)
+            if first is None:
                 return
+            header, line_no = csv_row(first)
+            if type(header) is str:
+                raise MalformedRow(1, header)
             if [h.strip().lower() for h in header] != CSV_HEADER:
                 raise MalformedRow(1, f"bad header {header!r}, expected {','.join(CSV_HEADER)}")
-            while True:
-                try:
-                    for row in reader:
-                        if not row:
-                            continue
-                        if len(row) != len(CSV_HEADER):
-                            yield reader.line_num, f"expected {len(CSV_HEADER)} fields, got {len(row)}"
-                            continue
-                        yield reader.line_num, row
-                    return
-                except csv.Error as exc:  # the reader goes on at the next line
-                    yield reader.line_num, str(exc)
+            for line in lines:
+                text = line.rstrip("\r\n")
+                # NUL goes to csv: Python 3.10's reader rejects it, 3.11's reads it
+                if '"' in text or "\0" in text or "\r" in text or "\n" in text or len(line) > limit:
+                    row, n = csv_row(line)
+                    line_no += n
+                    if type(row) is str:
+                        yield line_no, row
+                        continue
+                else:
+                    line_no += 1
+                    row = text.split(",") if text else []
+                if not row:
+                    continue
+                if len(row) != len(CSV_HEADER):
+                    yield line_no, f"expected {len(CSV_HEADER)} fields, got {len(row)}"
+                    continue
+                yield line_no, row
         else:
             decode = json.JSONDecoder().raw_decode
             for line_no, line in enumerate(stream, start=1):

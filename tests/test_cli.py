@@ -4,6 +4,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from shardsim import trace as trace_module
 from shardsim.cli import main, parse_duration
 from shardsim.graph import InteractionGraph
 from shardsim.partition import write_adjacency
@@ -215,6 +216,52 @@ def test_replay_oversize_field_strict_vs_lenient(tmp_path):
     assert res.stderr.splitlines()[-1] == "skipped 1 malformed rows"
 
 
+
+def unreadable_trace(tmp_path, monkeypatch, case):
+    """Path of a trace that cannot be read to its end, as ``case`` names."""
+    text = make_trace_file(tmp_path).read_bytes()
+    packed = gzip.compress(text)
+    if case == "invalid-utf8":
+        path, data = tmp_path / "bad.csv", text[:500] + b"\xff" + text[500:]
+    elif case == "not-gzip":
+        path, data = tmp_path / "bad.csv.gz", text
+    elif case == "truncated-gzip":
+        path, data = tmp_path / "bad.csv.gz", packed[: len(packed) // 2]
+    elif case == "corrupt-deflate":  # the first block header says block type 3, which does not exist
+        path, data = tmp_path / "bad.csv.gz", packed[:10] + b"\xff" * 8 + packed[18:]
+    else:
+        path, data = tmp_path / "bad.csv", text
+
+        def denied(file, *args, **kwargs):
+            raise PermissionError(13, "Permission denied", file)
+
+        # the sweep's worker processes are forked, so they see the patch too
+        monkeypatch.setattr(trace_module, "open", denied, raising=False)
+    path.write_bytes(data)
+    return path
+
+
+# what each unreadable trace's error message says
+UNREADABLE = {
+    "invalid-utf8": "'utf-8' codec can't decode byte 0xff",
+    "not-gzip": "Not a gzipped file",
+    "truncated-gzip": "Compressed file ended before the end-of-stream marker was reached",
+    "corrupt-deflate": "Error -3 while decompressing data: invalid block type",
+    "permission": "Permission denied",
+}
+
+
+@pytest.mark.parametrize("case", UNREADABLE)
+@pytest.mark.parametrize("mode", [[], ["--lenient"], ["--sweep", "k=2,4"]], ids=["strict", "lenient", "sweep"])
+def test_replay_unreadable_trace_is_an_error(tmp_path, monkeypatch, case, mode):
+    path = unreadable_trace(tmp_path, monkeypatch, case)
+    shards = mode if "--sweep" in mode else ["--shards", "2", *mode]
+    res = run("replay", "--trace", str(path), *shards, "--out", str(tmp_path / "s.csv"))
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)  # a message, not a traceback
+    assert res.stderr.startswith(f"error: cannot read {path}: ") and UNREADABLE[case] in res.stderr
+    assert not list(tmp_path.glob("s*.csv"))
+
 def test_replay_invalid_config_usage_error(tmp_path):
     trace = make_trace_file(tmp_path)
     for extra in (
@@ -302,8 +349,10 @@ def test_partition_unwritable_output_is_an_error(tmp_path):
          "error: missing columns: dynamic_edge_cut"),
         (lambda lines: lines[:2] + [lines[2].rsplit(",", 1)[0]] + lines[3:],
          "error: line 3: expected 8 fields, got 7"),
+        (lambda lines: lines[:2] + [lines[2] + "9" * 131073] + lines[3:],
+         "error: line 3: field larger than field limit (131072)"),
     ],
-    ids=["missing-column", "short-row"],
+    ids=["missing-column", "short-row", "oversize-field"],
 )
 def test_summarize_rejects_bad_samples_file(tmp_path, edit, message):
     trace = make_trace_file(tmp_path)

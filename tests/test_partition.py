@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from shardsim.graph import InteractionGraph
 from shardsim.metrics import Assignment, edge_cut
 from shardsim.partition import (
+    MASK64,
     Candidate,
     PartGraph,
     PartitionerConfig,
@@ -67,6 +68,26 @@ def test_hash64_is_fixed_function():
     assert hash64(b"", 0) == hash64(b"", 0)
     assert hash64(b"abc", 0) != hash64(b"abc", 1)
     assert hash64(b"abc", 0) != hash64(b"abd", 0)
+
+
+def hash64_reference(data, seed=0):
+    """hash64 as written before the seed's state was cached, verbatim."""
+    h = 0xCBF29CE484222325
+    for b in (seed & MASK64).to_bytes(8, "little") + data:
+        h ^= b
+        h = (h * 0x100000001B3) & MASK64
+    h ^= h >> 30
+    h = (h * 0xBF58476D1CE4E5B9) & MASK64
+    h ^= h >> 27
+    h = (h * 0x94D049BB133111EB) & MASK64
+    h ^= h >> 31
+    return h
+
+
+@given(st.binary(max_size=64), st.sampled_from([0, 1, -1, 7, 2**64, 2**64 + 7, 3 * 2**70 - 1]) | st.integers())
+def test_hash64_matches_reference(data, seed):
+    assert hash64(data, seed) == hash64_reference(data, seed)
+    assert hash64(data) == hash64_reference(data)
 
 
 # --- KL oracle -------------------------------------------------------------

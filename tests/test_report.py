@@ -79,8 +79,12 @@ def test_csv_columns_and_roundtrip(tmp_path):
          "line 2: expected 8 fields, got 6"),
         (lambda header, first, second: [header, first, second.replace(",0.3,", ",x,")],
          "line 3: could not convert string to float: 'x'"),
+        (lambda header, first, second: [header, first, second.replace(",0.3,", "," + "9" * 131073 + ",")],
+         "line 3: field larger than field limit (131072)"),
+        (lambda header, first, second: ["x" * 131073, first],
+         "line 1: field larger than field limit (131072)"),
     ],
-    ids=["missing-columns", "short-row", "unparsable-field"],
+    ids=["missing-columns", "short-row", "unparsable-field", "oversize-field", "oversize-header"],
 )
 def test_read_samples_csv_rejects_bad_file(tmp_path, edit, message):
     lines = edit(*samples_to_csv(make_samples(), k=2).splitlines())

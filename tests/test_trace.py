@@ -3,6 +3,7 @@ import gzip
 import io
 import json
 import math
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -14,8 +15,10 @@ from shardsim.trace import (
     OutOfOrderBlock,
     OutOfOrderTimestamp,
     ParseStats,
+    TraceError,
     TraceRecord,
     VertexKind,
+    _record_from_fields,
     canonical_address,
     infer_format,
     open_trace,
@@ -463,3 +466,136 @@ def test_csv_reader_error_is_malformed_row(caplog, field, message):
     skipped = [rec.getMessage() for rec in caplog.records]
     assert len(skipped) == 2 and skipped[0].startswith(f"skipping row: line 3: {message}")
     assert skipped[1] == "skipping row: line 5: expected 8 fields, got 3"
+
+
+def test_header_the_reader_cannot_split_is_malformed():
+    text = "x" * (csv.field_size_limit() + 1) + "\n" + ROW
+    for strict in (True, False):  # a bad header ends the parse in either mode
+        with pytest.raises(MalformedRow) as info:
+            parse_str(text, strict=strict)
+        assert str(info.value) == f"line 1: field larger than field limit ({csv.field_size_limit()})"
+
+
+def single_reader_parse(stream, strict=True, stats=None):
+    """The CSV branch of ``parse_trace`` as it was when one ``csv.reader``
+    read every line: the oracle of the reader that splits plain lines itself."""
+    if stats is None:
+        stats = ParseStats()
+
+    def rows():
+        reader = csv.reader(stream)
+        try:
+            header = next(reader)
+        except StopIteration:
+            return
+        if [h.strip().lower() for h in header] != CSV_HEADER:
+            raise MalformedRow(1, f"bad header {header!r}, expected {','.join(CSV_HEADER)}")
+        while True:
+            try:
+                for row in reader:
+                    if not row:
+                        continue
+                    if len(row) != len(CSV_HEADER):
+                        yield reader.line_num, f"expected {len(CSV_HEADER)} fields, got {len(row)}"
+                        continue
+                    yield reader.line_num, row
+                return
+            except csv.Error as exc:  # the reader goes on at the next line
+                yield reader.line_num, str(exc)
+
+    names = {}
+    last_block = last_timestamp = -1
+    for line_no, fields in rows():
+        try:
+            if type(fields) is str:
+                raise MalformedRow(line_no, fields)
+            record = _record_from_fields(fields, line_no, names)
+            if record.block < last_block:
+                raise OutOfOrderBlock(line_no, record.block, last_block)
+            if record.timestamp < last_timestamp:
+                raise OutOfOrderTimestamp(line_no, record.timestamp, last_timestamp)
+        except TraceError:
+            if strict:
+                raise
+            stats.skipped += 1
+            continue
+        last_block = record.block
+        last_timestamp = record.timestamp
+        yield record
+
+
+def parse_outcome(parse, lines, strict):
+    """Records and skip count of a parse, or the type, message and line of its error."""
+    stats = ParseStats()
+    try:
+        records = list(parse(lines, strict=strict, stats=stats))
+    except TraceError as exc:
+        return type(exc), str(exc), exc.line_no
+    return records, stats.skipped
+
+
+def assert_csv_reader_matches_single_reader(body, limit):
+    """``parse_trace`` reads HEADER + ``body`` as one ``csv.reader`` did, under
+    field size limit ``limit``: from a stream, and from lists of lines split
+    at line feeds only or at carriage returns only, so that a line may hold
+    the other one inside."""
+    text = HEADER + body
+    old_limit = csv.field_size_limit(limit)
+    try:
+        for lines in (
+            lambda: io.StringIO(text, newline=""),
+            lambda: list(io.StringIO(text, newline="\n")),
+            lambda: [HEADER] + re.findall("[^\r]*\r|[^\r]+", body),
+        ):
+            for strict in (True, False):
+                got = parse_outcome(parse_trace, lines(), strict)
+                assert got == parse_outcome(single_reader_parse, lines(), strict)
+    finally:
+        csv.field_size_limit(old_limit)
+
+
+# A row that parses, and one whose quoted fields need the csv module and span
+# two lines ("\r\n" inside its tx_id).
+QUOTED_ROW = f'10,100,"{A1}",account,{A2},contract,transfer,"t,""\r\nx"\n'
+
+CSV_EDGE_CASES = [
+    ("", 131072),
+    (ROW + QUOTED_ROW + ROW, 131072),
+    (ROW + QUOTED_ROW + ROW, 45),  # every row over the limit goes to csv; no field is over it
+    (ROW + ROW, len(ROW)),  # a line exactly as long as the limit
+    (ROW + ROW, len(ROW) - 1),
+    (ROW + ROW, 39),  # the addresses are over the limit
+    ("\n\r\n\r" + ROW + "\r\r\n\n", 131072),  # blank lines of every line end
+    ("\n" * 20, 9),  # a blank line over the limit
+    ("a,1\n", 9),
+    (' a, "1" ,\n', 131072),  # a quote after a space is an ordinary character
+    ('"a\n', 131072),  # a quoted field open at the end of the input
+    ('"a\n' + ROW, 131072),  # ... takes the rows after it in
+    ('a"b\n' + ROW, 131072),  # a quote inside an unquoted field
+    ('"a"b,1\n' + ROW, 131072),  # text after a closing quote
+    ("a\rb\n" + ROW, 131072),  # a carriage return inside a line
+    ('"a\rb"\n' + ROW, 131072),
+    ("a\0b\n" + ROW, 131072),  # NUL: an error under Python 3.10, a character from 3.11
+    ('"a\0b\n' + ROW, 131072),
+    ("aaaaaaaaaa,1\n" + ROW, 9),  # a field over the limit
+    ("a" * 10 + "\n" + ROW, 9),  # ... the line's only field
+    ("a" * 9 + "\n" + ROW, 9),  # a field as long as the limit
+    ("a" * 10, 9),  # a line one over the limit, with no line end
+    ('"aaaaaaaaaa"\n' + ROW, 9),
+    ('"aaaa\naaaaaa"\n' + ROW, 9),  # ... over two lines
+    ("1\r", 131072),  # the input ends with a bare carriage return
+    (ROW.rstrip("\n"), 131072),  # ... with no line end at all
+]
+
+
+@pytest.mark.parametrize("body, limit", CSV_EDGE_CASES)
+def test_csv_reader_matches_single_reader_on_edge_cases(body, limit):
+    assert_csv_reader_matches_single_reader(body, limit)
+
+
+@given(
+    st.lists(st.sampled_from(["a", "1", ",", '"', "\r", "\n", "\0", " ", ROW, QUOTED_ROW]), max_size=40).map("".join),
+    st.integers(min_value=9, max_value=130),  # 9: the longest header field
+)
+def test_csv_reader_matches_single_reader(body, limit):
+    assert_csv_reader_matches_single_reader(body, limit)
