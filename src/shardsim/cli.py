@@ -37,22 +37,20 @@ def parse_duration(text: str) -> int:
     return int(m.group(1)) * _DURATION_UNITS[m.group(2) or "s"]
 
 
+def _format_duration(seconds: int) -> str:
+    """``seconds`` in the largest of d, h, m and s that divides it: 14400 -> 4h."""
+    unit = next(u for u in "dhms" if seconds % _DURATION_UNITS[u] == 0)
+    return f"{seconds // _DURATION_UNITS[unit]}{unit}"
+
+
 class DurationParam(click.ParamType):
     name = "duration"
 
     def convert(self, value, param, ctx):
-        if isinstance(value, int):
-            return value
         return parse_duration(value)
 
 
 DURATION = DurationParam()
-
-
-def _positive_int(ctx, param, value):
-    if value is not None and value < 1:
-        raise click.BadParameter("must be >= 1")
-    return value
 
 
 def _fail(exc: Exception | str) -> NoReturn:
@@ -100,16 +98,18 @@ def _run_one_replay(
 @click.option("--trace", "trace_path", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--format", "fmt", type=click.Choice(["csv", "jsonl"]), default=None,
               help="Trace format; inferred from the extension by default.")
-@click.option("--shards", "k", type=int, callback=_positive_int, default=None, help="Shard count.")
+@click.option("--shards", "k", type=int, default=None, help="Shard count.")
 @click.option("--strategy", type=click.Choice([s.value for s in Strategy]), default="hashing")
-@click.option("--metric-window", type=DURATION, default="4h", show_default=True)
-@click.option("--repartition-interval", type=DURATION, default="14d", show_default=True)
-@click.option("--cut-threshold", type=float, default=0.3, show_default=True)
-@click.option("--balance-threshold", type=float, default=1.5, show_default=True)
-@click.option("--epsilon", type=float, default=0.05, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--kl-rounds", type=int, default=1, show_default=True)
-@click.option("--weights", type=click.Choice(["window", "cumulative"]), default="window",
+@click.option("--metric-window", type=DURATION, default=_format_duration(ReplayConfig.metric_window), show_default=True)
+@click.option("--repartition-interval", type=DURATION, default=_format_duration(ReplayConfig.repartition_interval),
+              show_default=True)
+@click.option("--cut-threshold", type=float, default=ReplayConfig.cut_threshold, show_default=True)
+@click.option("--balance-threshold", type=float, default=ReplayConfig.balance_threshold, show_default=True)
+@click.option("--epsilon", type=float, default=ReplayConfig.epsilon, show_default=True)
+@click.option("--seed", type=int, default=ReplayConfig.seed, show_default=True)
+@click.option("--kl-rounds", type=int, default=ReplayConfig.kl_rounds, show_default=True)
+@click.option("--weights", type=click.Choice(["window", "cumulative"]),
+              default="cumulative" if ReplayConfig.cumulative_weights else "window",
               help="Activity weights for dynamic metrics.")
 @click.option("--lenient", is_flag=True, help="Skip malformed rows instead of aborting.")
 @click.option("--out", "out_path", type=click.Path(dir_okay=False), default=None,
@@ -117,8 +117,7 @@ def _run_one_replay(
 @click.option("--out-format", type=click.Choice(["csv", "json"]), default="csv", show_default=True)
 @click.option("--sweep", default=None, help="Comma-separated shard counts, e.g. 'k=2,4,8'; "
               "runs independent replays in parallel, one output per k.")
-def replay(trace_path, fmt, k, strategy, metric_window, repartition_interval, cut_threshold,
-           balance_threshold, epsilon, seed, kl_rounds, weights, lenient, out_path, out_format, sweep):
+def replay(trace_path, fmt, k, weights, lenient, out_path, out_format, sweep, **settings):
     """Replay a trace and emit per-window metric samples."""
     fmt = fmt or infer_format(trace_path)
     if sweep is None and k is None:
@@ -127,22 +126,8 @@ def replay(trace_path, fmt, k, strategy, metric_window, repartition_interval, cu
     if sweep is not None and out_path is None:
         raise click.UsageError("--sweep requires --out")
 
-    try:
-        cfgs = [
-            ReplayConfig(
-                k=kk,
-                strategy=Strategy(strategy),
-                metric_window=metric_window,
-                repartition_interval=repartition_interval,
-                cut_threshold=cut_threshold,
-                balance_threshold=balance_threshold,
-                epsilon=epsilon,
-                seed=seed,
-                kl_rounds=kl_rounds,
-                cumulative_weights=weights == "cumulative",
-            )
-            for kk in ks
-        ]
+    try:  # ``settings`` are the options named after the ReplayConfig field they set
+        cfgs = [ReplayConfig(k=kk, cumulative_weights=weights == "cumulative", **settings) for kk in ks]
     except ValueError as exc:
         raise click.UsageError(str(exc))
     run_one = functools.partial(_run_one_replay, trace_path, fmt, not lenient, out_format=out_format)
@@ -164,13 +149,13 @@ def replay(trace_path, fmt, k, strategy, metric_window, repartition_interval, cu
 
 
 def _parse_sweep(sweep: str) -> list[int]:
-    text = sweep.split("=", 1)[1] if "=" in sweep else sweep
+    text = sweep.split("=", 1)[-1]  # "k=2,4" or "2,4"
     try:
         ks = [int(part) for part in text.split(",") if part.strip()]
     except ValueError:
+        ks = []
+    if not ks:
         raise click.BadParameter(f"bad sweep {sweep!r}, expected e.g. 'k=2,4,8'")
-    if not ks or any(kk < 1 for kk in ks):
-        raise click.BadParameter("sweep shard counts must be >= 1")
     return ks
 
 
@@ -184,9 +169,9 @@ def _sweep_path(out_path: str, k: int) -> str:
               help="Adjacency file in the exported text format.")
 @click.option("--sidecar", type=click.Path(exists=True, dir_okay=False), default=None,
               help="Line-index -> vertex id map written alongside the export.")
-@click.option("--shards", "k", type=int, callback=_positive_int, required=True)
-@click.option("--epsilon", type=float, default=0.05, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--shards", "k", type=int, required=True)
+@click.option("--epsilon", type=float, default=PartitionerConfig.epsilon, show_default=True)
+@click.option("--seed", type=int, default=PartitionerConfig.seed, show_default=True)
 @click.option("--out", "out_path", type=click.Path(dir_okay=False), default=None)
 def partition(graph_path, sidecar, k, epsilon, seed, out_path):
     """Partition an exported adjacency file offline; emits vertex,shard CSV."""
@@ -206,34 +191,24 @@ def partition(graph_path, sidecar, k, epsilon, seed, out_path):
 
 @main.command()
 @click.option("--vertices", type=int, required=True)
-@click.option("--communities", type=int, default=2, show_default=True)
-@click.option("--inter-prob", type=float, default=0.05, show_default=True)
-@click.option("--zipf", "zipf_exponent", type=float, default=1.0, show_default=True)
-@click.option("--duration", type=DURATION, default="14d", show_default=True)
-@click.option("--rate", "records_per_hour", type=float, default=100.0, show_default=True,
+@click.option("--communities", type=int, default=WorkloadSpec.communities, show_default=True)
+@click.option("--inter-prob", type=float, default=WorkloadSpec.inter_prob, show_default=True)
+@click.option("--zipf", "zipf_exponent", type=float, default=WorkloadSpec.zipf_exponent, show_default=True)
+@click.option("--duration", type=DURATION, default=_format_duration(WorkloadSpec.duration), show_default=True)
+@click.option("--rate", "records_per_hour", type=float, default=WorkloadSpec.records_per_hour, show_default=True,
               help="Records per trace-time hour.")
-@click.option("--rewire-at", type=float, default=None,
+@click.option("--rewire-at", type=float, default=WorkloadSpec.rewire_at,
               help="Fraction of the duration at which communities rewire.")
-@click.option("--rewire-frac", type=float, default=0.5, show_default=True)
+@click.option("--rewire-frac", type=float, default=WorkloadSpec.rewire_frac, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", "out_path", required=True, type=click.Path(dir_okay=False),
               help="Trace file: JSONL for .jsonl/.ndjson, CSV otherwise; gzipped when it ends in .gz.")
 @click.option("--truth-out", type=click.Path(dir_okay=False), default=None,
               help="Where to write the planted vertex,community ground truth.")
-def synth(vertices, communities, inter_prob, zipf_exponent, duration, records_per_hour,
-          rewire_at, rewire_frac, seed, out_path, truth_out):
+def synth(seed, out_path, truth_out, **settings):
     """Generate a deterministic planted-partition workload trace."""
-    try:
-        spec = WorkloadSpec(
-            vertices=vertices,
-            communities=communities,
-            inter_prob=inter_prob,
-            zipf_exponent=zipf_exponent,
-            duration=duration,
-            records_per_hour=records_per_hour,
-            rewire_at=rewire_at,
-            rewire_frac=rewire_frac,
-        )
+    try:  # ``settings`` are the options named after the WorkloadSpec field they set
+        spec = WorkloadSpec(**settings)
     except ValueError as exc:
         raise click.UsageError(str(exc))
     records, truth = generate_workload(spec, seed)

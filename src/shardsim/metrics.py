@@ -16,7 +16,7 @@ from shardsim.graph import InteractionGraph
 
 
 class DomainMismatch(ValueError):
-    """Raised when two part vectors do not cover the same vertex set."""
+    """Raised when two assignments do not cover the same vertex set."""
 
 
 @dataclass
@@ -121,7 +121,11 @@ def normalized_balance(b: float, k: int) -> float:
 
 
 def count_moves(old: Assignment, new: Assignment) -> int:
-    """Number of vertices whose shard differs between two part vectors."""
-    if len(old.shard_of) != len(new.shard_of):
+    """Number of vertices whose shard differs between two part vectors, or
+    between two maps compared key by key."""
+    old_of, new_of = old.shard_of, new.shard_of
+    if isinstance(old_of, dict) and isinstance(new_of, dict) and old_of.keys() == new_of.keys():
+        return sum(1 for v, s in old_of.items() if new_of[v] != s)
+    if isinstance(old_of, dict) or isinstance(new_of, dict) or len(old_of) != len(new_of):
         raise DomainMismatch("assignments cover different vertex sets")
-    return sum(1 for s, t in zip(old.shard_of, new.shard_of) if s != t)
+    return sum(1 for s, t in zip(old_of, new_of) if s != t)

@@ -36,7 +36,6 @@ class PartitionerConfig:
     k: int = 2
     epsilon: float = 0.05  # shard weight cap, see balance_cap
     seed: int = 0  # of identifier hashing, KL's draws and the multilevel partitioner
-    kl_rounds: int = 1
     coarsen_min: ClassVar[int] = 200  # stop coarsening at max(30*k, coarsen_min) vertices
 
     def __post_init__(self) -> None:
@@ -44,8 +43,6 @@ class PartitionerConfig:
             raise ValueError("k must be >= 1")
         if self.epsilon < 0:
             raise ValueError("epsilon must be >= 0")
-        if self.kl_rounds < 1:
-            raise ValueError("kl_rounds must be >= 1")
 
     def balance_cap(self, total_weight: int) -> float:
         """Largest shard weight allowed: (1 + epsilon) * total / k."""

@@ -19,16 +19,15 @@ from __future__ import annotations
 
 import logging
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from shardsim.graph import InteractionGraph, apply_record
 # Unused here; bench/layers.py wraps these names of this module.
 from shardsim.graph import activity_from_records, window_subgraph  # noqa: F401
 from shardsim.metrics import Assignment, MetricSample, balance, count_moves, edge_cut
 from shardsim.partition import (
-    MultilevelResult,
     PartitionerConfig,
     assign_new_vertex,
     hash_partition,
@@ -61,20 +60,26 @@ class ReplayConfig:
     repartition_interval: int = 14 * DAY
     cut_threshold: float = 0.3
     balance_threshold: float = 1.5
-    epsilon: float = 0.05  # this and the next two go to the partitioner
-    seed: int = 0
+    epsilon: float = PartitionerConfig.epsilon  # this and seed go to the partitioner
+    seed: int = PartitionerConfig.seed
     kl_rounds: int = 1
     cumulative_weights: bool = False  # dynamic metrics from all-history weights
-    partitioner: PartitionerConfig = field(init=False)  # built from k and the three above
 
     def __post_init__(self) -> None:
         if isinstance(self.strategy, str):
             self.strategy = Strategy(self.strategy)
-        self.partitioner = PartitionerConfig(self.k, self.epsilon, self.seed, self.kl_rounds)
+        self.partitioner  # checks k and epsilon
+        if self.kl_rounds < 1:
+            raise ValueError("kl_rounds must be >= 1")
         if self.metric_window <= 0:
             raise ValueError("metric_window must be positive")
         if self.repartition_interval < self.metric_window:
             raise ValueError("repartition_interval must be >= metric_window")
+
+    @property
+    def partitioner(self) -> PartitionerConfig:
+        """The partitioner's settings, built from ``k``, ``epsilon`` and ``seed`` at each read."""
+        return PartitionerConfig(self.k, self.epsilon, self.seed)
 
 
 @dataclass
@@ -85,19 +90,23 @@ class ReplayResult:
     final_assignment: Assignment  # address -> shard, addresses in order of first appearance
 
 
+class Repartition(NamedTuple):
+    assignment: Assignment
+    moves: int
+    raw_moves: int  # before shard-label matching
+
+
 def fire_trigger(clock: int, last_repart: int, last_sample: MetricSample, cfg: ReplayConfig) -> bool:
     """Should a repartition run at this metric-window boundary?"""
     strategy = cfg.strategy
     if strategy is Strategy.HASHING:
         return False
-    if strategy in (Strategy.KL, Strategy.METIS_FULL, Strategy.METIS_WINDOW):
-        return clock - last_repart >= cfg.repartition_interval
     if strategy is Strategy.METIS_THRESHOLD:
         return (
             last_sample.dynamic_edge_cut > cfg.cut_threshold
             or last_sample.dynamic_balance > cfg.balance_threshold
         )
-    raise ValueError(f"unknown strategy {strategy}")
+    return clock - last_repart >= cfg.repartition_interval
 
 
 def relabel_to_match(old: Assignment, new: Assignment) -> Assignment:
@@ -125,35 +134,26 @@ def repartition(
     cfg: ReplayConfig,
     clock: int,
     names: Sequence[str],
-) -> tuple[Assignment, int, int]:
-    """Run one repartition under ``cfg.strategy``. Returns (assignment, moves,
-    raw_moves), raw moves being those before shard-label matching.
+) -> Repartition:
+    """Run one repartition under ``cfg.strategy``.
 
     ``graph`` counts the whole trace so far, ``period`` the records since the
     last repartition; only kl, metis-window and metis-threshold read it. Both
     are keyed by id, ``a`` is a part vector and ``names`` maps id to address.
     """
-    strategy, pcfg = cfg.strategy, cfg.partitioner
-    res: MultilevelResult | None = None
-
-    if strategy is Strategy.METIS_FULL:
-        if graph.num_vertices == 0:
-            return a, 0, 0
-        res = multilevel_partition(graph, pcfg, weights="unit")
-    elif strategy in (Strategy.METIS_WINDOW, Strategy.METIS_THRESHOLD):
-        if period.num_vertices == 0:
-            return a, 0, 0
-        res = multilevel_partition(period, pcfg, weights="activity")
-    elif strategy is Strategy.KL:
+    strategy = cfg.strategy
+    if strategy is Strategy.KL:
         new = a
-        for rnd in range(pcfg.kl_rounds):
+        for rnd in range(cfg.kl_rounds):
             cands = kl_select_candidates(new, period, names.__getitem__)
             matrix = kl_build_matrix(cands, new, period)
-            new = kl_exchange(new, cands, matrix, pcfg.seed ^ clock ^ (rnd << 32))
+            new = kl_exchange(new, cands, matrix, cfg.seed ^ clock ^ (rnd << 32))
     else:
-        return a, 0, 0
-
-    if res is not None:
+        target = graph if strategy is Strategy.METIS_FULL else period
+        if strategy is Strategy.HASHING or target.num_vertices == 0:
+            return Repartition(a, 0, 0)  # nothing to partition
+        weights = "unit" if strategy is Strategy.METIS_FULL else "activity"
+        res = multilevel_partition(target, cfg.partitioner, weights=weights)
         part = a.shard_of.copy()  # vertices outside the partitioned graph keep their shard
         for v, s in res.assignment.shard_of.items():
             part[v] = s
@@ -165,8 +165,7 @@ def repartition(
             )
     raw_moves = count_moves(a, new)
     matched = relabel_to_match(a, new)
-    moves = count_moves(a, matched)
-    return matched, moves, raw_moves
+    return Repartition(matched, count_moves(a, matched), raw_moves)
 
 
 def run_replay(trace: Iterable[TraceRecord], cfg: ReplayConfig) -> ReplayResult:
@@ -237,18 +236,18 @@ def run_replay(trace: Iterable[TraceRecord], cfg: ReplayConfig) -> ReplayResult:
         )
         clock = window_start + cfg.metric_window
         if fire_trigger(clock, last_repart, sample, cfg):
-            new, moves, raw = repartition(graph, period, assignment, cfg, clock, names)
-            assignment = new
+            rep = repartition(graph, period, assignment, cfg, clock, names)
+            assignment = rep.assignment
             shard_sizes = [0] * k
             for s in assignment.shard_of:
                 shard_sizes[s] += 1
-            sample.moves = moves
+            sample.moves = rep.moves
             sample.repartitioned = True
-            total_moves += moves
+            total_moves += rep.moves
             repartition_timestamps.append(clock)
             last_repart = clock
             period = InteractionGraph()
-            log.debug("repartition at %d: %d moves (%d raw)", clock, moves, raw)
+            log.debug("repartition at %d: %d moves (%d raw)", clock, rep.moves, rep.raw_moves)
         samples.append(sample)
         window_start = clock
         tx_members.clear()

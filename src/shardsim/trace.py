@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import csv
 import gzip
+import io
 import itertools
 import json
 import logging
@@ -348,9 +349,14 @@ def infer_format(path: str) -> str:
 def open_trace(path: str, mode: str = "r") -> IO[str]:
     """Open a trace file for reading (``"r"``) or writing (``"w"``) as UTF-8
     text, gzip-compressed when its name ends in ``.gz``. Line ends are passed
-    through untranslated, so a line break inside a quoted CSV field survives."""
+    through untranslated, so a line break inside a quoted CSV field survives.
+
+    Reading drops a byte-order mark at the start of the file. A written gzip
+    header holds mtime 0, so the same text gives the same bytes."""
+    if mode == "w" and path.endswith(".gz"):
+        return io.TextIOWrapper(gzip.GzipFile(path, "wb", mtime=0), encoding="utf-8", newline="")
     opener = gzip.open if path.endswith(".gz") else open
-    return opener(path, mode + "t", encoding="utf-8", newline="")
+    return opener(path, mode + "t", encoding="utf-8-sig" if mode == "r" else "utf-8", newline="")
 
 
 def read_trace(

@@ -1,5 +1,7 @@
 import gzip
+import inspect
 import json
+import time
 
 import pytest
 from click.testing import CliRunner
@@ -7,7 +9,8 @@ from click.testing import CliRunner
 from shardsim import trace as trace_module
 from shardsim.cli import main, parse_duration
 from shardsim.graph import InteractionGraph
-from shardsim.partition import write_adjacency
+from shardsim.partition import PartitionerConfig, write_adjacency
+from shardsim.replay import ReplayConfig
 from shardsim.report import read_samples_csv
 from shardsim.synth import WorkloadSpec, generate_workload
 from shardsim.trace import VertexKind, read_trace, serialize_trace
@@ -37,6 +40,34 @@ def test_parse_duration_forms():
     assert parse_duration("14d") == 14 * 86400
     assert parse_duration("900") == 900
     assert parse_duration("2w") == 14 * 86400
+
+
+def option_defaults(command, *required):
+    """The values ``command`` receives for every option not on its command line."""
+    return main.commands[command].make_context(command, list(required)).params
+
+
+def test_option_defaults_are_the_config_defaults(tmp_path):
+    # each option that feeds a config field takes its default from that field
+    replay = option_defaults("replay", "--trace", __file__)
+    for name in ("metric_window", "repartition_interval", "cut_threshold", "balance_threshold",
+                 "epsilon", "seed", "kl_rounds"):
+        assert replay[name] == getattr(ReplayConfig, name), name
+    assert (replay["weights"] == "cumulative") is ReplayConfig.cumulative_weights
+    partition = option_defaults("partition", "--graph", __file__, "--shards", "2")
+    for name in ("epsilon", "seed"):
+        assert partition[name] == getattr(PartitionerConfig, name), name
+    synth = option_defaults("synth", "--vertices", "40", "--out", str(tmp_path / "w.csv"))
+    for name in ("communities", "inter_prob", "zipf_exponent", "duration", "records_per_hour",
+                 "rewire_at", "rewire_frac"):
+        assert synth[name] == getattr(WorkloadSpec, name), name
+    assert synth["seed"] == inspect.signature(generate_workload).parameters["seed"].default
+
+
+def test_duration_defaults_read_in_units():
+    replay_help = run("replay", "--help").output
+    assert "[default: 4h]" in replay_help and "[default: 14d]" in replay_help
+    assert "[default: 14d]" in run("synth", "--help").output
 
 
 def test_replay_writes_csv(tmp_path):
@@ -201,6 +232,40 @@ def test_synth_gzip_output_replays(tmp_path):
     assert outputs["w.csv.gz"] == outputs["w.jsonl.gz"] == outputs["w.csv"]
 
 
+def test_synth_gzip_output_is_byte_identical(tmp_path, monkeypatch):
+    # the gzip header would otherwise record when the file was written
+    trace = tmp_path / "w.csv.gz"
+    outputs = []
+    for now in (1_000_000_000.0, 2_000_000_000.0):
+        monkeypatch.setattr(time, "time", lambda now=now: now)
+        res = run("synth", "--vertices", "40", "--duration", "1d", "--rate", "10", "--out", str(trace))
+        assert res.exit_code == 0, res.output
+        outputs.append(trace.read_bytes())
+    assert outputs[0] == outputs[1]
+    assert outputs[0][4:8] == bytes(4)  # the header's mtime
+
+
+@pytest.mark.parametrize("name", ["t.csv", "t.csv.gz", "t.jsonl.gz"])
+@pytest.mark.parametrize("mode", [[], ["--lenient"]], ids=["strict", "lenient"])
+def test_replay_reads_trace_with_byte_order_mark(tmp_path, name, mode):
+    # spreadsheet programs save UTF-8 text with a byte-order mark in front
+    plain = make_trace_file(tmp_path, name)
+    data = plain.read_bytes()
+    if name.endswith(".gz"):
+        data = gzip.compress(b"\xef\xbb\xbf" + gzip.decompress(data))
+    else:
+        data = b"\xef\xbb\xbf" + data
+    marked = tmp_path / f"bom-{name}"
+    marked.write_bytes(data)
+    outputs = []
+    for path in (plain, marked):
+        res = run("replay", "--trace", str(path), "--shards", "2", *mode)
+        assert res.exit_code == 0, res.output
+        assert res.stderr == ""  # nothing skipped
+        outputs.append(res.stdout)
+    assert outputs[0] == outputs[1]
+
+
 def test_replay_oversize_field_strict_vs_lenient(tmp_path):
     trace = make_trace_file(tmp_path)
     lines = trace.read_text().splitlines()
@@ -269,6 +334,7 @@ def test_replay_invalid_config_usage_error(tmp_path):
         ["--epsilon", "-1"],
         ["--kl-rounds", "0"],
         ["--kl-rounds", "-3"],
+        ["--sweep", "k=0,2"],
     ):
         res = run("replay", "--trace", str(trace), "--sweep", "k=2,3", "--out", str(tmp_path / "o.csv"), *extra)
         assert res.exit_code == 2, res.output
@@ -331,6 +397,15 @@ def test_partition_negative_epsilon_usage_error(tmp_path):
     assert res.exit_code == 2
     assert isinstance(res.exception, SystemExit)
     assert "epsilon must be >= 0" in res.stderr
+
+
+def test_partition_zero_shards_usage_error(tmp_path):
+    gpath = tmp_path / "g.graph"
+    gpath.write_text("2 1 011\n1 2 1\n1 1 1\n")
+    res = run("partition", "--graph", str(gpath), "--shards", "0")
+    assert res.exit_code == 2
+    assert isinstance(res.exception, SystemExit)
+    assert "k must be >= 1" in res.stderr
 
 
 def test_partition_unwritable_output_is_an_error(tmp_path):

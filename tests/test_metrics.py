@@ -99,6 +99,30 @@ def test_count_moves():
         count_moves(a, Assignment([0], 2))
 
 
+def test_count_moves_compares_maps_key_by_key():
+    # final and multilevel assignments are maps; their key order says nothing
+    old = Assignment({"x": 0, "y": 1}, 2)
+    assert count_moves(old, Assignment({"x": 1, "y": 0}, 2)) == 2
+    assert count_moves(old, Assignment({"y": 0, "x": 1}, 2)) == 2
+    assert count_moves(old, Assignment({"y": 1, "x": 0}, 2)) == 0
+    assert count_moves(old, Assignment({"y": 1, "x": 1}, 2)) == 1
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        ({"x": 0, "y": 1}, {"x": 0, "z": 1}),
+        ({"x": 0, "y": 1}, {"x": 0}),
+        ({0: 0, 1: 1}, [0, 1]),
+        ([0, 1], {0: 0, 1: 1}),
+    ],
+    ids=["other-key", "missing-key", "map-then-list", "list-then-map"],
+)
+def test_count_moves_rejects_different_domains(old, new):
+    with pytest.raises(DomainMismatch):
+        count_moves(Assignment(old, 2), Assignment(new, 2))
+
+
 def brute_force_metrics(pairs, mapping, k, activity_of_pair):
     """Independent oracle: raw set enumeration over integer vertex pairs."""
     und = {}

@@ -2,6 +2,7 @@ import io
 import logging
 import random
 import weakref
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -335,3 +336,51 @@ def test_each_vertex_placed_once_by_its_strategy(strategy, monkeypatch):
     else:
         assert hashed == []
         assert assigned == list(range(len(vertices)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    steps=st.lists(
+        st.tuples(st.sampled_from(GAPS), st.integers(0, 12), st.integers(0, 12), st.integers(0, 4)),
+        min_size=1,
+        max_size=40,
+    ),
+    strategy=st.sampled_from([Strategy.METIS_FULL, Strategy.METIS_WINDOW, Strategy.METIS_THRESHOLD]),
+    k=st.integers(2, 3),
+    interval=st.sampled_from([4 * HOUR, DAY]),
+)
+def test_placement_counts_transaction_neighbours(steps, strategy, k, interval):
+    # a first-seen vertex goes next to the endpoints of the earlier records of
+    # its transaction in the same metric window, and next to its record's
+    # counterpart when that was placed first
+    records, t = [], 1000
+    for i, (gap, src, dst, tx) in enumerate(steps):
+        t += gap
+        records.append(make_record(src, dst, timestamp=t, block=i, tx_id=f"t{tx}"))
+    seen = []
+    real_assign = replay.assign_new_vertex
+
+    def assign_spy(a, tx_neighbors, shard_sizes):
+        seen.append(Counter(tx_neighbors))
+        return real_assign(a, tx_neighbors, shard_sizes)
+
+    cfg = basic_cfg(strategy, k=k, repartition_interval=interval)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(replay, "assign_new_vertex", assign_spy)
+        run_replay(records, cfg)
+
+    expected, ids = [], {}  # ids in order of first appearance, as the replay numbers them
+    window_of = [(r.timestamp - records[0].timestamp) // cfg.metric_window for r in records]
+    for i, r in enumerate(records):
+        earlier = Counter()
+        for j in range(i):
+            if records[j].tx_id == r.tx_id and window_of[j] == window_of[i]:
+                earlier[ids[records[j].src]] += 1
+                earlier[ids[records[j].dst]] += 1
+        if r.src not in ids:
+            expected.append(earlier + Counter([ids[r.dst]] if r.dst in ids else []))
+            ids[r.src] = len(ids)
+        if r.dst not in ids:
+            expected.append(earlier + Counter([ids[r.src]]))
+            ids[r.dst] = len(ids)
+    assert seen == expected
