@@ -122,6 +122,8 @@ def replay(trace_path, fmt, k, weights, lenient, out_path, out_format, sweep, **
     fmt = fmt or infer_format(trace_path)
     if sweep is None and k is None:
         raise click.UsageError("either --shards or --sweep is required")
+    if sweep is not None and k is not None:
+        raise click.UsageError("--shards and --sweep cannot be used together")
     ks = [k] if sweep is None else _parse_sweep(sweep)
     if sweep is not None and out_path is None:
         raise click.UsageError("--sweep requires --out")
@@ -145,7 +147,7 @@ def replay(trace_path, fmt, k, weights, lenient, out_path, out_format, sweep, **
     if skipped:
         click.echo(f"skipped {skipped} malformed rows", err=True)
     for kk, payload, _ in results:
-        _emit(payload, out_path if len(results) == 1 else _sweep_path(out_path, kk))
+        _emit(payload, out_path if sweep is None else _sweep_path(out_path, kk))
 
 
 def _parse_sweep(sweep: str) -> list[int]:
@@ -156,6 +158,8 @@ def _parse_sweep(sweep: str) -> list[int]:
         ks = []
     if not ks:
         raise click.BadParameter(f"bad sweep {sweep!r}, expected e.g. 'k=2,4,8'")
+    if len(set(ks)) < len(ks):
+        raise click.BadParameter(f"bad sweep {sweep!r}, a shard count is repeated")
     return ks
 
 

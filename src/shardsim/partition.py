@@ -1,10 +1,13 @@
 """Partitioning strategies: identifier hashing, probabilistic KL exchange,
 multilevel k-way partitioning, and incremental new-vertex placement.
 
-The multilevel partitioner follows the standard scheme: heavy-edge-matching
-coarsening, greedy graph growing on the coarsest graph, then boundary
-refinement (positive-gain single-vertex moves under a balance cap) while
-projecting back up the levels. Its kernels skip work whose outcome is known
+The multilevel partitioner follows the standard scheme: coarsening by
+heavy-edge matching, then two-hop matching of the vertices left single that
+share a hub (their heaviest neighbour), greedy graph growing on the coarsest
+graph, then boundary refinement (positive-gain single-vertex moves under a
+balance cap) while projecting back up the levels. Without the two-hop step a
+hub with many leaves loses one leaf per level, and coarsening stalls on
+hub-and-leaf activity graphs. Its kernels skip work whose outcome is known
 without changing a move or a random draw: refinement re-evaluates a vertex
 only when its neighbourhood or its targets' room has changed, projection
 hands each level the cut of the last, and graph growing keeps its frontier
@@ -306,31 +309,60 @@ def _shuffle(x: list, getrandbits: Callable[[int], int]) -> None:
 
 
 def coarsen_once(pg: PartGraph, rng: random.Random) -> tuple[PartGraph, list[int]]:
-    """One level of heavy-edge-matching contraction.
+    """One level of heavy-edge matching, then two-hop matching, contracted.
 
     Returns the coarse graph and the fine->coarse vertex map. Vertices are
     visited in a shuffled order; one still unmatched takes its heaviest
     unmatched neighbour (lowest index on ties), which is therefore not visited
-    yet, and the pair becomes the next coarse vertex. Total vertex weight is
-    conserved; matched-pair edges fold away (self-loops dropped).
+    yet. A vertex left single has only matched neighbours. A second walk in
+    the same order pairs those singles two hops apart: each takes its
+    heaviest neighbour (lowest index on ties) as its hub, and joins the single
+    waiting on that hub or else waits there itself. On a star, heavy-edge
+    matching takes one leaf per level; the second walk pairs up the rest.
+    Isolated vertices stay single. Coarse vertices are numbered in the visit
+    order of their first member. Total vertex weight is conserved;
+    matched-pair edges fold away (self-loops dropped).
     """
     n = len(pg)
     adj = pg.adj
     order = list(range(n))
     _shuffle(order, rng.getrandbits)
-    cmap = [-1] * n  # -1 while unmatched
-    nc = 0
+    mate = [-1] * n  # -1 while unmatched; a single vertex is its own mate
+    singles: list[int] = []  # in visit order
     for v in order:
-        if cmap[v] != -1:
+        if mate[v] != -1:
             continue
         best, best_w = -1, 0
         for u, w in adj[v].items():
-            if cmap[u] == -1 and (w > best_w or (w == best_w and (best == -1 or u < best))):
+            if mate[u] == -1 and (w > best_w or (w == best_w and (best == -1 or u < best))):
                 best, best_w = u, w
-        cmap[v] = nc
-        if best != -1:
-            cmap[best] = nc
-        nc += 1
+        if best == -1:
+            mate[v] = v
+            singles.append(v)
+        else:
+            mate[v], mate[best] = best, v
+
+    waiting: dict[int, int] = {}  # hub -> the single waiting on it
+    for v in singles:
+        nbrs = adj[v]
+        if not nbrs:
+            continue
+        hub, hub_w = -1, 0
+        for u, w in nbrs.items():
+            if w > hub_w or (w == hub_w and (hub == -1 or u < hub)):
+                hub, hub_w = u, w
+        u = waiting.pop(hub, -1)
+        if u == -1:
+            waiting[hub] = v
+        else:
+            mate[u], mate[v] = v, u
+
+    cmap = [-1] * n
+    nc = 0
+    for v in order:
+        if cmap[v] == -1:
+            cmap[v] = cmap[mate[v]] = nc
+            nc += 1
 
     cvwgt = [0] * nc
     cadj: list[dict[int, int]] = [{} for _ in range(nc)]

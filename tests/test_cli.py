@@ -183,6 +183,32 @@ def test_sweep_runs_multiple_k(tmp_path):
     assert (tmp_path / "s.k4.csv").exists()
 
 
+def test_sweep_of_one_k_writes_its_per_k_file(tmp_path):
+    trace = make_trace_file(tmp_path)
+    res = run("replay", "--trace", str(trace), "--sweep", "k=2", "--out", str(tmp_path / "s.csv"))
+    assert res.exit_code == 0, res.output
+    assert sorted(p.name for p in tmp_path.glob("s*.csv")) == ["s.k2.csv"]
+    res = run("replay", "--trace", str(trace), "--shards", "2", "--out", str(tmp_path / "t.csv"))
+    assert (tmp_path / "t.csv").read_text() == (tmp_path / "s.k2.csv").read_text()
+
+
+@pytest.mark.parametrize(
+    "args,message",
+    [
+        (["--sweep", "k=2,2"], "a shard count is repeated"),
+        (["--sweep", "k=4,2,4"], "a shard count is repeated"),
+        (["--shards", "3", "--sweep", "k=2"], "--shards and --sweep cannot be used together"),
+    ],
+    ids=["repeated", "repeated-apart", "shards-and-sweep"],
+)
+def test_sweep_usage_errors(tmp_path, args, message):
+    trace = make_trace_file(tmp_path)
+    res = run("replay", "--trace", str(trace), *args, "--out", str(tmp_path / "s.csv"))
+    assert res.exit_code == 2, res.output
+    assert message in res.output
+    assert not list(tmp_path.glob("s*.csv"))
+
+
 def test_synth_then_summarize(tmp_path):
     trace = tmp_path / "w.csv"
     truth = tmp_path / "truth.csv"

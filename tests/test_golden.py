@@ -82,12 +82,12 @@ def test_samples_csv_digest_through_read_trace(trace_files, fmt, strategy, cumul
 
 COARSENING = {
     "metis-threshold": (
-        "63b15f92e2d87ceb6a802206c61fd74eb95fb4b448c8bf8e39593c65aad4dbc8",
-        "85ebb28a42bdcddafa96db629221f6510806e896467e007f6b06851b2b382a98",
+        "081e234d98a6bdf939ae2715e788e146c59aad34c1150ae2bcdb0184f90efa2d",
+        "699a268c6359d080ac79e4ad25210541ddbb8667f0cdef9fac362be21c7f6110",
     ),
     "metis-full": (
-        "8aff9ae95b6ba920db9b3221f92a020ad84dcc7eace9d1c8c3c5d13684f9c9a6",
-        "d3dce4083a1f883a6efe6e1d3da8a779b7c559f66e788dabbf9da0b02b22d716",
+        "32b7e6f6ef0de18a3311904d3c5befb8b3c0f4c46b088ab9362fa0e903ec0aca",
+        "fcad2ed82fea9c7c70757d5aa6c125c3fff7e423042956377613087b49aee786",
     ),
 }
 

@@ -1,10 +1,12 @@
 import hashlib
 import math
 import random
+from collections import Counter, defaultdict
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from shardsim import partition
 from shardsim.graph import InteractionGraph
 from shardsim.metrics import Assignment, edge_cut
 from shardsim.partition import (
@@ -313,7 +315,8 @@ def community_partgraph(seed, n, communities, degree, weights="unit"):
 
 
 def stars_partgraph(n, centres):
-    """A forest of ``centres`` stars: each level matches one leaf per star, so coarsening stalls."""
+    """A forest of ``centres`` stars: heavy-edge matching takes one leaf per star
+    per level, and two-hop matching pairs up the other leaves on their centre."""
     adj: list[dict[int, int]] = [{} for _ in range(n)]
     for leaf in range(centres, n):
         c = leaf % centres
@@ -363,6 +366,36 @@ def test_coarsening_conserves_weight():
         return sum(sum(nbrs.values()) for nbrs in g.adj) // 2
 
     assert total_edge_weight(pg) == total_edge_weight(coarse) + folded
+
+
+def test_two_hop_matching_pairs_the_leaves_of_a_star():
+    # heavy-edge matching alone left 1,194 coarse vertices: one leaf per star
+    pg = stars_partgraph(1200, 6)
+    for seed in range(5):
+        coarse, cmap = coarsen_once(pg, random.Random(seed))
+        assert len(coarse) == 600
+        assert coarse.total_vwgt() == 1200
+
+
+def test_coarsening_gives_up_below_ten_percent_shrink(monkeypatch):
+    # 30 disjoint edges among 1,000 vertices: one level shrinks by 3 % only
+    n = 1000
+    adj: list[dict[int, int]] = [{} for _ in range(n)]
+    for u in range(0, 60, 2):
+        adj[u][u + 1] = adj[u + 1][u] = 1
+    pg = PartGraph([1] * n, adj)
+    calls = []
+
+    def counted(g, rng):
+        calls.append(len(g))
+        return coarsen_once(g, rng)
+
+    monkeypatch.setattr(partition, "coarsen_once", counted)
+    cfg = PartitionerConfig(k=4, seed=3)
+    res = partition_partgraph(pg, cfg)
+    assert calls == [n]
+    assert not res.infeasible_balance
+    assert max(Counter(res.assignment.shard_of.values()).values()) <= cfg.balance_cap(n)
 
 
 def test_projection_preserves_cut():
@@ -506,7 +539,9 @@ def test_repair_balance_heaviest_shard_changes():
 #
 # The kernels as they were before they learned to skip work whose outcome is
 # known. The kernels must make the same moves and draw the same random
-# numbers as these, call for call.
+# numbers as these, call for call. ``_coarsen_once_ref`` is heavy-edge
+# matching alone; ``_two_hop_ref``, written apart from the kernel, adds the
+# two-hop step to its result.
 
 
 def _coarsen_once_ref(pg: PartGraph, rng: random.Random) -> tuple[PartGraph, list[int]]:
@@ -547,6 +582,40 @@ def _coarsen_once_ref(pg: PartGraph, rng: random.Random) -> tuple[PartGraph, lis
             cu = cmap[u]
             if cu != cv:
                 nbrs[cu] = nbrs.get(cu, 0) + w
+    return PartGraph(cvwgt, cadj), cmap
+
+
+def _hub(pg: PartGraph, v: int) -> int:
+    """The heaviest neighbour of ``v``, lowest index on ties."""
+    return min(pg.adj[v], key=lambda u: (-pg.adj[v][u], u))
+
+
+def _two_hop_ref(pg: PartGraph, hem_cmap: list[int]) -> tuple[PartGraph, list[int]]:
+    """Bucket the heavy-edge singles that have neighbours by hub, pair each
+    bucket's singles consecutively in visit order, and contract."""
+    # heavy-edge coarse vertices are numbered in visit order of their first member
+    groups: list[list[int]] = [[] for _ in range(max(hem_cmap, default=-1) + 1)]
+    for v, c in enumerate(hem_cmap):
+        groups[c].append(v)
+    buckets = defaultdict(list)
+    for group in groups:
+        if len(group) == 1 and pg.adj[group[0]]:
+            buckets[_hub(pg, group[0])].append(group)
+    for bucket in buckets.values():
+        for first, second in zip(bucket[0::2], bucket[1::2]):
+            first.extend(second)  # the pair keeps its first member's place
+            second.clear()
+    cmap = [-1] * len(pg)
+    for c, group in enumerate(g for g in groups if g):
+        for v in group:
+            cmap[v] = c
+    cvwgt = [0] * (max(cmap, default=-1) + 1)
+    cadj: list[dict[int, int]] = [{} for _ in cvwgt]
+    for v in range(len(pg)):
+        cvwgt[cmap[v]] += pg.vwgt[v]
+        for u, w in pg.adj[v].items():
+            if cmap[u] != cmap[v]:
+                cadj[cmap[v]][cmap[u]] = cadj[cmap[v]].get(cmap[u], 0) + w
     return PartGraph(cvwgt, cadj), cmap
 
 
@@ -664,11 +733,39 @@ def test_coarsen_once_matches_reference(case):
     pg, _, _, _, seed = case
     rng, ref_rng = random.Random(seed), random.Random(seed)
     coarse, cmap = coarsen_once(pg, rng)
-    ref, ref_cmap = _coarsen_once_ref(pg, ref_rng)
+    ref, ref_cmap = _two_hop_ref(pg, _coarsen_once_ref(pg, ref_rng)[1])
     assert cmap == ref_cmap
     assert coarse.vwgt == ref.vwgt
     assert _adjacency_in_order(coarse) == _adjacency_in_order(ref)
     assert rng.getstate() == ref_rng.getstate()
+
+
+@settings(max_examples=300, deadline=None)
+@given(kernel_cases())
+def test_two_hop_pairs_only_heavy_edge_singles_on_one_hub(case):
+    pg, _, _, _, seed = case
+    _, cmap = coarsen_once(pg, random.Random(seed))
+    _, hem_cmap = _coarsen_once_ref(pg, random.Random(seed))
+
+    def groups(m):
+        members = defaultdict(set)
+        for v, c in enumerate(m):
+            members[c].add(v)
+        return {frozenset(g) for g in members.values()}
+
+    got, hem = groups(cmap), groups(hem_cmap)
+    hem_singles = {v for g in hem if len(g) == 1 for v in g}
+    assert all(len(g) <= 2 for g in got)
+    # the heavy-edge pairs are those of heavy-edge matching alone
+    assert {g for g in got if not g <= hem_singles} == {g for g in hem if len(g) == 2}
+    # each two-hop pair joins two heavy-edge singles on one hub
+    for g in got:
+        if len(g) == 2 and g <= hem_singles:
+            a, b = g
+            assert _hub(pg, a) == _hub(pg, b)
+    # no two leftover singles with neighbours share a hub
+    hubs = [_hub(pg, v) for g in got if len(g) == 1 for v in g if pg.adj[v]]
+    assert len(hubs) == len(set(hubs))
 
 
 @settings(max_examples=150, deadline=None)
@@ -706,7 +803,7 @@ def test_kernels_match_references_on_community_graphs():
             cap = (1 + epsilon) * pg.total_vwgt() / k
             rng, ref_rng = random.Random(seed), random.Random(seed)
             coarse, cmap = coarsen_once(pg, rng)
-            ref, ref_cmap = _coarsen_once_ref(pg, ref_rng)
+            ref, ref_cmap = _two_hop_ref(pg, _coarsen_once_ref(pg, ref_rng)[1])
             assert (cmap, _adjacency_in_order(coarse)) == (ref_cmap, _adjacency_in_order(ref))
             part = _greedy_grow(coarse, k, cap, rng)
             assert part == _greedy_grow_ref(ref, k, cap, ref_rng)
@@ -720,37 +817,38 @@ def test_kernels_match_references_on_community_graphs():
 # --- multilevel goldens --------------------------------------------------------
 #
 # The replay goldens' graphs are too small to coarsen. These pin
-# partition_partgraph on graphs that do, and on one whose coarsening stalls.
+# partition_partgraph on graphs that do, among them a star forest, on which
+# heavy-edge matching alone stalled after one level (1,200 -> 1,194).
 
 
 MULTILEVEL_GOLDEN = {
     "communities-1000-k2-unit": (
         lambda: community_partgraph(1, 1000, 2, 3), 2,
-        "600f3d9864f8c33f2b685d34edc4ec32de678a8661ae252774d73c5567158752",
+        "8cc1f829646cda4ef25028614b9398d18d2cddd3360b56ab3d4045800094d18f",
     ),
     "communities-3000-k8-unit": (
         lambda: community_partgraph(2, 3000, 8, 2), 8,
-        "a70fc1ef580c14f1f1b3073a439be38da1976396f4fdc782141e9d07930338c5",
+        "24c3c6a6e7340438534832df726b44ad1de8090b99d6dc1a6ffce1e9745940e4",
     ),
     "communities-2000-k16-unit": (
         lambda: community_partgraph(3, 2000, 16, 2), 16,
-        "590135bba73e5f9988a8dcc99fc5a33af3e2fcc2e6950ebb2e5ff876b28ca515",
+        "367bca22a4d79f1b23906d09e70abf146b6d98e9aa2cd638c1eea48f2d1c1867",
     ),
     "communities-1500-k8-skewed": (
         lambda: community_partgraph(4, 1500, 8, 2, "skewed"), 8,
-        "e45380fd4b46d36a50aaa15e0ab8facb2356edf3e9afbbcc67588aab6f99435b",
+        "a80e952450d1ad8b728ede6a4e95a0fedd36773e4203db8ec66258bcf9296c80",
     ),
     "communities-2400-k16-skewed": (  # sparse enough to leave isolated vertices
         lambda: community_partgraph(5, 2400, 16, 1, "skewed"), 16,
-        "572996a92d5d60b482c58f23cf4c8217a039f83977142c97df3009308557b173",
+        "81aabcf417112298dd739c458c238e5ae387a1704dd4f787094926f260aa1f1f",
     ),
     "stars-1200-k8": (
         lambda: stars_partgraph(1200, 6), 8,
-        "3219d2a9825bc7a68aa937766682e2586dacb5ff7b6db3d2263ccfbcd9e6dd15",
+        "b336f9e7fbdd1c12a97156174dfd7bea7fe6b6a848efd1d2b09b5379e2ce1e14",
     ),
     "heavy-800-k2": (
         lambda: community_partgraph(6, 800, 2, 2, "heavy"), 2,
-        "48e7d9d2c8f7c4d7f24df93a9bb4a98255af6b1e5462ac5eed0ead575bfd78bd",
+        "be404d946c2945b55befa3154b40034fbd331cb1b4aed961baef4a7fcc9195ae",
     ),
 }
 
