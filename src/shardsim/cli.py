@@ -190,7 +190,12 @@ def partition(graph_path, sidecar, k, epsilon, seed, out_path):
     lines = ["vertex,shard"] + [f"{v},{s}" for v, s in res.assignment.shard_of.items()]
     _emit("\n".join(lines) + "\n", out_path)
     if res.infeasible_balance:
-        click.echo("warning: balance bound unattainable, best-effort result", err=True)
+        verdict = "unattainable" if res.max_vertex_weight > res.balance_cap else "not met"
+        click.echo(
+            f"warning: balance cap {res.balance_cap:g} {verdict} (heaviest vertex weighs "
+            f"{res.max_vertex_weight}), best-effort result",
+            err=True,
+        )
 
 
 @main.command()

@@ -7,7 +7,11 @@ share a hub (their heaviest neighbour), greedy graph growing on the coarsest
 graph, then boundary refinement (positive-gain single-vertex moves under a
 balance cap) while projecting back up the levels. Without the two-hop step a
 hub with many leaves loses one leaf per level, and coarsening stalls on
-hub-and-leaf activity graphs. Its kernels skip work whose outcome is known
+hub-and-leaf activity graphs. Graph growing passes over a vertex that would
+push the shard it grows over the cap and goes on growing, as METIS does
+(Karypis & Kumar, SIAM J. Sci. Comput. 20(1), 1998), so the last shard is
+not left with every vertex the others stopped short of, for the balance
+repair to move one at a time. Its kernels skip work whose outcome is known
 without changing a move or a random draw: refinement re-evaluates a vertex
 only when its neighbourhood or its targets' room has changed, projection
 hands each level the cut of the last, and graph growing keeps its frontier
@@ -21,7 +25,7 @@ from __future__ import annotations
 import functools
 import heapq
 import random
-from bisect import bisect_left
+from bisect import bisect_left, insort
 from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, ClassVar, Mapping, Sequence
@@ -382,37 +386,50 @@ def _greedy_grow(pg: PartGraph, k: int, cap: float, rng: random.Random) -> list[
     Shards 0..k-2 each grow from a random unassigned vertex by the frontier
     vertex with the most edge weight into the shard (lowest index on ties).
     That weight only grows, so a lazy heap of ``(-weight, vertex)`` finds it.
+    A vertex that would push the non-empty shard over ``cap`` is passed over:
+    it stays unassigned, leaves the frontier and is never offered to this
+    shard again (the shard only gets heavier), and growing goes on with the
+    next frontier vertex, or with a random seed among the unassigned vertices
+    not passed over. A shard closes at its target, ``1/(k - shard)`` of the
+    weight left, or when no unassigned vertex fits; shard k-1 takes the rest.
     """
     n = len(pg)
     vwgt, adj = pg.vwgt, pg.adj
     part = [-1] * n
-    unassigned = list(range(n))  # kept sorted: rng.choice must see the same sequence
+    # kept sorted, rng.choice must see the same sequence; while a shard grows
+    # it lacks the vertices passed over, which return when the shard closes
+    unassigned = list(range(n))
     total_left = pg.total_vwgt()
     for shard in range(k - 1):
         if not unassigned:
             break
         target = total_left / (k - shard)
         weight = 0
+        passed: set[int] = set()
         conn: dict[int, int] = {}  # the frontier's edge weight into the shard
         frontier: list[tuple[int, int]] = []
-        while unassigned and weight < target:
+        while weight < target:
             if conn:
                 c, v = heapq.heappop(frontier)
                 while conn.get(v) != -c:
                     c, v = heapq.heappop(frontier)
                 del conn[v]
-            else:
+            elif unassigned:
                 v = rng.choice(unassigned)
-            if weight > 0 and weight + vwgt[v] > cap:
-                # full enough; do not blow the cap once the region is nonempty
-                break
-            part[v] = shard
+            else:
+                break  # nothing unassigned fits
             del unassigned[bisect_left(unassigned, v)]
+            if weight > 0 and weight + vwgt[v] > cap:
+                passed.add(v)
+                continue
+            part[v] = shard
             weight += vwgt[v]
             for u, w in adj[v].items():
-                if part[u] == -1:
+                if part[u] == -1 and u not in passed:
                     c = conn[u] = conn.get(u, 0) + w
                     heapq.heappush(frontier, (-c, u))
+        for v in passed:
+            insort(unassigned, v)
         total_left -= weight
     for v in unassigned:
         part[v] = k - 1

@@ -434,6 +434,28 @@ def test_partition_zero_shards_usage_error(tmp_path):
     assert "k must be >= 1" in res.stderr
 
 
+@pytest.mark.parametrize(
+    "text, warning",
+    [
+        # every vertex fits the cap of 3, but no split of three 2s does
+        ("3 0 011\n2\n2\n2\n", "warning: balance cap 3 not met (heaviest vertex weighs 2), best-effort result"),
+        ("2 0 011\n5\n1\n", "warning: balance cap 3 unattainable (heaviest vertex weighs 5), best-effort result"),
+    ],
+    ids=["every-vertex-fits", "heavy-vertex"],
+)
+def test_partition_warns_when_the_cap_is_not_met(tmp_path, text, warning):
+    gpath = tmp_path / "g.graph"
+    gpath.write_text(text)
+    n = int(text.split()[0])
+    res = run("partition", "--graph", str(gpath), "--shards", "2", "--epsilon", "0")
+    assert res.exit_code == 0, res.output
+    assert res.stderr.strip() == warning
+    lines = res.stdout.splitlines()
+    assert lines[0] == "vertex,shard"
+    assert [line.split(",")[0] for line in lines[1:]] == [str(v) for v in range(n)]
+    assert {line.split(",")[1] for line in lines[1:]} <= {"0", "1"}
+
+
 def test_partition_unwritable_output_is_an_error(tmp_path):
     gpath = tmp_path / "g.graph"
     gpath.write_text("2 1 011\n1 2 1\n1 1 1\n")

@@ -27,18 +27,18 @@ GOLDEN = {
     ("hashing", False): "d82b54d2fa81d7a18e3bfd2328c4b2a889f60377daac1675e34cf268b688707c",
     ("kl", False): "541ea6a317fb5dcecde7f43d5a453dd92d64d0dcc859b14b299bb9fd2e553b47",
     ("metis-full", False): "e13976501ff296ec20aadf8afa0e10bfa50c555e0e687f46cc2f5282df35ccec",
-    ("metis-window", False): "61a4c3c43c30c7e95f573268ea10f85479142915d9fb9605fb47ae7bfc4c8040",
-    ("metis-threshold", False): "7658069bcb259f692f75ab6628d1bf489128288c235c777cb889b1ccc049e72c",
-    ("metis-window", True): "a1f2d446e128a0b8d872a9be74e70c3ee22edc86951a7596143cb82957378d39",
+    ("metis-window", False): "9351b91b55f5f72886d3804b14b53a1c4b9876825775a5666f07375efece3229",
+    ("metis-threshold", False): "636c6c760c9a355fb357a720fe166b032fcb3af7fe1690bbfacab3cdba7619e5",
+    ("metis-window", True): "a3e06c15c7626c66b77381a28b382a5ddffb4c5e770ecb4531c40653036959a7",
 }
 
 FINAL_ASSIGNMENT = {
     ("hashing", False): "a6d986ff182b2705d6cb353e04d1b7f44faaa44fafb157fe70c3d2b8fa6f83f5",
     ("kl", False): "26edf6f52ef31a866d6eff6f93dc6546b318a2ed735ae414df814dd4ba573081",
     ("metis-full", False): "ae248965fdcb630df204c4dc3b77c68379194b15ecc6e4647f0330b13be844cc",
-    ("metis-window", False): "f5a40011e7f41c54e3484b20d2355541c577db189905af2e81f628b86f8cd853",
-    ("metis-threshold", False): "19577096744d8f11d9199c1cdd609d139c8e4892db2fe23e5c9e7eec6c3d2543",
-    ("metis-window", True): "f5a40011e7f41c54e3484b20d2355541c577db189905af2e81f628b86f8cd853",
+    ("metis-window", False): "53e0364f4f0bbc9b764da08b6df74d1556a95ac74fd227a97e572628cc87b9d1",
+    ("metis-threshold", False): "d302bbc76428feca5b7f34181019c866e0d55e7ba7c2203f0c9775f434e504db",
+    ("metis-window", True): "53e0364f4f0bbc9b764da08b6df74d1556a95ac74fd227a97e572628cc87b9d1",
 }
 
 
@@ -82,8 +82,8 @@ def test_samples_csv_digest_through_read_trace(trace_files, fmt, strategy, cumul
 
 COARSENING = {
     "metis-threshold": (
-        "081e234d98a6bdf939ae2715e788e146c59aad34c1150ae2bcdb0184f90efa2d",
-        "699a268c6359d080ac79e4ad25210541ddbb8667f0cdef9fac362be21c7f6110",
+        "91fbde4a0cd228e5d98eea9d3f0bfe0d4b5b731baff04418ad71a721d0c23e12",
+        "a6a38053c6437f439f8d88b8026044babd4523431c29024c1734fb2f6b15d4fa",
     ),
     "metis-full": (
         "32b7e6f6ef0de18a3311904d3c5befb8b3c0f4c46b088ab9362fa0e903ec0aca",
