@@ -23,7 +23,7 @@ from shardsim.partition import PartitionerConfig, partition_partgraph, read_adja
 from shardsim.replay import ReplayConfig, Strategy, run_replay
 from shardsim.report import format_summary, read_samples_csv, samples_to_csv, samples_to_json, summarize
 from shardsim.synth import WorkloadSpec, generate_workload, write_truth
-from shardsim.trace import ParseStats, TraceError, infer_format, open_trace, read_trace, serialize_trace
+from shardsim.trace import ParseStats, TraceError, _csv_field, infer_format, open_trace, read_trace, serialize_trace
 
 _DURATION_RE = re.compile(r"^(\d+)\s*(s|m|h|d|w)?$")
 _DURATION_UNITS = {"s": 1, "m": 60, "h": 3600, "d": 86400, "w": 7 * 86400}
@@ -187,7 +187,7 @@ def partition(graph_path, sidecar, k, epsilon, seed, out_path):
         res = partition_partgraph(read_adjacency(graph_path, sidecar), cfg)
     except (OSError, ValueError) as exc:
         _fail(exc)
-    lines = ["vertex,shard"] + [f"{v},{s}" for v, s in res.assignment.shard_of.items()]
+    lines = ["vertex,shard"] + [f"{_csv_field(str(v))},{s}" for v, s in res.assignment.shard_of.items()]
     _emit("\n".join(lines) + "\n", out_path)
     if res.infeasible_balance:
         verdict = "unattainable" if res.max_vertex_weight > res.balance_cap else "not met"

@@ -14,10 +14,12 @@ not left with every vertex the others stopped short of, for the balance
 repair to move one at a time. Its kernels skip work whose outcome is known
 without changing a move or a random draw: refinement re-evaluates a vertex
 only when its neighbourhood or its targets' room has changed, projection
-hands each level the cut of the last, and graph growing keeps its frontier
-in a heap. Kernels shuffle through ``_shuffle``, which makes
-``Random.shuffle``'s ``getrandbits`` draws and swaps inline: it leaves the
-same order and generator state, without two Python-level calls per element.
+hands each level the cut of the last, graph growing keeps its frontier in
+a heap, and balance repair keeps one lazy heap of the moves out of the
+heaviest shard instead of rescanning it for every move. Kernels shuffle
+through ``_shuffle``, which makes ``Random.shuffle``'s ``getrandbits`` draws
+and swaps inline: it leaves the same order and generator state, without two
+Python-level calls per element.
 """
 
 from __future__ import annotations
@@ -126,7 +128,7 @@ def kl_select_candidates(
             conn[v][shard_of[u]] += w
     out: dict[int, list[Candidate]] = {i: [] for i in range(k)}
     for v in sorted(conn, key=key):
-        c = conn[v]
+        c = conn.pop(v)  # no row outlives the judging of its vertex
         own = shard_of[v]
         inside = c[own]
         c[own] = -1  # activity is never negative, so max picks another shard
@@ -452,87 +454,58 @@ def _repair_balance(pg: PartGraph, part: list[int], k: int, cap: float) -> bool:
     j)``, where ``conn[v][j]`` is v's edge weight into shard j. It stops when
     no shard is over the cap, no move fits, or after ``2 * |V|`` moves.
 
-    No vertex ever joins a shard that is over the cap, so ``conn`` is kept
-    only for the vertices of shards that start over it, and updated move by
-    move. While ``over`` stays the heaviest the other shards only gain
-    weight, so the lightest has the most room, and a vertex that does not
-    fit in a shard never will. Lazy heaps of the members of ``over``,
-    rebuilt when it changes, hold ``(conn[v][over], v)`` in ``nearest``,
-    the key toward any shard v has no edge into, where the lightest is best,
-    and ``(conn[v][over] - conn[v][j], v)`` in ``toward[j]`` for members
-    with edges into j. ``nearest`` over-estimates those keys, so it never
-    beats ``toward[j]`` with them. A move lowers keys of the mover's
-    neighbours in ``over``: their fresh keys are pushed and sit ahead of the
-    old ones. An entry is dropped once its vertex has left ``over`` or no
-    longer fits. Edge weights must be positive and the adjacency symmetric.
+    One lazy heap holds these keys for every move of every member of
+    ``over``; it is rebuilt, with fresh ``conn`` rows, whenever ``over``
+    changes. Until then the other shards only gain weight, so a move that
+    no longer fits never will and is dropped, and one whose ``weights[j]``
+    has risen is pushed back with the new weight. A neighbour leaving
+    ``over`` strictly lowers every key of a member, whose fresh keys are
+    pushed then. They come out ahead of the old ones, so an old key surfaces
+    only once its member has moved or its move no longer fits, and is dropped
+    as such. Edge weights must be positive and the adjacency symmetric.
     """
     n = len(pg)
     vwgt, adj = pg.vwgt, pg.adj
     weights = _shard_weights(pg, part, k)
-    if max(weights) <= cap:
-        return True
-    conn: list[list[int] | None] = [None] * n
-    for v in range(n):
-        if weights[part[v]] > cap:
-            c = conn[v] = [0] * k
-            for u, w in adj[v].items():
-                c[part[u]] += w
-    nearest: list[tuple[int, int]] = []
-    toward: list[list[tuple[int, int]]] = []
-    heaps_over = -1
+    conn: dict[int, list[int]] = {}  # the members of over
+    heap: list[tuple[int, int, int, int]] = []
+    heap_over = -1
     for _ in range(n * 2):
         heaviest = max(weights)
         if heaviest <= cap:
             return True
         over = weights.index(heaviest)
-        if over != heaps_over:
-            nearest, toward = [], [[] for _ in range(k)]
+        if over != heap_over:
+            conn = {}
             for v in range(n):
                 if part[v] == over:
-                    c = conn[v]
-                    nearest.append((c[over], v))
-                    for j in range(k):
-                        if c[j] and j != over:
-                            toward[j].append((c[over] - c[j], v))
-            heapq.heapify(nearest)
-            for h in toward:
-                heapq.heapify(h)
-            heaps_over = over
-        lightest, light = min((weights[j], j) for j in range(k) if j != over)
-        best: tuple[int, int, int, int] | None = None
-        room = cap - lightest
-        while nearest:
-            d, v = nearest[0]
-            if part[v] == over and vwgt[v] <= room:
-                best = (d, lightest, v, light)
-                break
-            heapq.heappop(nearest)
-        for j, h in enumerate(toward):
-            room = cap - weights[j]
-            while h:
-                d, v = h[0]
-                if part[v] == over and vwgt[v] <= room:
-                    if best is None or (d, weights[j], v, j) < best:
-                        best = (d, weights[j], v, j)
-                    break
-                heapq.heappop(h)
-        if best is None:
-            return False
-        _, _, v, to = best
-        part[v] = to
-        weights[over] -= vwgt[v]
-        weights[to] += vwgt[v]
-        for u, w in adj[v].items():
-            c = conn[u]
-            if c is None:
+                    c = conn[v] = [0] * k
+                    for u, w in adj[v].items():
+                        c[part[u]] += w
+            heap = [(c[over] - c[j], weights[j], v, j) for v, c in conn.items() for j in range(k) if j != over]
+            heapq.heapify(heap)
+            heap_over = over
+        while heap:
+            d, wj, v, j = heapq.heappop(heap)
+            if v not in conn or weights[j] + vwgt[v] > cap:
                 continue
-            c[over] -= w
-            c[to] += w
-            if part[u] == over:
-                heapq.heappush(nearest, (c[over], u))
-                for j in range(k):
-                    if c[j] and j != over:
-                        heapq.heappush(toward[j], (c[over] - c[j], u))
+            if wj == weights[j]:
+                break
+            heapq.heappush(heap, (d, weights[j], v, j))
+        else:
+            return False
+        del conn[v]
+        part[v] = j
+        weights[over] -= vwgt[v]
+        weights[j] += vwgt[v]
+        for u, w in adj[v].items():
+            c = conn.get(u)
+            if c is not None:
+                c[over] -= w
+                c[j] += w
+                for i in range(k):
+                    if i != over:
+                        heapq.heappush(heap, (c[over] - c[i], weights[i], u, i))
     return max(weights) <= cap
 
 
@@ -670,7 +643,7 @@ def partition_partgraph(pg: PartGraph, cfg: PartitionerConfig) -> MultilevelResu
         part = [part[c] for c in cmap]
         cut = fm_refine(fine, part, k, cap, REFINE_PASSES, rng, pass_cuts, cut)
 
-    infeasible = not _repair_balance(pg, part, k, cap) or heaviest > cap
+    infeasible = not _repair_balance(pg, part, k, cap)
     return MultilevelResult(Assignment(dict(zip(pg.names, part)), k), infeasible, pass_cuts, cap, heaviest)
 
 
@@ -735,16 +708,18 @@ def write_adjacency(graph: InteractionGraph, path: str, sidecar: str, weights: s
 def read_adjacency(path: str, sidecar: str | None = None) -> PartGraph:
     """Load a graph written by write_adjacency.
 
-    Raises ValueError unless it is a PartGraph the kernels accept: exactly
-    |V| >= 0 vertex lines (blank lines after them are ignored), neighbour
-    indices in 1..|V|, no self-loops, vertex and edge weights of at least 1,
-    each edge listed from both ends with one weight, |E| as the header says,
-    and a sidecar, if given, of |V| distinct names.
+    Raises ValueError unless it is a PartGraph the kernels accept: a header
+    of exactly ``|V| |E| 011``, |V| >= 0 vertex lines (blank lines after them
+    are ignored), neighbour indices in 1..|V|, no self-loops, vertex and edge
+    weights of at least 1, each edge listed from both ends with one weight,
+    |E| as the header says, and a sidecar, if given, of |V| distinct names.
     """
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().split()
-        if len(header) < 2:
-            raise ValueError("bad adjacency header")
+        if len(header) != 3:
+            raise ValueError(f"adjacency header has {len(header)} fields, not |V|, |E| and the format field 011")
+        if header[2] != "011":
+            raise ValueError(f"adjacency header's format field is {header[2]}, not 011 (vertex and edge weights)")
         n, m = int(header[0]), int(header[1])
         if n < 0:
             raise ValueError(f"header says {n} vertices, a negative count")

@@ -1,5 +1,7 @@
+import csv
 import gzip
 import inspect
+import io
 import json
 import time
 
@@ -524,6 +526,18 @@ def test_partition_subcommand(tmp_path):
     first_clique = {shards[vid(i)] for i in range(5)}
     second_clique = {shards[vid(i)] for i in range(5, 10)}
     assert len(first_clique) == 1 and len(second_clique) == 1 and first_clique != second_clique
+
+
+def test_partition_quotes_vertex_names(tmp_path):
+    gpath, spath = tmp_path / "g.graph", tmp_path / "g.map"
+    gpath.write_text("2 1 011\n1 2 1\n1 1 1\n")
+    spath.write_text('a,b\n"c\n')
+    res = run("partition", "--graph", str(gpath), "--sidecar", str(spath), "--shards", "2")
+    assert res.exit_code == 0, res.output
+    rows = list(csv.reader(io.StringIO(res.stdout)))
+    assert rows[0] == ["vertex", "shard"]
+    assert [row[0] for row in rows[1:]] == ["a,b", '"c']
+    assert all(len(row) == 2 for row in rows)
 
 
 def test_replay_byte_identical_across_runs(tmp_path):

@@ -535,6 +535,26 @@ def test_repair_balance_heaviest_shard_changes():
     assert left == {0, 1}
 
 
+@pytest.mark.parametrize(
+    "seed,n,k,weights",
+    [(1, 400, 2, "unit"), (2, 300, 8, "skewed"), (3, 200, 16, "unit"),
+     (4, 300, 16, "skewed"), (5, 400, 8, "unit"), (6, 200, 2, "skewed")],
+)
+def test_repair_balance_matches_scan_reference_on_community_graphs(seed, n, k, weights):
+    # hundreds of moves per call: keys go stale, targets gain weight under
+    # queued moves, and with two shards over the cap the heaviest one changes
+    # back and forth; the skewed k=16 graph cannot meet its cap
+    pg = community_partgraph(seed, n, k, 3, weights)
+    cap = 1.05 * pg.total_vwgt() / k
+    starts = [[0] * n]
+    if k > 2:  # shards 0 and 1 both over the cap
+        starts.append([v % 2 if v % 4 else v % k for v in range(n)])
+    for start in starts:
+        fast, ref = list(start), list(start)
+        assert _repair_balance(pg, fast, k, cap) == _repair_balance_scan(pg, ref, k, cap)
+        assert fast == ref
+
+
 # --- multilevel kernel oracles ----------------------------------------------
 #
 # The kernels as they were before they learned to skip work whose outcome is
@@ -941,6 +961,9 @@ BAD_ADJACENCY = {
     "too-few-vertex-lines": ("3 1 011\n1 2 1\n1 1 1\n", "header says 3 vertices, the file ends after 2"),
     "line-after-last-vertex": ("2 1 011\n1 2 1\n1 1 1\n1\n", "non-blank line follows the 2 vertex lines"),
     "negative-vertex-count": ("-1 0 011\n", "header says -1 vertices"),
+    "edge-weights-only-format": ("3 2 001\n2 1 3 1\n1 1\n1 1\n", "format field is 001, not 011"),
+    "unknown-format": ("4 3 xyz\n1 2 1\n1 1 1 3 1\n1 2 1 4 1\n1 3 1\n", "format field is xyz, not 011"),
+    "no-format-field": ("4 3\n1 2 1\n1 1 1 3 1\n1 2 1 4 1\n1 3 1\n", "header has 2 fields"),
     # a third entry is the sidecar's text
     "repeated-sidecar-name": ("2 1 011\n1 2 1\n1 1 1\n", "sidecar names vertex 'a' more than once", "a\na\n"),
 }
