@@ -27,9 +27,10 @@ from __future__ import annotations
 import functools
 import heapq
 import random
-from bisect import bisect_left, insort
+from bisect import bisect_left, bisect_right, insort
 from collections import Counter
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable, ClassVar, Mapping, Sequence
 
 from shardsim.graph import InteractionGraph
@@ -50,7 +51,7 @@ class PartitionerConfig:
     def __post_init__(self) -> None:
         if self.k < 1:
             raise ValueError("k must be >= 1")
-        if self.epsilon < 0:
+        if not self.epsilon >= 0:  # written so that NaN fails too; inf is a cap nothing exceeds
             raise ValueError("epsilon must be >= 0")
 
     def balance_cap(self, total_weight: int) -> float:
@@ -146,11 +147,12 @@ def kl_build_matrix(
     """Row-stochastic k x k matrix directing candidate exchanges.
 
     The balance requirement constrains the expected NET flow per shard, so
-    the flow has two parts: matched two-way swaps, min(demand[i][j],
-    demand[j][i]), which never change loads, plus residual demand scaled so
-    no shard sends more than its surplus over the mean load nor receives
-    more than its deficit. Row i is converted to probabilities against shard
-    i's total candidate weight, remainder mass on the diagonal (stay put).
+    the flow has two parts: ``flow``, the matched two-way swaps
+    min(demand[i][j], demand[j][i]), which never change loads, and ``net``,
+    the residual demand scaled so no shard sends more than its surplus over
+    the mean load (rows first) nor receives more than its deficit (then
+    columns). Row i is converted to probabilities against shard i's total
+    candidate weight, remainder mass on the diagonal (stay put).
     """
     k = a.k
     vact = activity.vertices
@@ -159,57 +161,42 @@ def kl_build_matrix(
     for v, w in vact.items():
         loads[a.shard_of[v]] += w
         total += w
-    mean = total / k if k else 0.0
-    surplus = [loads[i] - mean for i in range(k)]
+    mean = total / k
+    surplus = [load - mean for load in loads]
 
     cand_weight = [0.0] * k  # total movable activity weight per shard
-    demand = [[0.0] * k for _ in range(k)]
-    for i in range(k):
-        for c in candidates.get(i, ()):
+    net = [[0.0] * k for _ in range(k)]  # the demand, until the swaps leave it
+    for i, cands in candidates.items():
+        for c in cands:
             w = float(vact.get(c.vertex, 0))
             cand_weight[i] += w
-            demand[i][c.target] += w
-
-    swap = [[0.0] * k for _ in range(k)]
-    residual = [[0.0] * k for _ in range(k)]
-    for i in range(k):
-        for j in range(k):
-            if i != j:
-                swap[i][j] = min(demand[i][j], demand[j][i])
-                residual[i][j] = demand[i][j] - swap[i][j]
-
-    net = [[0.0] * k for _ in range(k)]
-    for i in range(k):
-        row_demand = sum(residual[i])
+            net[i][c.target] += w
+    # on the diagonal this is the demand of a shard on itself, left out below
+    flow = [[min(d, net[j][i]) for j, d in enumerate(row)] for i, row in enumerate(net)]
+    for i, (row, swaps) in enumerate(zip(net, flow)):
+        residual = [d - s for d, s in zip(row, swaps)]
+        row_demand = sum(residual)
         want_out = max(surplus[i], 0.0)
-        if row_demand <= 0.0 or want_out <= 0.0:
-            continue
-        scale = min(1.0, want_out / row_demand)
-        for j in range(k):
-            net[i][j] = residual[i][j] * scale
+        scale = 0.0 if row_demand <= 0.0 or want_out <= 0.0 else min(1.0, want_out / row_demand)
+        net[i] = [r * scale for r in residual]
     for j in range(k):
-        inflow = sum(net[i][j] for i in range(k))
+        inflow = sum(row[j] for row in net)
         room = max(-surplus[j], 0.0)
         if inflow > room:
-            scale = room / inflow if inflow > 0 else 0.0
-            for i in range(k):
-                net[i][j] *= scale
+            scale = room / inflow
+            for row in net:
+                row[j] *= scale
 
-    flow = [[swap[i][j] + net[i][j] for j in range(k)] for i in range(k)]
-
-    p = [[0.0] * k for _ in range(k)]
-    for i in range(k):
-        if cand_weight[i] > 0.0:
-            for j in range(k):
-                if j != i:
-                    p[i][j] = flow[i][j] / cand_weight[i]
-        off = sum(p[i][j] for j in range(k) if j != i)
+    p = []
+    for i, (swaps, moves) in enumerate(zip(flow, net)):
+        w = cand_weight[i]
+        row = [(s + m) / w if j != i and w > 0.0 else 0.0 for j, (s, m) in enumerate(zip(swaps, moves))]
+        off = sum(row)
         if off > 1.0:  # guard against float drift
-            for j in range(k):
-                if j != i:
-                    p[i][j] /= off
+            row = [x / off for x in row]
             off = 1.0
-        p[i][i] = 1.0 - off
+        row[i] = 1.0 - off
+        p.append(row)
     return p
 
 
@@ -222,24 +209,20 @@ def kl_exchange(
     """Move each candidate of shard i to shard j with probability matrix[i][j].
 
     Shards are drawn in index order and each shard's candidates in the order
-    listed. Deterministic for a fixed seed; non-candidates never move. The
+    listed. A candidate goes to the first shard whose cumulative row sum
+    exceeds its draw, and stays in shard i when the draw reaches past the
+    row's sum. Deterministic for a fixed seed; non-candidates never move. The
     result is a new assignment.
     """
     rng = random.Random(seed)
     shard_of = a.shard_of.copy()
+    k = a.k
     for i in sorted(candidates):
-        row = matrix[i]
+        cumulative = list(accumulate(matrix[i]))
         for c in candidates[i]:
-            u = rng.random()
-            acc = 0.0
-            dest = i
-            for j in range(a.k):
-                acc += row[j]
-                if u < acc:
-                    dest = j
-                    break
-            shard_of[c.vertex] = dest
-    return Assignment(shard_of, a.k)
+            j = bisect_right(cumulative, rng.random())
+            shard_of[c.vertex] = j if j < k else i
+    return Assignment(shard_of, k)
 
 
 # ---------------------------------------------------------------------------

@@ -71,6 +71,8 @@ class ReplayConfig:
         self.partitioner  # checks k and epsilon
         if self.kl_rounds < 1:
             raise ValueError("kl_rounds must be >= 1")
+        if not (self.cut_threshold >= 0 and self.balance_threshold >= 0):  # NaN fails too; inf never fires
+            raise ValueError("cut_threshold and balance_threshold must be >= 0")
         if self.metric_window <= 0:
             raise ValueError("metric_window must be positive")
         if self.repartition_interval < self.metric_window:

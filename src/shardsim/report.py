@@ -78,7 +78,7 @@ def read_samples_csv(path: str) -> list[dict]:
     than ``csv.field_size_limit()``); blank lines are skipped.
     """
     out: list[dict] = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:  # a leading BOM is not part of the header
         reader = csv.reader(fh)
         try:
             header = next(reader, [])

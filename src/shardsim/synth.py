@@ -39,10 +39,10 @@ class WorkloadSpec:
             raise ValueError("communities must be in [1, vertices]")
         if not 0.0 <= self.inter_prob <= 1.0:
             raise ValueError("inter_prob must be in [0, 1]")
-        if self.zipf_exponent < 0:
+        if not self.zipf_exponent >= 0:  # written so that NaN fails too
             raise ValueError("zipf_exponent must be >= 0")
-        if self.duration <= 0 or self.records_per_hour <= 0:
-            raise ValueError("duration and records_per_hour must be positive")
+        if self.duration <= 0 or not 0 < self.records_per_hour < math.inf:
+            raise ValueError("duration must be positive and records_per_hour positive and finite")
         if self.rewire_at is not None and not 0.0 < self.rewire_at < 1.0:
             raise ValueError("rewire_at must be in (0, 1)")
         if not 0.0 <= self.rewire_frac <= 1.0:

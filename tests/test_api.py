@@ -76,6 +76,17 @@ def test_replay_config_builds_its_partitioner():
             ReplayConfig(**{"k": 3, "strategy": Strategy.KL, **bad})
 
 
+def test_nan_settings_rejected_and_inf_accepted():
+    nan, inf = float("nan"), float("inf")
+    with pytest.raises(ValueError, match="epsilon must be >= 0"):
+        PartitionerConfig(2, nan)
+    for bad in ({"epsilon": nan}, {"cut_threshold": nan}, {"balance_threshold": nan}, {"cut_threshold": -0.1}):
+        with pytest.raises(ValueError):
+            ReplayConfig(**{"k": 3, "strategy": Strategy.METIS_THRESHOLD, **bad})
+    cfg = ReplayConfig(k=3, strategy=Strategy.METIS_THRESHOLD, epsilon=inf, cut_threshold=inf, balance_threshold=inf)
+    assert cfg.partitioner.balance_cap(30) == inf
+
+
 def test_partitioner_follows_replay_config_changes():
     cfg = ReplayConfig(k=4, strategy=Strategy.HASHING)
     cfg.k = 8

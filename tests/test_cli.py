@@ -3,11 +3,15 @@ import gzip
 import inspect
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 
 import pytest
 from click.testing import CliRunner
 
+import shardsim
 from shardsim import trace as trace_module
 from shardsim.cli import main, parse_duration
 from shardsim.graph import InteractionGraph
@@ -226,7 +230,11 @@ def test_synth_then_summarize(tmp_path):
     assert "dynamic_edge_cut" in res.output and "total_moves:" in res.output
 
 
-@pytest.mark.parametrize("args", [["--vertices", "1"], ["--rewire-frac", "2"], ["--rewire-frac", "-0.5"]])
+@pytest.mark.parametrize(
+    "args",
+    [["--vertices", "1"], ["--rewire-frac", "2"], ["--rewire-frac", "-0.5"],
+     ["--rate", "nan"], ["--rate", "inf"], ["--zipf", "nan"]],
+)
 def test_synth_invalid_spec_usage_error(tmp_path, args):
     res = run("synth", "--vertices", "40", *args, "--out", str(tmp_path / "w.csv"))
     assert res.exit_code == 2
@@ -360,6 +368,9 @@ def test_replay_invalid_config_usage_error(tmp_path):
     for extra in (
         ["--metric-window", "2d", "--repartition-interval", "1d"],
         ["--epsilon", "-1"],
+        ["--epsilon", "nan"],
+        ["--cut-threshold", "nan"],
+        ["--balance-threshold", "nan"],
         ["--kl-rounds", "0"],
         ["--kl-rounds", "-3"],
         ["--sweep", "k=0,2"],
@@ -422,6 +433,15 @@ def test_partition_negative_epsilon_usage_error(tmp_path):
     gpath = tmp_path / "g.graph"
     gpath.write_text("2 1 011\n1 2 1\n1 1 1\n")
     res = run("partition", "--graph", str(gpath), "--shards", "2", "--epsilon", "-1")
+    assert res.exit_code == 2
+    assert isinstance(res.exception, SystemExit)
+    assert "epsilon must be >= 0" in res.stderr
+
+
+def test_partition_nan_epsilon_usage_error(tmp_path):
+    gpath = tmp_path / "g.graph"
+    gpath.write_text("2 1 011\n1 2 1\n1 1 1\n")
+    res = run("partition", "--graph", str(gpath), "--shards", "2", "--epsilon", "nan")
     assert res.exit_code == 2
     assert isinstance(res.exception, SystemExit)
     assert "epsilon must be >= 0" in res.stderr
@@ -550,3 +570,43 @@ def test_replay_byte_identical_across_runs(tmp_path):
         assert res.exit_code == 0
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
+
+
+# Installed into every interpreter of the smoke run below, pool workers too,
+# as a sitecustomize module: any import of a test-only package fails.
+TEST_ONLY_BLOCKER = """
+import sys
+
+class TestOnlyBlocker:
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] in {"numpy", "scipy", "hypothesis", "networkx"}:
+            raise ImportError(f"{name} is a test-only package")
+        return None
+
+sys.meta_path.insert(0, TestOnlyBlocker())
+"""
+
+
+def test_cli_runs_with_click_as_the_only_dependency(tmp_path):
+    (tmp_path / "sitecustomize.py").write_text(TEST_ONLY_BLOCKER)
+    src = os.path.dirname(os.path.dirname(shardsim.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(tmp_path), src])}
+
+    def shardsim_cli(*args):
+        return subprocess.run([sys.executable, "-m", "shardsim.cli", *args], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    blocked = subprocess.run([sys.executable, "-c", "import numpy"], env=env, capture_output=True, text=True)
+    assert blocked.returncode == 1 and "numpy is a test-only package" in blocked.stderr
+    (tmp_path / "g.graph").write_text("3 3 011\n1 2 1 3 1\n1 1 1 3 1\n1 1 1 2 1\n")
+    for args in (
+        ["synth", "--vertices", "60", "--communities", "3", "--duration", "3d", "--rate", "40", "--out", "t.csv"],
+        ["replay", "--trace", "t.csv", "--sweep", "k=2,3", "--strategy", "metis-window",
+         "--repartition-interval", "1d", "--out", "s.csv"],
+        ["replay", "--trace", "t.csv", "--shards", "2", "--strategy", "kl", "--repartition-interval", "1d",
+         "--out", "kl.csv"],
+        ["summarize", "--in", "s.k3.csv"],
+        ["partition", "--graph", "g.graph", "--shards", "2"],
+    ):
+        res = shardsim_cli(*args)
+        assert res.returncode == 0, (args, res.stderr)

@@ -19,6 +19,19 @@ def test_worked_example_ten_edges_two_cut():
     assert edge_cut(g, a) == 0.2
 
 
+def test_static_metrics_ignore_multiplicity():
+    # edge 0-1 recorded 5 times inside shard 0, edge 1-2 once across: the
+    # static cut counts distinct edges (1 of 2), the dynamic one activity (1
+    # of 6); static balance counts vertices (2 of 3 in shard 0), dynamic
+    # balance their activity (11 of 12)
+    g = graph_from_pairs([(0, 1)] * 5 + [(1, 2)])
+    a = assign({0: 0, 1: 0, 2: 1}, 2)
+    assert edge_cut(g, a) == 1 / 2
+    assert edge_cut(g, a, "dynamic", g.undirected) == 1 / 6
+    assert balance(g, a) == 2 * 2 / 3
+    assert balance(g, a, "dynamic", g.vertices) == 11 * 2 / 12
+
+
 def test_balance_worked_example():
     # |V| = 20, k = 2, max shard 13 -> 13*2/20 = 1.3 exactly
     pairs = [(i, (i + 1) % 20) for i in range(20)]

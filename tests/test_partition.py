@@ -267,6 +267,167 @@ def test_kl_exchange_flow_statistics():
     assert abs(mean - expect) <= 3 * sigma
 
 
+# The KL layer as it was before ``kl_build_matrix`` kept only the swap and
+# residual matrices and ``kl_exchange`` drew from a cumulative row: the
+# matrices must match these bit for bit, since the draws are compared
+# against their sums, and so must the assignments for the same seed.
+
+
+def _kl_build_matrix_ref(candidates, a, activity):
+    k = a.k
+    vact = activity.vertices
+    loads = [0.0] * k
+    total = 0.0
+    for v, w in vact.items():
+        loads[a.shard_of[v]] += w
+        total += w
+    mean = total / k if k else 0.0
+    surplus = [loads[i] - mean for i in range(k)]
+
+    cand_weight = [0.0] * k
+    demand = [[0.0] * k for _ in range(k)]
+    for i in range(k):
+        for c in candidates.get(i, ()):
+            w = float(vact.get(c.vertex, 0))
+            cand_weight[i] += w
+            demand[i][c.target] += w
+
+    swap = [[0.0] * k for _ in range(k)]
+    residual = [[0.0] * k for _ in range(k)]
+    for i in range(k):
+        for j in range(k):
+            if i != j:
+                swap[i][j] = min(demand[i][j], demand[j][i])
+                residual[i][j] = demand[i][j] - swap[i][j]
+
+    net = [[0.0] * k for _ in range(k)]
+    for i in range(k):
+        row_demand = sum(residual[i])
+        want_out = max(surplus[i], 0.0)
+        if row_demand <= 0.0 or want_out <= 0.0:
+            continue
+        scale = min(1.0, want_out / row_demand)
+        for j in range(k):
+            net[i][j] = residual[i][j] * scale
+    for j in range(k):
+        inflow = sum(net[i][j] for i in range(k))
+        room = max(-surplus[j], 0.0)
+        if inflow > room:
+            scale = room / inflow if inflow > 0 else 0.0
+            for i in range(k):
+                net[i][j] *= scale
+
+    flow = [[swap[i][j] + net[i][j] for j in range(k)] for i in range(k)]
+
+    p = [[0.0] * k for _ in range(k)]
+    for i in range(k):
+        if cand_weight[i] > 0.0:
+            for j in range(k):
+                if j != i:
+                    p[i][j] = flow[i][j] / cand_weight[i]
+        off = sum(p[i][j] for j in range(k) if j != i)
+        if off > 1.0:
+            for j in range(k):
+                if j != i:
+                    p[i][j] /= off
+            off = 1.0
+        p[i][i] = 1.0 - off
+    return p
+
+
+def _kl_exchange_ref(a, candidates, matrix, seed):
+    rng = random.Random(seed)
+    shard_of = a.shard_of.copy()
+    for i in sorted(candidates):
+        row = matrix[i]
+        for c in candidates[i]:
+            u = rng.random()
+            acc = 0.0
+            dest = i
+            for j in range(a.k):
+                acc += row[j]
+                if u < acc:
+                    dest = j
+                    break
+            shard_of[c.vertex] = dest
+    return Assignment(shard_of, a.k)
+
+
+@st.composite
+def kl_matrix_cases(draw):
+    """An assignment, its activity and candidates, some of them picked by hand.
+
+    Vertices n..n+extra-1 are assigned but have no activity. Hand-picked
+    candidates may name them (the matrix weighs them 0), and a shard's list
+    may be emptied or dropped.
+    """
+    k = draw(st.integers(1, 8))
+    n = draw(st.integers(1, 12))
+    extra = draw(st.integers(0, 3))
+    shard = draw(st.lists(st.integers(0, k - 1), min_size=n + extra, max_size=n + extra))
+    vertex = st.integers(0, n - 1)
+    activity = InteractionGraph()
+    for u, v, w in draw(st.lists(st.tuples(vertex, vertex, st.integers(1, 4)), max_size=30)):
+        for _ in range(w):
+            activity.record(u, v)
+    a = Assignment(shard, k)
+    cands = kl_select_candidates(a, activity)
+    if k > 1 and draw(st.booleans()):
+        for i in range(k):
+            members = [v for v in range(n + extra) if shard[v] == i]
+            picked = draw(st.lists(st.sampled_from(members), max_size=4)) if members else []
+            cands[i] = [Candidate(v, draw(st.sampled_from([j for j in range(k) if j != i])), 1) for v in picked]
+    for i in draw(st.lists(st.integers(0, k - 1), max_size=2)):
+        if draw(st.booleans()):
+            cands.pop(i, None)
+        else:
+            cands[i] = []
+    return a, activity, cands, draw(st.integers(0, 2**32))
+
+
+@settings(max_examples=400, deadline=None)
+@given(kl_matrix_cases())
+def test_kl_matches_reference(case):
+    a, activity, cands, seed = case
+    m = kl_build_matrix(cands, a, activity)
+    assert m == _kl_build_matrix_ref(cands, a, activity)
+    # halved rows sum to about 0.5, so about half the draws reach past them
+    for matrix in (m, [[x / 2 for x in row] for row in m]):
+        assert kl_exchange(a, cands, matrix, seed).shard_of == _kl_exchange_ref(a, cands, matrix, seed).shard_of
+
+
+def test_kl_matrix_matches_reference_on_each_scaling_case():
+    # loads 15, 9 and 4 about a mean of 9.33. Past the 6 it swaps with
+    # shard 1, shard 0 asks to send 9 there, more than its surplus (row
+    # scaling) and more than shard 1's room (column scaling). Shard 1 is
+    # under the mean, so its demand toward shard 2 is dropped; shard 2 has
+    # no candidates.
+    pairs = [(0, 1)] * 6 + [(2, 3)] * 3 + [(4, 5)] * 2 + [(0, 2)] * 2 + [(2, 0)]
+    a = Assignment({vid(v): s for v, s in enumerate([0, 0, 1, 1, 2, 2])}, 3)
+    act = graph_from_pairs(pairs)
+    cands = {
+        0: [Candidate(vid(0), 1, 1), Candidate(vid(1), 1, 1)],
+        1: [Candidate(vid(2), 0, 1), Candidate(vid(3), 2, 1)],
+        2: [],
+    }
+    m = kl_build_matrix(cands, a, act)
+    assert m == _kl_build_matrix_ref(cands, a, act)
+    assert math.isclose(m[0][1], (6 + 1 / 3) / 15)
+    assert m[1] == [6 / 9, 1 - 6 / 9, 0.0] and m[2] == [0.0, 0.0, 1.0]
+
+
+def test_kl_exchange_draw_past_row_sum_stays():
+    # row 0 sums to 0.6: a draw of 0.6 or more leaves the candidate in shard 0
+    a = Assignment({vid(i): 0 for i in range(20)}, 2)
+    cands = {0: [Candidate(vid(i), 1, 1) for i in range(20)]}
+    m = [[0.3, 0.3], [0.0, 1.0]]
+    draws = random.Random(5)
+    expect = {vid(i): 1 if 0.3 <= draws.random() < 0.6 else 0 for i in range(20)}
+    assert 0 in expect.values() and 1 in expect.values()
+    out = kl_exchange(a, cands, m, 5)
+    assert out.shard_of == expect == _kl_exchange_ref(a, cands, m, 5).shard_of
+
+
 # --- multilevel ------------------------------------------------------------
 
 

@@ -69,6 +69,15 @@ def test_csv_columns_and_roundtrip(tmp_path):
     assert rows[1]["normalized_dynamic_balance"] == 0.5
 
 
+def test_read_samples_csv_accepts_byte_order_mark(tmp_path):
+    text = samples_to_csv(make_samples(), k=2)
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(text, encoding="utf-8-sig")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert read_samples_csv(str(marked)) == read_samples_csv(str(plain))
+
+
 @pytest.mark.parametrize(
     "edit, message",
     [

@@ -121,6 +121,9 @@ def test_invalid_specs_rejected():
         ("rewire_frac", -0.1, "rewire_frac must be in"),
         ("block_interval", 0, "block_interval must be >= 1"),
         ("start_time", -1, "start_time must be >= 0"),
+        ("zipf_exponent", float("nan"), "zipf_exponent must be >= 0"),
+        ("records_per_hour", float("nan"), "records_per_hour positive and finite"),
+        ("records_per_hour", float("inf"), "records_per_hour positive and finite"),
     ],
 )
 def test_out_of_range_spec_fields_rejected(field, value, message):
