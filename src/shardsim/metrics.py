@@ -81,36 +81,35 @@ def edge_cut(
     raise ValueError(f"unknown weighting {weighting!r}")
 
 
+def load_balance(loads: list[int]) -> float:
+    """Heaviest load over the equal share, max * k / total; 1 for a zero total."""
+    total = sum(loads)
+    return max(loads) * len(loads) / total if total else 1.0
+
+
 def balance(
     graph: InteractionGraph,
     a: Assignment,
     weighting: str = "static",
     activity: Mapping | None = None,
 ) -> float:
-    """Heaviest shard relative to the ideal equal share; 1 is perfect.
+    """``load_balance`` of the shard loads.
 
     Static mode measures shard sizes in vertices: max_i |p_i| * k / |V|.
     Dynamic mode substitutes summed per-vertex activity for shard size.
     An empty graph (or zero total activity) has balance 1 by definition.
     """
-    k = a.k
     if weighting == "static":
-        if graph.num_vertices == 0:
-            return 1.0
-        sizes = [0] * k
-        for v in graph.vertices:
-            sizes[a.shard_of[v]] += 1
-        return max(sizes) * k / graph.num_vertices
-    if weighting == "dynamic":
+        activity = dict.fromkeys(graph.vertices, 1)
+    elif weighting == "dynamic":
         if activity is None:
             raise ValueError("dynamic balance requires activity weights")
-        loads = [0] * k
-        total = 0
-        for v, w in activity.items():
-            loads[a.shard_of[v]] += w
-            total += w
-        return max(loads) * k / total if total else 1.0
-    raise ValueError(f"unknown weighting {weighting!r}")
+    else:
+        raise ValueError(f"unknown weighting {weighting!r}")
+    loads = [0] * a.k
+    for v, w in activity.items():
+        loads[a.shard_of[v]] += w
+    return load_balance(loads)
 
 
 def normalized_balance(b: float, k: int) -> float:

@@ -31,7 +31,7 @@ from bisect import bisect_left, bisect_right, insort
 from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Callable, ClassVar, Mapping, Sequence
+from typing import Callable, ClassVar, Sequence
 
 from shardsim.graph import InteractionGraph
 from shardsim.metrics import Assignment
@@ -646,21 +646,15 @@ def multilevel_partition(
 # Incremental placement
 
 
-def assign_new_vertex(a: Assignment, tx_neighbors: Mapping, shard_sizes: Sequence[int]) -> int:
+def assign_new_vertex(counts: Sequence[int], shard_sizes: Sequence[int]) -> int:
     """Shard for a first-seen vertex.
 
-    Picks the shard holding the most transaction neighbors (weighted by
-    multiplicity; every neighbor must already be assigned); ties go to the
-    lighter shard by ``shard_sizes`` (vertices per shard), and with no
-    neighbors the globally lightest shard wins.
+    ``counts[i]`` is how many of its transaction's endpoints sit in shard
+    ``i``. Picks the shard with the most; ties go to the lighter shard by
+    ``shard_sizes`` (vertices per shard), then to the lower index, so with
+    no endpoints the lightest shard wins.
     """
-    if not tx_neighbors:
-        return min(range(a.k), key=lambda i: (shard_sizes[i], i))
-    counts = [0] * a.k
-    for v, mult in tx_neighbors.items():
-        counts[a.shard_of[v]] += mult
-    best = max(counts)
-    return min((i for i in range(a.k) if counts[i] == best), key=lambda i: (shard_sizes[i], i))
+    return min(range(len(counts)), key=lambda i: (-counts[i], shard_sizes[i]))
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ final assignment.
 from __future__ import annotations
 
 import logging
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, NamedTuple, Sequence
@@ -26,7 +26,7 @@ from typing import Iterable, NamedTuple, Sequence
 from shardsim.graph import InteractionGraph, apply_record
 # Unused here; bench/layers.py wraps these names of this module.
 from shardsim.graph import activity_from_records, window_subgraph  # noqa: F401
-from shardsim.metrics import Assignment, MetricSample, balance, count_moves, edge_cut
+from shardsim.metrics import Assignment, MetricSample, balance, count_moves, edge_cut, load_balance
 from shardsim.partition import (
     PartitionerConfig,
     assign_new_vertex,
@@ -195,19 +195,19 @@ def run_replay(trace: Iterable[TraceRecord], cfg: ReplayConfig) -> ReplayResult:
     period = InteractionGraph()  # the windows finished since the last repartition
     last_repart = 0
     place_by_hash = cfg.strategy in (Strategy.HASHING, Strategy.KL)
-    tx_members: dict[str, dict[int, int]] = {}  # multilevel placement only: id -> multiplicity
+    tx_counts = defaultdict(lambda: [0] * k)  # tx_id -> endpoints per shard, for multilevel placement
 
-    def place(address: str, other: int | None, members: dict[int, int] | None) -> int:
+    def place(address: str, other: int | None, counts: list[int] | None) -> int:
         """Give a first-seen vertex the next id and a shard: by hash when
-        ``members`` (the transaction's ids so far) is None, else next to its
-        transaction neighbors and ``other``, the record's placed counterpart."""
-        if members is None:
+        ``counts`` is None, else next to its transaction's endpoints and
+        ``other``, the record's placed counterpart."""
+        if counts is None:
             s = hash_partition(address, pcfg)
         else:
             if other is not None:  # the counterpart on this record is a neighbor too
-                members = members.copy()
-                members[other] = members.get(other, 0) + 1
-            s = assign_new_vertex(assignment, members, shard_sizes)
+                counts = counts.copy()
+                counts[assignment.shard_of[other]] += 1
+            s = assign_new_vertex(counts, shard_sizes)
         v = ids[address] = len(names)
         names.append(address)
         assignment.shard_of.append(s)
@@ -228,12 +228,11 @@ def run_replay(trace: Iterable[TraceRecord], cfg: ReplayConfig) -> ReplayResult:
         weights = graph if cfg.cumulative_weights else finished
         # The assignment covers exactly the vertices of ``graph`` here, so
         # ``shard_sizes`` are the static shard sizes ``balance`` would count.
-        n = graph.num_vertices
         sample = MetricSample(
             window_start=window_start,
             static_edge_cut=edge_cut(graph, assignment, "static"),
             dynamic_edge_cut=edge_cut(graph, assignment, "dynamic", weights.undirected),
-            static_balance=max(shard_sizes) * k / n if n else 1.0,
+            static_balance=load_balance(shard_sizes),
             dynamic_balance=balance(graph, assignment, "dynamic", weights.vertices),
         )
         clock = window_start + cfg.metric_window
@@ -252,25 +251,23 @@ def run_replay(trace: Iterable[TraceRecord], cfg: ReplayConfig) -> ReplayResult:
             log.debug("repartition at %d: %d moves (%d raw)", clock, rep.moves, rep.raw_moves)
         samples.append(sample)
         window_start = clock
-        tx_members.clear()
+        tx_counts.clear()  # shards change only here, so each row counts under one assignment
 
     for r in trace:
         if window_start is None:
             window_start = last_repart = r.timestamp
         while r.timestamp >= window_start + cfg.metric_window:
             emit_boundary()
-        members = None if place_by_hash else tx_members.get(r.tx_id)
-        if members is None and not place_by_hash:
-            members = tx_members[r.tx_id] = {}
+        counts = None if place_by_hash else tx_counts[r.tx_id]
         src = ids.get(r.src)
         if src is None:
-            src = place(r.src, ids.get(r.dst), members)
+            src = place(r.src, ids.get(r.dst), counts)
         dst = ids.get(r.dst)
         if dst is None:
-            dst = place(r.dst, src, members)
-        if members is not None:
-            members[src] = members.get(src, 0) + 1
-            members[dst] = members.get(dst, 0) + 1
+            dst = place(r.dst, src, counts)
+        if counts is not None:
+            counts[assignment.shard_of[src]] += 1
+            counts[assignment.shard_of[dst]] += 1
         apply_record(window, src, dst)
 
     if window_start is not None:

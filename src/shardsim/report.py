@@ -129,15 +129,8 @@ def quantile(values: Sequence[float], p: float) -> float:
 
 
 def summarize_series(values: Sequence[float]) -> SummaryStats:
-    if not values:
-        raise EmptySeries("cannot summarize an empty series")
-    return SummaryStats(
-        min=quantile(values, 0.0),
-        q1=quantile(values, 0.25),
-        median=quantile(values, 0.5),
-        q3=quantile(values, 0.75),
-        max=quantile(values, 1.0),
-    )
+    """Min, quartiles and max; an empty series raises EmptySeries."""
+    return SummaryStats(*(quantile(values, p) for p in (0.0, 0.25, 0.5, 0.75, 1.0)))
 
 
 def summarize(rows: Sequence[dict]) -> tuple[dict[str, SummaryStats], int]:

@@ -94,7 +94,13 @@ def _generate(spec: WorkloadSpec, seed: int) -> tuple[list[TraceRecord], dict[st
     # weights of ranks 0..m-1 are the first m entries of ``cum``, so one list
     # serves the global sampler (ranks = vertex indices) and every community
     # (ranks = positions in its ascending member list).
-    cum = list(itertools.accumulate(1.0 / (r + 1) ** spec.zipf_exponent for r in range(n)))
+    def weight(r: int) -> float:
+        try:
+            return 1.0 / (r + 1) ** spec.zipf_exponent
+        except OverflowError:  # the power is past the float range: 0, as for an infinite exponent
+            return 0.0
+
+    cum = list(itertools.accumulate(weight(r) for r in range(n)))
     top = cum[-1]
 
     def community_tables(member: list[int]) -> tuple[list, list[list[int]]]:

@@ -77,7 +77,8 @@ _CALL_KINDS = {
 
 
 class TraceError(Exception):
-    """Base class for trace parsing/validation failures."""
+    """Base class for trace parsing/validation failures. The subclasses pickle
+    as their constructor's arguments, so a ``--sweep`` worker's error reaches the parent."""
 
 
 class MalformedRow(TraceError):
@@ -85,6 +86,9 @@ class MalformedRow(TraceError):
         super().__init__(f"line {line_no}: {reason}")
         self.line_no = line_no
         self.reason = reason
+
+    def __reduce__(self):
+        return MalformedRow, (self.line_no, self.reason)
 
 
 class OutOfOrderBlock(TraceError):
@@ -94,6 +98,9 @@ class OutOfOrderBlock(TraceError):
         self.block = block
         self.previous = previous
 
+    def __reduce__(self):
+        return OutOfOrderBlock, (self.line_no, self.block, self.previous)
+
 
 class OutOfOrderTimestamp(TraceError):
     def __init__(self, line_no: int, timestamp: int, previous: int):
@@ -101,6 +108,9 @@ class OutOfOrderTimestamp(TraceError):
         self.line_no = line_no
         self.timestamp = timestamp
         self.previous = previous
+
+    def __reduce__(self):
+        return OutOfOrderTimestamp, (self.line_no, self.timestamp, self.previous)
 
 
 _HEX40 = re.compile("[0-9a-f]{40}")

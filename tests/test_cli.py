@@ -215,6 +215,30 @@ def test_sweep_usage_errors(tmp_path, args, message):
     assert not list(tmp_path.glob("s*.csv"))
 
 
+@pytest.mark.parametrize("case", ["malformed", "block", "timestamp"])
+def test_sweep_over_a_bad_trace_is_an_error(tmp_path, case):
+    # the worker's parse error crosses the process pool: a message, not a
+    # BrokenProcessPool traceback
+    lines = make_trace_file(tmp_path).read_text().splitlines()
+    row = lines[5].split(",")
+    if case == "malformed":
+        lines[5] = "1,2,3"
+        message = "error: line 6: expected 8 fields, got 3"
+    else:
+        field = 0 if case == "timestamp" else 1
+        previous = lines[4].split(",")[field]
+        row[field] = str(int(previous) - 1)
+        lines[5] = ",".join(row)
+        message = f"error: line 6: {case} {row[field]} after {case} {previous}"
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    res = run("replay", "--trace", str(bad), "--sweep", "k=2,4", "--out", str(tmp_path / "s.csv"))
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)
+    assert res.stderr.startswith("error: line") and res.stderr.strip() == message
+    assert not list(tmp_path.glob("s*.csv"))
+
+
 def test_synth_then_summarize(tmp_path):
     trace = tmp_path / "w.csv"
     truth = tmp_path / "truth.csv"

@@ -2,7 +2,15 @@ import random
 
 import pytest
 
-from shardsim.metrics import Assignment, DomainMismatch, balance, count_moves, edge_cut, normalized_balance
+from shardsim.metrics import (
+    Assignment,
+    DomainMismatch,
+    balance,
+    count_moves,
+    edge_cut,
+    load_balance,
+    normalized_balance,
+)
 
 from conftest import graph_from_pairs, vid
 
@@ -71,6 +79,23 @@ def test_empty_graph_defined_values():
     a = Assignment({}, 4)
     assert edge_cut(g, a) == 0.0
     assert balance(g, a) == 1.0
+
+
+def test_load_balance_zero_total_and_k1():
+    assert load_balance([0, 0, 0]) == 1.0
+    assert load_balance([0]) == 1.0
+    assert load_balance([7]) == 1.0
+    assert load_balance([3, 1]) == 3 * 2 / 4
+    assert load_balance([0, 5, 0]) == 3.0
+
+
+def test_balance_rejects_missing_activity_and_unknown_weighting():
+    g = graph_from_pairs([(0, 1)])
+    a = assign({0: 0, 1: 1}, 2)
+    with pytest.raises(ValueError, match="^dynamic balance requires activity weights$"):
+        balance(g, a, "dynamic")
+    with pytest.raises(ValueError, match="^unknown weighting 'bogus'$"):
+        balance(g, a, "bogus", g.vertices)
 
 
 def test_normalized_balance_formula():

@@ -1072,25 +1072,49 @@ def test_multilevel_golden(name):
 # --- new-vertex placement ---------------------------------------------------
 
 
+def _assign_new_vertex_ref(a: Assignment, tx_neighbors, shard_sizes) -> int:
+    """The placement rule read from an id multiset and the assignment."""
+    if not tx_neighbors:
+        return min(range(a.k), key=lambda i: (shard_sizes[i], i))
+    counts = [0] * a.k
+    for v, mult in tx_neighbors.items():
+        counts[a.shard_of[v]] += mult
+    best = max(counts)
+    return min((i for i in range(a.k) if counts[i] == best), key=lambda i: (shard_sizes[i], i))
+
+
 def test_assign_all_neighbors_one_shard():
-    a = Assignment({vid(1): 2, vid(2): 2}, 4)
-    assert assign_new_vertex(a, {vid(1): 1, vid(2): 1}, [0, 0, 2, 0]) == 2
+    assert assign_new_vertex([0, 0, 2, 0], [0, 0, 2, 0]) == 2
 
 
 def test_assign_tie_breaks_to_lighter_shard():
-    a = Assignment({vid(1): 0, vid(2): 1}, 2)
-    sizes = [5, 3]
-    assert assign_new_vertex(a, {vid(1): 1, vid(2): 1}, sizes) == 1
+    assert assign_new_vertex([1, 1], [5, 3]) == 1
 
 
 def test_assign_no_neighbors_lightest_shard():
-    a = Assignment({}, 3)
-    assert assign_new_vertex(a, {}, [5, 3, 4]) == 1
+    assert assign_new_vertex([0, 0, 0], [5, 3, 4]) == 1
 
 
 def test_assign_weighted_by_multiplicity():
-    a = Assignment({vid(1): 0, vid(2): 1}, 2)
-    assert assign_new_vertex(a, {vid(1): 3, vid(2): 1}, [9, 1]) == 0
+    assert assign_new_vertex([3, 1], [9, 1]) == 0
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data(), k=st.integers(1, 8), n=st.integers(0, 12))
+def test_assign_new_vertex_matches_reference(data, k, n):
+    # counts read through the part vector pick the shard the id multiset did;
+    # small shard sizes and multiplicities make ties common
+    part = data.draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
+    sizes = data.draw(st.lists(st.integers(0, 3), min_size=k, max_size=k))
+    members = Counter(data.draw(st.lists(st.integers(0, n - 1), max_size=8)) if n else [])
+    other = data.draw(st.none() | st.integers(0, n - 1)) if n else None
+    counts = [0] * k
+    for v, mult in members.items():
+        counts[part[v]] += mult
+    if other is not None:  # the record's placed counterpart
+        members[other] += 1
+        counts[part[other]] += 1
+    assert assign_new_vertex(counts, sizes) == _assign_new_vertex_ref(Assignment(part, k), members, sizes)
 
 
 # --- adjacency interchange ---------------------------------------------------

@@ -322,9 +322,9 @@ def test_each_vertex_placed_once_by_its_strategy(strategy, monkeypatch):
         hashed.append(vertex)
         return real_hash(vertex, pcfg)
 
-    def assign_spy(a, tx_neighbors, shard_sizes):
-        assigned.append(len(a.shard_of))
-        return real_assign(a, tx_neighbors, shard_sizes)
+    def assign_spy(counts, shard_sizes):
+        assigned.append(sum(shard_sizes))
+        return real_assign(counts, shard_sizes)
 
     monkeypatch.setattr(replay, "hash_partition", hash_spy)
     monkeypatch.setattr(replay, "assign_new_vertex", assign_spy)
@@ -352,22 +352,32 @@ def test_each_vertex_placed_once_by_its_strategy(strategy, monkeypatch):
 def test_placement_counts_transaction_neighbours(steps, strategy, k, interval):
     # a first-seen vertex goes next to the endpoints of the earlier records of
     # its transaction in the same metric window, and next to its record's
-    # counterpart when that was placed first
+    # counterpart when that was placed first: the counts it is placed by are
+    # those endpoints per shard of the part vector the replay holds then
     records, t = [], 1000
     for i, (gap, src, dst, tx) in enumerate(steps):
         t += gap
         records.append(make_record(src, dst, timestamp=t, block=i, tx_id=f"t{tx}"))
-    seen = []
-    real_assign = replay.assign_new_vertex
+    seen, part = [], []  # (counts, part vector) per placement; the replay's part vector
+    real_assign, real_repartition = replay.assign_new_vertex, replay.repartition
 
-    def assign_spy(a, tx_neighbors, shard_sizes):
-        seen.append(Counter(tx_neighbors))
-        return real_assign(a, tx_neighbors, shard_sizes)
+    def assign_spy(counts, shard_sizes):
+        s = real_assign(counts, shard_sizes)
+        seen.append((list(counts), list(part)))
+        part.append(s)
+        return s
+
+    def repartition_spy(*args):
+        rep = real_repartition(*args)
+        part[:] = rep.assignment.shard_of
+        return rep
 
     cfg = basic_cfg(strategy, k=k, repartition_interval=interval)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(replay, "assign_new_vertex", assign_spy)
-        run_replay(records, cfg)
+        mp.setattr(replay, "repartition", repartition_spy)
+        res = run_replay(records, cfg)
+    assert part == list(res.final_assignment.shard_of.values())
 
     expected, ids = [], {}  # ids in order of first appearance, as the replay numbers them
     window_of = [(r.timestamp - records[0].timestamp) // cfg.metric_window for r in records]
@@ -383,4 +393,9 @@ def test_placement_counts_transaction_neighbours(steps, strategy, k, interval):
         if r.dst not in ids:
             expected.append(earlier + Counter([ids[r.src]]))
             ids[r.dst] = len(ids)
-    assert seen == expected
+    assert len(seen) == len(expected)
+    for (counts, part_then), members in zip(seen, expected):
+        shard_counts = [0] * k
+        for v, mult in members.items():
+            shard_counts[part_then[v]] += mult
+        assert counts == shard_counts

@@ -3,8 +3,10 @@ import hashlib
 import math
 
 import pytest
+from click.testing import CliRunner
 
 from shardsim import synth
+from shardsim.cli import main
 from shardsim.graph import InteractionGraph
 from shardsim.metrics import Assignment, edge_cut
 from shardsim.synth import WorkloadSpec, generate_workload, vertex_id
@@ -84,6 +86,19 @@ def test_zipf_top_vertex_frequency():
     count = sum(1 for r in records if r.src == vertex_id(0))
     sigma = math.sqrt(total * p_top * (1 - p_top))
     assert abs(count - total * p_top) <= 3 * sigma
+
+
+def test_zipf_exponent_past_float_range_weighs_like_inf(tmp_path):
+    # (r + 1) ** 1100 overflows a float for r >= 1: those weights are 0, as
+    # they are for an infinite exponent, where only rank 0 keeps weight 1
+    def trace(s):
+        spec = WorkloadSpec(vertices=10, zipf_exponent=s, duration=3600)
+        return serialize_trace(generate_workload(spec, seed=3)[0], "csv")
+
+    assert trace(1100.0) == trace(math.inf)
+    assert trace(400.0) != trace(1.0)
+    res = CliRunner().invoke(main, ["synth", "--vertices", "10", "--zipf", "1100", "--out", str(tmp_path / "w.csv")])
+    assert res.exit_code == 0, res.output
 
 
 def test_rewiring_changes_interaction_pattern():

@@ -3,6 +3,7 @@ import gzip
 import io
 import json
 import math
+import pickle
 import re
 
 import pytest
@@ -114,6 +115,24 @@ def test_lenient_counts_balance():
     records = parse_str(text, strict=False, stats=stats)
     assert len(records) == 2
     assert stats.skipped == 2
+
+
+@pytest.mark.parametrize(
+    "exc, message, attrs",
+    [
+        (MalformedRow(6, "expected 8 fields, got 3"), "line 6: expected 8 fields, got 3",
+         {"line_no": 6, "reason": "expected 8 fields, got 3"}),
+        (OutOfOrderBlock(7, 3, 9), "line 7: block 3 after block 9", {"line_no": 7, "block": 3, "previous": 9}),
+        (OutOfOrderTimestamp(8, 100, 200), "line 8: timestamp 100 after timestamp 200",
+         {"line_no": 8, "timestamp": 100, "previous": 200}),
+    ],
+)
+def test_trace_errors_pickle(exc, message, attrs):
+    # a --sweep worker hands its parse error to the parent through pickle
+    back = pickle.loads(pickle.dumps(exc))
+    assert type(back) is type(exc)
+    assert str(back) == str(exc) == message
+    assert {name: getattr(back, name) for name in attrs} == attrs
 
 
 def test_unknown_call_kind_rejected():
