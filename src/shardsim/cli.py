@@ -184,10 +184,11 @@ def partition(graph_path, sidecar, k, epsilon, seed, out_path):
     except ValueError as exc:
         raise click.UsageError(str(exc))
     try:
-        res = partition_partgraph(read_adjacency(graph_path, sidecar), cfg)
+        pg = read_adjacency(graph_path, sidecar)
+        res = partition_partgraph(pg, cfg)
     except (OSError, ValueError) as exc:
         _fail(exc)
-    lines = ["vertex,shard"] + [f"{_csv_field(str(v))},{s}" for v, s in res.assignment.shard_of.items()]
+    lines = ["vertex,shard"] + [f"{_csv_field(str(v))},{s}" for v, s in zip(pg.names, res.assignment.shard_of)]
     _emit("\n".join(lines) + "\n", out_path)
     if res.infeasible_balance:
         verdict = "unattainable" if res.max_vertex_weight > res.balance_cap else "not met"

@@ -16,19 +16,20 @@ from shardsim.graph import InteractionGraph
 
 
 class DomainMismatch(ValueError):
-    """Raised when two assignments do not cover the same vertex set."""
+    """Raised when two assignments are not part vectors of the same vertices."""
 
 
 @dataclass
 class Assignment:
     """Total map vertex -> shard index in [0, k).
 
-    ``shard_of[v]`` is the shard of ``v``. Inside the replay it is a part
-    vector, a list indexed by dense vertex id; a MultilevelResult keys it by
-    ``PartGraph.names``, ``ReplayResult.final_assignment`` by address.
+    ``shard_of[v]`` is the shard of ``v``. It is a part vector, a list
+    indexed by vertex: by dense id in the replay, by index in a
+    MultilevelResult. Only ``ReplayResult.final_assignment`` is a map, keyed
+    by address.
     """
 
-    shard_of: list[int] | dict
+    shard_of: list[int] | dict[str, int]
     k: int
 
     def __post_init__(self) -> None:
@@ -120,11 +121,8 @@ def normalized_balance(b: float, k: int) -> float:
 
 
 def count_moves(old: Assignment, new: Assignment) -> int:
-    """Number of vertices whose shard differs between two part vectors, or
-    between two maps compared key by key."""
+    """Number of vertices whose shard differs between two part vectors."""
     old_of, new_of = old.shard_of, new.shard_of
-    if isinstance(old_of, dict) and isinstance(new_of, dict) and old_of.keys() == new_of.keys():
-        return sum(1 for v, s in old_of.items() if new_of[v] != s)
-    if isinstance(old_of, dict) or isinstance(new_of, dict) or len(old_of) != len(new_of):
-        raise DomainMismatch("assignments cover different vertex sets")
+    if not (isinstance(old_of, list) and isinstance(new_of, list) and len(old_of) == len(new_of)):
+        raise DomainMismatch("assignments are not part vectors of the same vertices")
     return sum(1 for s, t in zip(old_of, new_of) if s != t)

@@ -103,7 +103,7 @@ def hash_partition(vertex: str, cfg: PartitionerConfig) -> int:
 
 @dataclass(frozen=True, slots=True)
 class Candidate:
-    vertex: int | str  # the vertex's key in the assignment: a dense id in the replay
+    vertex: int  # the vertex's index in the part vector
     target: int
     gain: int  # activity-weighted cut reduction if moved to target
 
@@ -233,7 +233,8 @@ class PartGraph:
     """Undirected weighted graph in dense index form for partitioning kernels.
 
     Self-loops are dropped on construction (they never affect a cut).
-    ``names`` maps index to vertex id; without it each index names itself.
+    ``names`` maps index to vertex id, given only by ``read_adjacency``'s
+    sidecar; without it each index names itself.
     """
 
     def __init__(self, vwgt: list[int], adj: list[dict[int, int]], names: Sequence | None = None):
@@ -252,27 +253,26 @@ class PartGraph:
 
     @classmethod
     def from_interaction_graph(cls, g: InteractionGraph, vertex_weights: str = "unit") -> "PartGraph":
-        """Index-form copy of the undirected view of an interaction graph.
+        """Index-form copy of the undirected view of ``g``; index i is its i-th vertex.
 
         vertex_weights: "unit" (one per vertex) or "activity" (the graph's
         per-vertex endpoint counts).
         """
-        names = list(g.vertices)
-        index = {v: i for i, v in enumerate(names)}
+        index = {v: i for i, v in enumerate(g.vertices)}
         if vertex_weights == "unit":
-            vwgt = [1] * len(names)
+            vwgt = [1] * len(index)
         elif vertex_weights == "activity":
-            vwgt = [max(1, g.vertices[v]) for v in names]
+            vwgt = [max(1, w) for w in g.vertices.values()]
         else:
             raise ValueError(f"unknown vertex weight mode {vertex_weights!r}")
-        adj: list[dict[int, int]] = [{} for _ in names]
+        adj: list[dict[int, int]] = [{} for _ in index]
         for (u, v), w in g.undirected.items():
             if u == v:
                 continue
             ui, vi = index[u], index[v]
             adj[ui][vi] = w
             adj[vi][ui] = w
-        return cls(vwgt, adj, names)
+        return cls(vwgt, adj)
 
 
 def cut_weight(pg: PartGraph, part: Sequence[int]) -> int:
@@ -576,7 +576,7 @@ def fm_refine(
 
 @dataclass
 class MultilevelResult:
-    assignment: Assignment  # keyed by PartGraph.names
+    assignment: Assignment  # a part vector in PartGraph index order
     infeasible_balance: bool
     # (cut_before, cut_after) per refinement pass, for monotonicity checks
     refinement_cuts: list[tuple[int, int]]
@@ -593,7 +593,7 @@ def partition_partgraph(pg: PartGraph, cfg: PartitionerConfig) -> MultilevelResu
     cap = cfg.balance_cap(pg.total_vwgt())
     heaviest = max(pg.vwgt)
     if k == 1:
-        return MultilevelResult(Assignment(dict.fromkeys(pg.names, 0), k), False, [], cap, heaviest)
+        return MultilevelResult(Assignment([0] * n, k), False, [], cap, heaviest)
 
     rng = random.Random(cfg.seed)
     pass_cuts: list[tuple[int, int]] = []
@@ -627,13 +627,13 @@ def partition_partgraph(pg: PartGraph, cfg: PartitionerConfig) -> MultilevelResu
         cut = fm_refine(fine, part, k, cap, REFINE_PASSES, rng, pass_cuts, cut)
 
     infeasible = not _repair_balance(pg, part, k, cap)
-    return MultilevelResult(Assignment(dict(zip(pg.names, part)), k), infeasible, pass_cuts, cap, heaviest)
+    return MultilevelResult(Assignment(part, k), infeasible, pass_cuts, cap, heaviest)
 
 
 def multilevel_partition(
     graph: InteractionGraph, cfg: PartitionerConfig, weights: str = "unit"
 ) -> MultilevelResult:
-    """Partition an interaction graph into cfg.k shards.
+    """Partition an interaction graph into cfg.k shards, as a part vector in ``graph.vertices`` order.
 
     ``weights`` selects vertex weights: "unit" balances vertex counts (the
     full-graph strategy), "activity" balances per-vertex record counts (the
@@ -678,7 +678,7 @@ def write_adjacency(graph: InteractionGraph, path: str, sidecar: str, weights: s
                 parts.append(str(pg.adj[v][u]))
             fh.write(" ".join(parts) + "\n")
     with open(sidecar, "w", encoding="utf-8") as fh:
-        for name in pg.names:
+        for name in graph.vertices:
             fh.write(name + "\n")
 
 

@@ -157,7 +157,7 @@ def repartition(
         weights = "unit" if strategy is Strategy.METIS_FULL else "activity"
         res = multilevel_partition(target, cfg.partitioner, weights=weights)
         part = a.shard_of.copy()  # vertices outside the partitioned graph keep their shard
-        for v, s in res.assignment.shard_of.items():
+        for v, s in zip(target.vertices, res.assignment.shard_of):
             part[v] = s
         new = Assignment(part, cfg.k)
         if res.infeasible_balance:

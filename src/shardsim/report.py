@@ -27,8 +27,17 @@ SAMPLE_COLUMNS = [
     "moves",
     "repartitioned",
 ]
+
+
+def _read_bool(text: str) -> bool:
+    """``true`` or ``false``, as ``sample_row`` writes them; anything else raises ValueError."""
+    if text not in ("true", "false"):
+        raise ValueError(f"not true or false: {text!r}")
+    return text == "true"
+
+
 # The typed value of each column from its CSV text, in SAMPLE_COLUMNS order.
-COLUMN_READERS = [int, float, float, float, float, float, int, lambda text: text == "true"]
+COLUMN_READERS = [int, float, float, float, float, float, int, _read_bool]
 METRIC_COLUMNS = SAMPLE_COLUMNS[1:6]
 
 

@@ -15,7 +15,7 @@ import shardsim
 from shardsim import trace as trace_module
 from shardsim.cli import main, parse_duration
 from shardsim.graph import InteractionGraph
-from shardsim.partition import PartitionerConfig, write_adjacency
+from shardsim.partition import PartitionerConfig, multilevel_partition, write_adjacency
 from shardsim.replay import ReplayConfig
 from shardsim.report import read_samples_csv
 from shardsim.synth import WorkloadSpec, generate_workload
@@ -511,6 +511,26 @@ def test_partition_unwritable_output_is_an_error(tmp_path):
     assert res.stderr.startswith("error: ") and "no-such-dir" in res.stderr
 
 
+def test_partition_of_an_export_matches_the_library(tmp_path):
+    # address keys in an order that is not sorted: each row pairs a vertex
+    # with its own shard only if the CLI joins the sidecar to the part vector
+    order = [7, 19, 3, 12, 0, 15, 8, 1, 17, 5, 10, 14, 2, 18, 6, 11, 4, 16, 9, 13]
+    g = InteractionGraph()
+    for i, u in enumerate(order):  # a ring with some chords
+        g.record(vid(u), vid(order[(i + 1) % 20]))
+        if i % 3 == 0:
+            g.record(vid(u), vid(order[(i + 7) % 20]))
+    assert list(g.vertices) != sorted(g.vertices)
+    gpath, spath = tmp_path / "g.graph", tmp_path / "g.map"
+    write_adjacency(g, str(gpath), str(spath))
+    res = run("partition", "--graph", str(gpath), "--sidecar", str(spath), "--shards", "3")
+    assert res.exit_code == 0, res.output
+    rows = [tuple(line.split(",")) for line in res.stdout.splitlines()[1:]]
+    expected = multilevel_partition(g, PartitionerConfig(k=3)).assignment.shard_of
+    assert rows == [(v, str(s)) for v, s in zip(g.vertices, expected)]
+    assert len(set(expected)) == 3
+
+
 @pytest.mark.parametrize(
     "edit, message",
     [
@@ -520,8 +540,10 @@ def test_partition_unwritable_output_is_an_error(tmp_path):
          "error: line 3: expected 8 fields, got 7"),
         (lambda lines: lines[:2] + [lines[2] + "9" * 131073] + lines[3:],
          "error: line 3: field larger than field limit (131072)"),
+        (lambda lines: lines[:2] + [lines[2].rsplit(",", 1)[0] + ",True"] + lines[3:],
+         "error: line 3: not true or false: 'True'"),
     ],
-    ids=["missing-column", "short-row", "oversize-field"],
+    ids=["missing-column", "short-row", "oversize-field", "capitalised-flag"],
 )
 def test_summarize_rejects_bad_samples_file(tmp_path, edit, message):
     trace = make_trace_file(tmp_path)

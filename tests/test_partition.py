@@ -493,7 +493,7 @@ def test_two_cliques_split_perfectly():
                 pairs.append((base + i, base + j))
     g = graph_from_pairs(pairs)
     res = multilevel_partition(g, PartitionerConfig(k=2, epsilon=0.05, seed=3))
-    a = res.assignment
+    a = Assignment(dict(zip(g.vertices, res.assignment.shard_of)), 2)
     assert edge_cut(g, a) == 0.0
     shards = [sum(1 for s in a.shard_of.values() if s == i) for i in range(2)]
     assert shards == [5, 5]
@@ -503,7 +503,7 @@ def test_two_cliques_split_perfectly():
 def test_k1_trivial():
     g = graph_from_pairs([(0, 1), (1, 2)])
     res = multilevel_partition(g, PartitionerConfig(k=1))
-    assert set(res.assignment.shard_of.values()) == {0}
+    assert set(res.assignment.shard_of) == {0}
 
 
 def test_empty_graph_rejected():
@@ -556,7 +556,7 @@ def test_coarsening_gives_up_below_ten_percent_shrink(monkeypatch):
     res = partition_partgraph(pg, cfg)
     assert calls == [n]
     assert not res.infeasible_balance
-    assert max(Counter(res.assignment.shard_of.values()).values()) <= cfg.balance_cap(n)
+    assert max(Counter(res.assignment.shard_of).values()) <= cfg.balance_cap(n)
 
 
 def test_projection_preserves_cut():
@@ -590,7 +590,7 @@ def test_multilevel_respects_balance_cap():
         cfg = PartitionerConfig(k=k, epsilon=0.05, seed=trial)
         res = partition_partgraph(pg, cfg)
         part = res.assignment.shard_of
-        assert len(part) == n and all(0 <= s < k for s in part.values())
+        assert len(part) == n and all(0 <= s < k for s in part)
         if not res.infeasible_balance:
             weights = [0] * k
             for v in range(n):
@@ -612,7 +612,7 @@ def test_coarsening_kicks_in_on_large_graph():
     pg = random_partgraph(rng, 800, 0.01)
     cfg = PartitionerConfig(k=2, seed=1)
     res = partition_partgraph(pg, cfg)
-    assert len(set(res.assignment.shard_of.values())) == 2
+    assert len(set(res.assignment.shard_of)) == 2
     assert res.refinement_cuts  # refinement ran on at least one level
 
 
@@ -1063,7 +1063,7 @@ def test_multilevel_golden(name):
     """SHA-256 of repr((part, infeasible, pass_cuts)) with seed 7."""
     build, k, digest = MULTILEVEL_GOLDEN[name]
     res = partition_partgraph(build(), PartitionerConfig(k=k, seed=7))
-    out = (list(res.assignment.shard_of.values()), res.infeasible_balance, res.refinement_cuts)
+    out = (list(res.assignment.shard_of), res.infeasible_balance, res.refinement_cuts)
     assert hashlib.sha256(repr(out).encode()).hexdigest() == digest
     if name.startswith("heavy"):
         assert out[1]  # the heavy vertex makes the cap unattainable

@@ -171,6 +171,39 @@ def test_infeasible_balance_is_logged(caplog):
     assert messages == ["repartition at 5003: balance cap 1.575 not met (heaviest vertex weighs 1)"]
 
 
+def test_window_repartition_joins_the_part_vector_by_period_order():
+    # the period's ids are a sparse, unordered subset of a longer part vector,
+    # so reading the partitioner's vector by id, or by sorted id, would show
+    period = InteractionGraph()
+    for u, v in [(9, 2), (9, 2), (9, 2), (2, 7)]:
+        period.record(u, v)
+    assert list(period.vertices) == [9, 2, 7]
+    n = 12
+    a = Assignment([i % 2 for i in range(n)], 2)
+    results, unlabelled = [], []
+    real_multilevel, real_relabel = replay.multilevel_partition, replay.relabel_to_match
+
+    def multilevel_spy(*args, **kwargs):
+        results.append(real_multilevel(*args, **kwargs))
+        return results[-1]
+
+    def relabel_spy(old, new):
+        unlabelled.append(new)
+        return real_relabel(old, new)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(replay, "multilevel_partition", multilevel_spy)
+        mp.setattr(replay, "relabel_to_match", relabel_spy)
+        repartition(period, period, a, basic_cfg(Strategy.METIS_WINDOW), 5000, [vid(i) for i in range(n)])
+    (res,), (new,) = results, unlabelled
+    part = res.assignment.shard_of
+    assert len(part) == 3 and part[0] == part[2] != part[1]  # 2 (weight 4) against 9 and 7 (3 + 1)
+    expected = a.shard_of.copy()
+    for position, v in enumerate(period.vertices):
+        expected[v] = part[position]
+    assert new.shard_of == expected
+
+
 def assert_no_records_kept(records):
     """Replay ``records()`` under every strategy: at any yield, the record
     being yielded and the one before it are the only records alive."""

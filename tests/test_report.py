@@ -92,8 +92,13 @@ def test_read_samples_csv_accepts_byte_order_mark(tmp_path):
          "line 3: field larger than field limit (131072)"),
         (lambda header, first, second: ["x" * 131073, first],
          "line 1: field larger than field limit (131072)"),
+        (lambda header, first, second: [header, first, second.replace(",true", ",TRUE")],
+         "line 3: not true or false: 'TRUE'"),
+        (lambda header, first, second: [header, first.replace(",false", ",maybe"), second],
+         "line 2: not true or false: 'maybe'"),
     ],
-    ids=["missing-columns", "short-row", "unparsable-field", "oversize-field", "oversize-header"],
+    ids=["missing-columns", "short-row", "unparsable-field", "oversize-field", "oversize-header",
+         "uppercase-flag", "unparsable-flag"],
 )
 def test_read_samples_csv_rejects_bad_file(tmp_path, edit, message):
     lines = edit(*samples_to_csv(make_samples(), k=2).splitlines())
