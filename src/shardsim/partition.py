@@ -666,7 +666,8 @@ def write_adjacency(graph: InteractionGraph, path: str, sidecar: str, weights: s
 
     Header ``|V| |E| 011`` then one line per vertex: vertex weight followed by
     (1-based neighbor index, edge weight) pairs. Self-loops are dropped (the
-    format cannot express them). The sidecar maps line index -> vertex id.
+    format cannot express them). The sidecar maps line index -> vertex id, each
+    written as ``str`` writes it.
     """
     pg = PartGraph.from_interaction_graph(graph, weights)
     with open(path, "w", encoding="utf-8") as fh:
@@ -679,7 +680,7 @@ def write_adjacency(graph: InteractionGraph, path: str, sidecar: str, weights: s
             fh.write(" ".join(parts) + "\n")
     with open(sidecar, "w", encoding="utf-8") as fh:
         for name in graph.vertices:
-            fh.write(name + "\n")
+            fh.write(f"{name}\n")
 
 
 def read_adjacency(path: str, sidecar: str | None = None) -> PartGraph:

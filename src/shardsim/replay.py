@@ -4,10 +4,12 @@ The replay keeps running interaction counts, never the records: each record
 is counted once, into the current metric window; at every window boundary
 the finished window is merged into the graph of the whole trace so far and,
 for the strategies that partition recent activity, into the period since the
-last repartition. It also keeps the current shard assignment and its shard
-sizes. At every metric-window boundary it emits a MetricSample and evaluates
-the strategy's repartition trigger; repartitions are applied at the boundary,
-so samples sit on a uniform grid anchored at the first record.
+last repartition, both in one pass over its counts. Until the first
+repartition the period is the whole-trace graph itself. The replay also keeps
+the current shard assignment and its shard sizes. At every metric-window
+boundary it emits a MetricSample and evaluates the strategy's repartition
+trigger; repartitions are applied at the boundary, so samples sit on a uniform
+grid anchored at the first record.
 
 Each address becomes a dense int id, in order of first appearance; the graphs
 are keyed by id and the assignment is a part vector indexed by id. Addresses
@@ -170,6 +172,19 @@ def repartition(
     return Repartition(matched, count_moves(a, matched), raw_moves)
 
 
+def fold(finished: InteractionGraph, graph: InteractionGraph, period: InteractionGraph) -> None:
+    """Add a finished window's counts to the whole-trace graph and the period
+    in one pass; each gets the same keys in the same order as its own merge."""
+    graph_vertices, period_vertices = graph.vertices, period.vertices
+    for v, w in finished.vertices.items():
+        graph_vertices[v] = graph_vertices.get(v, 0) + w
+        period_vertices[v] = period_vertices.get(v, 0) + w
+    graph_edges, period_edges = graph.undirected, period.undirected
+    for key, w in finished.undirected.items():
+        graph_edges[key] = graph_edges.get(key, 0) + w
+        period_edges[key] = period_edges.get(key, 0) + w
+
+
 def run_replay(trace: Iterable[TraceRecord], cfg: ReplayConfig) -> ReplayResult:
     """Replay a time-ordered record stream under one strategy.
 
@@ -191,8 +206,11 @@ def run_replay(trace: Iterable[TraceRecord], cfg: ReplayConfig) -> ReplayResult:
     total_moves = 0
     window = InteractionGraph()
     window_start: int | None = None
+    window_end = 0  # window_start + cfg.metric_window, set with window_start
     keep_period = cfg.strategy in (Strategy.KL, Strategy.METIS_WINDOW, Strategy.METIS_THRESHOLD)
-    period = InteractionGraph()  # the windows finished since the last repartition
+    # The windows finished since the last repartition: until the first one,
+    # every window, so the period is the whole-trace graph itself.
+    period = graph if keep_period else InteractionGraph()
     last_repart = 0
     place_by_hash = cfg.strategy in (Strategy.HASHING, Strategy.KL)
     tx_counts = defaultdict(lambda: [0] * k)  # tx_id -> endpoints per shard, for multilevel placement
@@ -215,16 +233,17 @@ def run_replay(trace: Iterable[TraceRecord], cfg: ReplayConfig) -> ReplayResult:
         return v
 
     def emit_boundary() -> None:
-        nonlocal window, window_start, period, assignment, shard_sizes
+        nonlocal window, window_start, window_end, period, assignment, shard_sizes
         nonlocal total_moves, last_repart
         assert window_start is not None
         finished, window = window, InteractionGraph()
-        graph.merge(finished)
-        if keep_period:
-            if period.vertices:
-                period.merge(finished)
-            else:  # the same counts in the same key order as a merge
-                period = finished
+        if not keep_period or period is graph:
+            graph.merge(finished)
+        elif period.vertices:
+            fold(finished, graph, period)
+        else:  # a new period: the same counts in the same key order as a merge
+            graph.merge(finished)
+            period = finished
         weights = graph if cfg.cumulative_weights else finished
         # The assignment covers exactly the vertices of ``graph`` here, so
         # ``shard_sizes`` are the static shard sizes ``balance`` would count.
@@ -235,7 +254,7 @@ def run_replay(trace: Iterable[TraceRecord], cfg: ReplayConfig) -> ReplayResult:
             static_balance=load_balance(shard_sizes),
             dynamic_balance=balance(graph, assignment, "dynamic", weights.vertices),
         )
-        clock = window_start + cfg.metric_window
+        clock = window_end
         if fire_trigger(clock, last_repart, sample, cfg):
             rep = repartition(graph, period, assignment, cfg, clock, names)
             assignment = rep.assignment
@@ -250,13 +269,14 @@ def run_replay(trace: Iterable[TraceRecord], cfg: ReplayConfig) -> ReplayResult:
             period = InteractionGraph()
             log.debug("repartition at %d: %d moves (%d raw)", clock, rep.moves, rep.raw_moves)
         samples.append(sample)
-        window_start = clock
+        window_start, window_end = clock, clock + cfg.metric_window
         tx_counts.clear()  # shards change only here, so each row counts under one assignment
 
     for r in trace:
         if window_start is None:
             window_start = last_repart = r.timestamp
-        while r.timestamp >= window_start + cfg.metric_window:
+            window_end = window_start + cfg.metric_window
+        while r.timestamp >= window_end:
             emit_boundary()
         counts = None if place_by_hash else tx_counts[r.tx_id]
         src = ids.get(r.src)

@@ -19,11 +19,12 @@ inside a quoted field survives a round trip.
 
 A CSV line is split at its commas directly unless it holds a double quote or
 a NUL, holds a carriage return or line feed anywhere but in its line end, or
-is longer than ``csv.field_size_limit()`` (read once per parse). Those lines,
-and the header, are read by ``csv.reader``, which takes in the lines that a
-quoted field runs on into. Both routes give the same fields, errors, line
-numbers and skip counts, so the result never depends on which route a line
-takes.
+is longer than ``csv.field_size_limit()`` (read once per parse); those lines,
+the lines a quoted field on them runs on into, and the header are read by
+``csv.reader``. A split line of known spellings that passes every check
+becomes a record in one loop; every other row takes the per-row path. Routes
+and paths give the same records, errors, line numbers and skip counts, so the
+result never depends on which a line takes.
 """
 
 from __future__ import annotations
@@ -222,80 +223,12 @@ def parse_trace(
         raise ValueError(f"unknown trace format {format!r}")
     if stats is None:
         stats = ParseStats()
-
-    def rows() -> Iterator[tuple[int, Sequence | str]]:
-        """File line number and field values of each row, or the row's error.
-        A CSV row that spans lines is numbered by its last line."""
-        if format == "csv":
-            lines = iter(stream)
-            limit = csv.field_size_limit()
-
-            def csv_row(line: str) -> tuple[list[str] | str, int]:
-                """The csv module's row starting at ``line``, or its error,
-                and the number of lines the row took from ``lines``."""
-                reader = csv.reader(itertools.chain((line,), lines))
-                try:
-                    return next(reader), reader.line_num
-                except csv.Error as exc:  # reading goes on at the next line
-                    return str(exc), reader.line_num
-
-            first = next(lines, None)
-            if first is None:
-                return
-            header, line_no = csv_row(first)
-            if type(header) is str:
-                raise MalformedRow(1, header)
-            if [h.strip().lower() for h in header] != CSV_HEADER:
-                raise MalformedRow(1, f"bad header {header!r}, expected {','.join(CSV_HEADER)}")
-            for line in lines:
-                text = line.rstrip("\r\n")
-                # NUL goes to csv: Python 3.10's reader rejects it, 3.11's reads it
-                if '"' in text or "\0" in text or "\r" in text or "\n" in text or len(line) > limit:
-                    row, n = csv_row(line)
-                    line_no += n
-                    if type(row) is str:
-                        yield line_no, row
-                        continue
-                else:
-                    line_no += 1
-                    row = text.split(",") if text else []
-                if not row:
-                    continue
-                if len(row) != len(CSV_HEADER):
-                    yield line_no, f"expected {len(CSV_HEADER)} fields, got {len(row)}"
-                    continue
-                yield line_no, row
-        else:
-            decode = json.JSONDecoder().raw_decode
-            for line_no, line in enumerate(stream, start=1):
-                # A value that starts the line and is followed only by JSON
-                # whitespace is what json.loads would return; any other line
-                # goes through json.loads, for its skip rule and messages.
-                try:
-                    obj, end = decode(line)
-                    decoded = not line[end:].strip(" \t\n\r")
-                except ValueError:
-                    decoded = False
-                if not decoded:
-                    if not line.strip():
-                        continue
-                    try:
-                        obj = json.loads(line)
-                    except json.JSONDecodeError as exc:
-                        yield line_no, f"bad json: {exc}"
-                        continue
-                if not isinstance(obj, dict):
-                    yield line_no, "record is not an object"
-                    continue
-                try:
-                    fields = _jsonl_fields(obj)
-                except KeyError as exc:
-                    fields = str(exc)
-                yield line_no, fields
-
     names: dict[str, str] = {}
-    last_block = last_timestamp = -1
-    for line_no, fields in rows():
+    last_block = last_timestamp = 0  # a record with a negative block or timestamp is malformed
+
+    def checked(line_no: int, fields: Sequence | str) -> TraceRecord | None:
+        """The per-row path: a row's record, or None where lenient mode skips it."""
+        nonlocal last_block, last_timestamp
         try:
             if type(fields) is str:
                 raise MalformedRow(line_no, fields)
@@ -309,10 +242,103 @@ def parse_trace(
                 raise
             stats.skipped += 1
             log.warning("skipping row: %s", exc)
+            return None
+        last_block, last_timestamp = record.block, record.timestamp
+        return record
+
+    if format == "jsonl":
+        for line_no, fields in _jsonl_rows(stream):
+            record = checked(line_no, fields)
+            if record is not None:
+                yield record
+        return
+
+    lines = iter(stream)
+    limit = csv.field_size_limit()
+
+    def csv_row(line: str) -> tuple[list[str] | str, int]:
+        """The csv module's row starting at ``line``, or its error, and the
+        number of lines the row took from ``lines``."""
+        reader = csv.reader(itertools.chain((line,), lines))
+        try:
+            return next(reader), reader.line_num
+        except csv.Error as exc:  # reading goes on at the next line
+            return str(exc), reader.line_num
+
+    first = next(lines, None)
+    if first is None:
+        return
+    header, line_no = csv_row(first)
+    if type(header) is str:
+        raise MalformedRow(1, header)
+    if [h.strip().lower() for h in header] != CSV_HEADER:
+        raise MalformedRow(1, f"bad header {header!r}, expected {','.join(CSV_HEADER)}")
+    create, contract = CallKind.CONTRACT_CREATE, VertexKind.CONTRACT
+    for line in lines:
+        text = line.rstrip("\r\n")
+        # NUL goes to csv: Python 3.10's reader rejects it, 3.11's reads it
+        if '"' in text or "\0" in text or "\r" in text or "\n" in text or len(line) > limit:
+            row, n = csv_row(line)  # a row that spans lines is numbered by its last line
+            line_no += n
+        else:
+            line_no += 1
+            # The one loop: eight fields of spellings seen before that pass
+            # every check. Any other line takes the per-row path below.
+            try:
+                timestamp, block, src, src_kind, dst, dst_kind, call_kind, tx_id = text.split(",")
+                timestamp, block = int(timestamp), int(block)
+                src, dst = names[src], names[dst]
+                src_kind, dst_kind = _VERTEX_KINDS[src_kind], _VERTEX_KINDS[dst_kind]
+                call_kind = _CALL_KINDS[call_kind]
+            except (ValueError, KeyError):
+                pass
+            else:
+                # last_block and last_timestamp start at 0, so this also checks the sign
+                in_order = block >= last_block and timestamp >= last_timestamp
+                if in_order and tx_id and (call_kind is not create or dst_kind is contract):
+                    last_block, last_timestamp = block, timestamp
+                    record = TraceRecord(timestamp, block, src, src_kind, dst, dst_kind, call_kind, tx_id)
+                    yield record
+                    continue
+            row = text.split(",") if text else []
+        if type(row) is not str:
+            if not row:
+                continue
+            if len(row) != len(CSV_HEADER):
+                row = f"expected {len(CSV_HEADER)} fields, got {len(row)}"
+        record = checked(line_no, row)  # rebound on both paths: no yielded record stays alive
+        if record is not None:
+            yield record
+
+
+def _jsonl_rows(stream: IO[str]) -> Iterator[tuple[int, Sequence | str]]:
+    """File line number and field values of each JSONL row, or the row's error."""
+    decode = json.JSONDecoder().raw_decode
+    for line_no, line in enumerate(stream, start=1):
+        # A value that starts the line and is followed only by JSON
+        # whitespace is what json.loads would return; any other line goes
+        # through json.loads, for its skip rule and messages.
+        try:
+            obj, end = decode(line)
+            decoded = not line[end:].strip(" \t\n\r")
+        except ValueError:
+            decoded = False
+        if not decoded:
+            if not line.strip():
+                continue
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                yield line_no, f"bad json: {exc}"
+                continue
+        if not isinstance(obj, dict):
+            yield line_no, "record is not an object"
             continue
-        last_block = record.block
-        last_timestamp = record.timestamp
-        yield record
+        try:
+            fields = _jsonl_fields(obj)
+        except KeyError as exc:
+            fields = str(exc)
+        yield line_no, fields
 
 
 def _csv_field(text: str) -> str:

@@ -31,6 +31,14 @@ def graph_from_pairs(pairs) -> InteractionGraph:
     return g
 
 
+def id_graph(pairs) -> InteractionGraph:
+    """Graph of (src, dst) pairs keyed by the ints themselves, the replay's key form."""
+    g = InteractionGraph()
+    for src, dst in pairs:
+        g.record(src, dst)
+    return g
+
+
 def random_graph(rng: random.Random, n: int, p: float, max_weight: int = 1):
     """Random undirected multigraph as (src, dst) pairs, repeated per weight."""
     pairs = []

@@ -12,17 +12,19 @@ from shardsim.metrics import (
     normalized_balance,
 )
 
-from conftest import graph_from_pairs, vid
+from conftest import id_graph
 
 
 def assign(mapping, k):
-    return Assignment({vid(i): s for i, s in mapping.items()}, k)
+    """Part vector of an id -> shard map; ids the map lacks (none of the
+    graph's vertices) get shard 0."""
+    return Assignment([mapping.get(v, 0) for v in range(max(mapping, default=-1) + 1)], k)
 
 
 def test_worked_example_ten_edges_two_cut():
     # 10 undirected edges, exactly 2 crossing the two shards: 20% across
     pairs = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (4, 5), (4, 6), (5, 6), (0, 4), (1, 5)]
-    g = graph_from_pairs(pairs)
+    g = id_graph(pairs)
     a = assign({0: 0, 1: 0, 2: 0, 3: 0, 4: 1, 5: 1, 6: 1}, 2)
     assert edge_cut(g, a) == 0.2
 
@@ -32,7 +34,7 @@ def test_static_metrics_ignore_multiplicity():
     # static cut counts distinct edges (1 of 2), the dynamic one activity (1
     # of 6); static balance counts vertices (2 of 3 in shard 0), dynamic
     # balance their activity (11 of 12)
-    g = graph_from_pairs([(0, 1)] * 5 + [(1, 2)])
+    g = id_graph([(0, 1)] * 5 + [(1, 2)])
     a = assign({0: 0, 1: 0, 2: 1}, 2)
     assert edge_cut(g, a) == 1 / 2
     assert edge_cut(g, a, "dynamic", g.undirected) == 1 / 6
@@ -43,31 +45,31 @@ def test_static_metrics_ignore_multiplicity():
 def test_balance_worked_example():
     # |V| = 20, k = 2, max shard 13 -> 13*2/20 = 1.3 exactly
     pairs = [(i, (i + 1) % 20) for i in range(20)]
-    g = graph_from_pairs(pairs)
+    g = id_graph(pairs)
     a = assign({i: (0 if i < 13 else 1) for i in range(20)}, 2)
     assert balance(g, a) == 1.3
 
 
 def test_all_one_shard_cut_zero():
-    g = graph_from_pairs([(0, 1), (1, 2)])
+    g = id_graph([(0, 1), (1, 2)])
     a = assign({0: 0, 1: 0, 2: 0}, 3)
     assert edge_cut(g, a) == 0.0
 
 
 def test_even_split_balance_one():
-    g = graph_from_pairs([(0, 1), (2, 3)])
+    g = id_graph([(0, 1), (2, 3)])
     a = assign({0: 0, 1: 0, 2: 1, 3: 1}, 2)
     assert balance(g, a) == 1.0
 
 
 def test_balance_five_vertices_three_two():
-    g = graph_from_pairs([(0, 1), (1, 2), (2, 3), (3, 4)])
+    g = id_graph([(0, 1), (1, 2), (2, 3), (3, 4)])
     a = assign({0: 0, 1: 0, 2: 0, 3: 1, 4: 1}, 2)
     assert balance(g, a) == 3 * 2 / 5
 
 
 def test_k1_degenerate():
-    g = graph_from_pairs([(0, 1), (1, 2), (0, 2)])
+    g = id_graph([(0, 1), (1, 2), (0, 2)])
     a = assign({0: 0, 1: 0, 2: 0}, 1)
     assert edge_cut(g, a) == 0.0
     assert balance(g, a) == 1.0
@@ -75,8 +77,8 @@ def test_k1_degenerate():
 
 
 def test_empty_graph_defined_values():
-    g = graph_from_pairs([])
-    a = Assignment({}, 4)
+    g = id_graph([])
+    a = Assignment([], 4)
     assert edge_cut(g, a) == 0.0
     assert balance(g, a) == 1.0
 
@@ -90,7 +92,7 @@ def test_load_balance_zero_total_and_k1():
 
 
 def test_balance_rejects_missing_activity_and_unknown_weighting():
-    g = graph_from_pairs([(0, 1)])
+    g = id_graph([(0, 1)])
     a = assign({0: 0, 1: 1}, 2)
     with pytest.raises(ValueError, match="^dynamic balance requires activity weights$"):
         balance(g, a, "dynamic")
@@ -105,15 +107,15 @@ def test_normalized_balance_formula():
 
 
 def test_self_loop_not_in_cut_but_in_denominator():
-    g = graph_from_pairs([(0, 0), (0, 1)])
+    g = id_graph([(0, 0), (0, 1)])
     a = assign({0: 0, 1: 1}, 2)
     assert edge_cut(g, a) == 0.5  # 1 cut of 2 edges
-    act = {(vid(0), vid(0)): 3, (min(vid(0), vid(1)), max(vid(0), vid(1))): 1}
+    act = {(0, 0): 3, (0, 1): 1}
     assert edge_cut(g, a, "dynamic", act) == 0.25
 
 
 def test_dynamic_scale_invariance():
-    g = graph_from_pairs([(0, 1), (1, 2), (2, 0)])
+    g = id_graph([(0, 1), (1, 2), (2, 0)])
     a = assign({0: 0, 1: 1, 2: 0}, 2)
     act = {k: 2 for k in g.undirected}
     act10 = {k: 20 for k in g.undirected}
@@ -121,9 +123,9 @@ def test_dynamic_scale_invariance():
 
 
 def test_dynamic_balance_uses_vertex_activity():
-    g = graph_from_pairs([(0, 1), (2, 3)])
+    g = id_graph([(0, 1), (2, 3)])
     a = assign({0: 0, 1: 0, 2: 1, 3: 1}, 2)
-    vact = {vid(0): 6, vid(1): 2, vid(2): 1, vid(3): 1}
+    vact = {0: 6, 1: 2, 2: 1, 3: 1}
     assert balance(g, a, "dynamic", vact) == 8 * 2 / 10
 
 
@@ -194,13 +196,13 @@ def test_metrics_match_brute_force_enumeration():
         act_pairs = {}
         for u, v in pairs:
             act_pairs.setdefault((min(u, v), max(u, v)), rng.randint(1, 9))
-        g = graph_from_pairs(pairs)
+        g = id_graph(pairs)
         a = assign(mapping, k)
-        act = {(vid(u), vid(v)): w for (u, v), w in act_pairs.items()}
+        act = act_pairs
         vact = {}
         for (u, v), w in act_pairs.items():
-            vact[vid(u)] = vact.get(vid(u), 0) + w
-            vact[vid(v)] = vact.get(vid(v), 0) + w
+            vact[u] = vact.get(u, 0) + w
+            vact[v] = vact.get(v, 0) + w
         cut, bal, dcut, dbal = brute_force_metrics(pairs, mapping, k, act_pairs)
         assert edge_cut(g, a) == cut
         assert balance(g, a) == bal

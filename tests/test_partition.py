@@ -33,7 +33,7 @@ from shardsim.partition import (
     write_adjacency,
 )
 
-from conftest import graph_from_pairs, vid
+from conftest import graph_from_pairs, id_graph, vid
 
 
 # --- hashing ---------------------------------------------------------------
@@ -98,17 +98,17 @@ def test_hash64_matches_reference(data, seed):
 def test_kl_candidates_gain_arithmetic():
     # vertex 0 in shard 0: 3 unit edges to shard-1 vertices, 1 internal edge
     pairs = [(0, 1), (0, 2), (0, 3), (0, 4)]
-    a = Assignment({vid(0): 0, vid(1): 1, vid(2): 1, vid(3): 1, vid(4): 0}, 2)
-    act = graph_from_pairs(pairs)
+    a = Assignment([0, 1, 1, 1, 0], 2)
+    act = id_graph(pairs)
     cands = kl_select_candidates(a, act)
-    c = [c for c in cands[0] if c.vertex == vid(0)]
-    assert c == [Candidate(vid(0), 1, 2)]
+    c = [c for c in cands[0] if c.vertex == 0]
+    assert c == [Candidate(0, 1, 2)]
 
 
 def test_kl_internal_vertex_not_candidate():
     pairs = [(0, 1)]
-    a = Assignment({vid(0): 0, vid(1): 0, vid(2): 1}, 2)
-    act = graph_from_pairs(pairs)
+    a = Assignment([0, 0, 1], 2)
+    act = id_graph(pairs)
     cands = kl_select_candidates(a, act)
     assert cands[0] == [] and cands[1] == []
 
@@ -119,13 +119,13 @@ def test_kl_candidate_gain_matches_cut_delta():
         n = rng.randint(4, 12)
         k = rng.randint(2, 4)
         pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(3, 25))]
-        g = act = graph_from_pairs(pairs)
-        a = Assignment({vid(i): rng.randrange(k) for i in range(n)}, k)
+        g = act = id_graph(pairs)
+        a = Assignment([rng.randrange(k) for _ in range(n)], k)
         for shard, cands in kl_select_candidates(a, act).items():
             for c in cands:
                 assert c.gain > 0
                 before = edge_cut(g, a, "dynamic", act.undirected)
-                moved = Assignment(dict(a.shard_of), k)
+                moved = Assignment(a.shard_of.copy(), k)
                 moved.shard_of[c.vertex] = c.target
                 after = edge_cut(g, moved, "dynamic", act.undirected)
                 total = act.total_edge_weight()
@@ -174,8 +174,8 @@ def test_kl_candidates_match_brute_force(case):
 
 
 def test_kl_matrix_no_candidates_identity():
-    a = Assignment({vid(0): 0, vid(1): 1}, 2)
-    act = graph_from_pairs([(0, 1)])
+    a = Assignment([0, 1], 2)
+    act = id_graph([(0, 1)])
     m = kl_build_matrix({0: [], 1: []}, a, act)
     assert m == [[1.0, 0.0], [0.0, 1.0]]
 
@@ -186,10 +186,10 @@ def test_kl_matrix_two_shard_flow():
     k = 2
     # vertices 0,1 hot in shard 0; vertex 2 in shard 1
     pairs = [(0, 1)] * 6 + [(0, 2)] * 2
-    a = Assignment({vid(0): 0, vid(1): 0, vid(2): 1}, k)
-    act = graph_from_pairs(pairs)
+    a = Assignment([0, 0, 1], k)
+    act = id_graph(pairs)
     # loads: shard0 = va(0)+va(1) = 8+6 = 14, shard1 = va(2) = 2, mean = 8
-    cands = {0: [Candidate(vid(1), 1, 1)], 1: []}  # candidate weight 6
+    cands = {0: [Candidate(1, 1, 1)], 1: []}  # candidate weight 6
     m = kl_build_matrix(cands, a, act)
     # surplus = 6, demand 6 -> flow 6 capped by receiver room 6 -> p = 6/6
     assert math.isclose(m[0][1], 1.0)
@@ -199,11 +199,11 @@ def test_kl_matrix_two_shard_flow():
 
 def test_kl_matrix_symmetric_case():
     pairs = [(0, 1)] * 4 + [(2, 3)] * 4 + [(0, 2)] * 2
-    a = Assignment({vid(0): 0, vid(1): 0, vid(2): 1, vid(3): 1}, 2)
-    act = graph_from_pairs(pairs)
+    a = Assignment([0, 0, 1, 1], 2)
+    act = id_graph(pairs)
     cands = {
-        0: [Candidate(vid(0), 1, 1)],
-        1: [Candidate(vid(2), 0, 1)],
+        0: [Candidate(0, 1, 1)],
+        1: [Candidate(2, 0, 1)],
     }
     m = kl_build_matrix(cands, a, act)
     assert math.isclose(m[0][1], m[1][0])
@@ -214,8 +214,8 @@ def test_kl_matrix_rows_stochastic_random():
     for _ in range(30):
         n, k = rng.randint(4, 14), rng.randint(2, 5)
         pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(4, 30))]
-        a = Assignment({vid(i): rng.randrange(k) for i in range(n)}, k)
-        act = graph_from_pairs(pairs)
+        a = Assignment([rng.randrange(k) for _ in range(n)], k)
+        act = id_graph(pairs)
         cands = kl_select_candidates(a, act)
         m = kl_build_matrix(cands, a, act)
         for row in m:
@@ -224,45 +224,43 @@ def test_kl_matrix_rows_stochastic_random():
 
 
 def test_kl_exchange_identity_matrix_no_moves():
-    a = Assignment({vid(0): 0, vid(1): 1}, 2)
-    cands = {0: [Candidate(vid(0), 1, 3)], 1: []}
+    a = Assignment([0, 1], 2)
+    cands = {0: [Candidate(0, 1, 3)], 1: []}
     m = [[1.0, 0.0], [0.0, 1.0]]
     assert kl_exchange(a, cands, m, 4).shard_of == a.shard_of
 
 
 def test_kl_exchange_forced_move():
-    a = Assignment({vid(0): 0, vid(1): 1}, 2)
-    cands = {0: [Candidate(vid(0), 1, 3)], 1: []}
+    a = Assignment([0, 1], 2)
+    cands = {0: [Candidate(0, 1, 3)], 1: []}
     m = [[0.0, 1.0], [0.0, 1.0]]
     out = kl_exchange(a, cands, m, 4)
-    assert out.shard_of[vid(0)] == 1
-    assert out.shard_of[vid(1)] == 1  # non-candidate untouched
+    assert out.shard_of == [1, 1]  # vertex 1, no candidate, untouched
 
 
 def test_kl_exchange_deterministic():
     rng = random.Random(2)
-    a = Assignment({vid(i): rng.randrange(3) for i in range(30)}, 3)
-    cands = {s: [Candidate(v, (s + 1) % 3, 1) for v, sh in a.shard_of.items() if sh == s] for s in range(3)}
+    a = Assignment([rng.randrange(3) for _ in range(30)], 3)
+    cands = {s: [Candidate(v, (s + 1) % 3, 1) for v, sh in enumerate(a.shard_of) if sh == s] for s in range(3)}
     m = [[0.5, 0.25, 0.25], [0.25, 0.5, 0.25], [0.25, 0.25, 0.5]]
     assert kl_exchange(a, cands, m, 99).shard_of == kl_exchange(a, cands, m, 99).shard_of
 
 
 def test_kl_exchange_flow_statistics():
     # expected moved weight per shard pair matches the matrix-implied flow
-    verts = {vid(i): 0 for i in range(10)}
-    a = Assignment(verts, 2)
-    weights = {vid(i): i + 1 for i in range(10)}  # candidate weights 1..10
-    cands = {0: [Candidate(vid(i), 1, 1) for i in range(10)], 1: []}
+    a = Assignment([0] * 10, 2)
+    weights = [i + 1 for i in range(10)]  # candidate weights 1..10
+    cands = {0: [Candidate(i, 1, 1) for i in range(10)], 1: []}
     p01 = 0.3
     m = [[1 - p01, p01], [0.0, 1.0]]
     trials = 1000
     moved = 0.0
     for seed in range(trials):
         out = kl_exchange(a, cands, m, seed)
-        moved += sum(weights[v] for v, s in out.shard_of.items() if s == 1)
+        moved += sum(w for w, s in zip(weights, out.shard_of) if s == 1)
     mean = moved / trials
-    expect = p01 * sum(weights.values())
-    var = sum((w**2) * p01 * (1 - p01) for w in weights.values())
+    expect = p01 * sum(weights)
+    var = sum((w**2) * p01 * (1 - p01) for w in weights)
     sigma = math.sqrt(var / trials)
     assert abs(mean - expect) <= 3 * sigma
 
@@ -403,11 +401,11 @@ def test_kl_matrix_matches_reference_on_each_scaling_case():
     # under the mean, so its demand toward shard 2 is dropped; shard 2 has
     # no candidates.
     pairs = [(0, 1)] * 6 + [(2, 3)] * 3 + [(4, 5)] * 2 + [(0, 2)] * 2 + [(2, 0)]
-    a = Assignment({vid(v): s for v, s in enumerate([0, 0, 1, 1, 2, 2])}, 3)
-    act = graph_from_pairs(pairs)
+    a = Assignment([0, 0, 1, 1, 2, 2], 3)
+    act = id_graph(pairs)
     cands = {
-        0: [Candidate(vid(0), 1, 1), Candidate(vid(1), 1, 1)],
-        1: [Candidate(vid(2), 0, 1), Candidate(vid(3), 2, 1)],
+        0: [Candidate(0, 1, 1), Candidate(1, 1, 1)],
+        1: [Candidate(2, 0, 1), Candidate(3, 2, 1)],
         2: [],
     }
     m = kl_build_matrix(cands, a, act)
@@ -418,12 +416,12 @@ def test_kl_matrix_matches_reference_on_each_scaling_case():
 
 def test_kl_exchange_draw_past_row_sum_stays():
     # row 0 sums to 0.6: a draw of 0.6 or more leaves the candidate in shard 0
-    a = Assignment({vid(i): 0 for i in range(20)}, 2)
-    cands = {0: [Candidate(vid(i), 1, 1) for i in range(20)]}
+    a = Assignment([0] * 20, 2)
+    cands = {0: [Candidate(i, 1, 1) for i in range(20)]}
     m = [[0.3, 0.3], [0.0, 1.0]]
     draws = random.Random(5)
-    expect = {vid(i): 1 if 0.3 <= draws.random() < 0.6 else 0 for i in range(20)}
-    assert 0 in expect.values() and 1 in expect.values()
+    expect = [1 if 0.3 <= draws.random() < 0.6 else 0 for _ in range(20)]
+    assert 0 in expect and 1 in expect
     out = kl_exchange(a, cands, m, 5)
     assert out.shard_of == expect == _kl_exchange_ref(a, cands, m, 5).shard_of
 
@@ -1128,6 +1126,20 @@ def test_adjacency_roundtrip(tmp_path):
     assert len(pg) == 4
     assert pg.names == list(g.vertices)
     orig = PartGraph.from_interaction_graph(g, "activity")
+    assert pg.adj == orig.adj
+    assert pg.vwgt == orig.vwgt
+
+
+def test_adjacency_roundtrip_of_int_keyed_graph(tmp_path):
+    # the replay's graphs are keyed by int id, in order of first appearance
+    g = InteractionGraph()
+    for u, v in [(3, 1), (1, 0), (0, 2), (2, 3), (4, 4), (1, 3)]:
+        g.record(u, v)
+    gpath, spath = str(tmp_path / "g.graph"), str(tmp_path / "g.map")
+    write_adjacency(g, gpath, spath)
+    pg = read_adjacency(gpath, spath)
+    assert pg.names == ["3", "1", "0", "2", "4"] == [str(v) for v in g.vertices]
+    orig = PartGraph.from_interaction_graph(g)
     assert pg.adj == orig.adj
     assert pg.vwgt == orig.vwgt
 

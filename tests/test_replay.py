@@ -16,6 +16,7 @@ from shardsim.replay import (
     ReplayConfig,
     Strategy,
     fire_trigger,
+    fold,
     relabel_to_match,
     repartition,
     run_replay,
@@ -24,7 +25,7 @@ from shardsim.metrics import MetricSample
 from shardsim.synth import WorkloadSpec, generate_workload
 from shardsim.trace import parse_trace, serialize_trace
 
-from conftest import graph_from_pairs, make_record, refinement_cuts_of_replay, vid
+from conftest import graph_from_pairs, id_graph, make_record, refinement_cuts_of_replay, vid
 
 
 def sample(cut=0.0, bal=1.0, start=0):
@@ -226,6 +227,28 @@ def assert_no_records_kept(records):
         res = run_replay(stream(refs), basic_cfg(strategy, k=3, repartition_interval=DAY))
         assert len(refs) == 2000 and res.samples
         assert peak <= 2, f"{strategy.value} kept {peak} records alive"
+
+
+def test_fold_matches_two_merges():
+    # the whole-trace graph and a period that started later each get the keys
+    # of every finished window in the order their own merge would give them
+    rng = random.Random(6)
+    whole, whole_ref, period_ref = InteractionGraph(), InteractionGraph(), InteractionGraph()
+    for span in range(8):
+        finished = id_graph([(rng.randrange(30), rng.randrange(30)) for _ in range(1 + rng.randrange(25))])
+        if span < 3:
+            whole.merge(finished)
+        elif span == 3:
+            whole.merge(finished)
+            period = finished
+        else:
+            fold(finished, whole, period)
+        whole_ref.merge(finished)
+        if span >= 3:
+            period_ref.merge(finished)
+    for got, ref in ((whole, whole_ref), (period, period_ref)):
+        assert list(got.vertices.items()) == list(ref.vertices.items())
+        assert list(got.undirected.items()) == list(ref.undirected.items())
 
 
 def generated_records():

@@ -1,13 +1,15 @@
 import csv
 import gzip
 import io
+import itertools
 import json
+import logging
 import math
 import pickle
 import re
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from shardsim.trace import (
     CSV_HEADER,
@@ -618,3 +620,209 @@ def test_csv_reader_matches_single_reader_on_edge_cases(body, limit):
 )
 def test_csv_reader_matches_single_reader(body, limit):
     assert_csv_reader_matches_single_reader(body, limit)
+
+
+def per_row_parse(stream, strict=True, stats=None, skipped=None):
+    """The CSV branch of ``parse_trace`` as it was before plain lines went
+    through one loop: every row, split at its commas or read by
+    ``csv.reader``, then checked by ``_record_from_fields`` and the order
+    test. The oracle of the one loop. Each skipped row's warning goes to
+    ``skipped``."""
+    if stats is None:
+        stats = ParseStats()
+
+    def rows():
+        lines = iter(stream)
+        limit = csv.field_size_limit()
+
+        def csv_row(line):
+            reader = csv.reader(itertools.chain((line,), lines))
+            try:
+                return next(reader), reader.line_num
+            except csv.Error as exc:
+                return str(exc), reader.line_num
+
+        first = next(lines, None)
+        if first is None:
+            return
+        header, line_no = csv_row(first)
+        if type(header) is str:
+            raise MalformedRow(1, header)
+        if [h.strip().lower() for h in header] != CSV_HEADER:
+            raise MalformedRow(1, f"bad header {header!r}, expected {','.join(CSV_HEADER)}")
+        for line in lines:
+            text = line.rstrip("\r\n")
+            if '"' in text or "\0" in text or "\r" in text or "\n" in text or len(line) > limit:
+                row, n = csv_row(line)
+                line_no += n
+                if type(row) is str:
+                    yield line_no, row
+                    continue
+            else:
+                line_no += 1
+                row = text.split(",") if text else []
+            if not row:
+                continue
+            if len(row) != len(CSV_HEADER):
+                yield line_no, f"expected {len(CSV_HEADER)} fields, got {len(row)}"
+                continue
+            yield line_no, row
+
+    names = {}
+    last_block = last_timestamp = -1
+    for line_no, fields in rows():
+        try:
+            if type(fields) is str:
+                raise MalformedRow(line_no, fields)
+            record = _record_from_fields(fields, line_no, names)
+            if record.block < last_block:
+                raise OutOfOrderBlock(line_no, record.block, last_block)
+            if record.timestamp < last_timestamp:
+                raise OutOfOrderTimestamp(line_no, record.timestamp, last_timestamp)
+        except TraceError as exc:
+            if strict:
+                raise
+            stats.skipped += 1
+            if skipped is not None:
+                skipped.append(f"skipping row: {exc}")
+            continue
+        last_block = record.block
+        last_timestamp = record.timestamp
+        yield record
+
+
+def full_outcome(parse, lines, strict):
+    """What a parse gives: its records, which of their addresses are one
+    object, and in lenient mode its skip count and the warning of each
+    skipped row; or the type, message and line of its error."""
+    stats = ParseStats()
+    skipped = []
+    if parse is parse_trace:
+        handler = logging.Handler()
+        handler.emit = lambda rec: skipped.append(rec.getMessage())
+        logger = logging.getLogger("shardsim.trace")
+        logger.addHandler(handler)
+        run = lambda: list(parse_trace(lines, strict=strict, stats=stats))  # noqa: E731
+    else:
+        handler = None
+        run = lambda: list(parse(lines, strict=strict, stats=stats, skipped=skipped))  # noqa: E731
+    try:
+        records = run()
+    except TraceError as exc:
+        return type(exc), str(exc), exc.line_no
+    finally:
+        if handler is not None:
+            logger.removeHandler(handler)
+    objects = {}
+    shared = [objects.setdefault(id(a), len(objects)) for r in records for a in (r.src, r.dst)]
+    return records, shared, stats.skipped, skipped
+
+
+def assert_one_loop_matches_per_row(text, limit):
+    """``parse_trace`` reads ``text`` as the per-row parser does under field
+    size limit ``limit``: from a stream, and from lists of lines split at
+    line feeds only or at carriage returns only."""
+    old_limit = csv.field_size_limit(limit)
+    try:
+        for lines in (
+            lambda: io.StringIO(text, newline=""),
+            lambda: list(io.StringIO(text, newline="\n")),
+            lambda: re.findall("[^\r]*\r|[^\r]+", text),
+        ):
+            for strict in (True, False):
+                assert full_outcome(parse_trace, lines(), strict) == full_outcome(per_row_parse, lines(), strict)
+    finally:
+        csv.field_size_limit(old_limit)
+
+
+A4 = "ab" * 20
+ADDRESS_SPELLINGS = [
+    A1, A2, A3, A4,
+    "0x" + A1, A2.upper(), "0X" + A3.upper(), " " + A1, A2 + " ", f'"{A3}"', f'"0x{A4}"',
+    A1[:-1], "0x" + A2 + "0", "x" * 40,
+]
+KIND_SPELLINGS = ["account", "contract", "Account", " contract", "CONTRACT ", "acount", '"account"', ""]
+CALL_SPELLINGS = [
+    "transfer", "contractcall", "contract_call", "contractcreate", "contract_create",
+    "Transfer", " contractcall", "CONTRACTCREATE", "call", '"transfer"',
+]
+TX_SPELLINGS = ["tx1", "tx2", "t", "", '"t,x"', '"a""b"', '"x\ny"', "x\0y", "\ufefft", "t" * 150]
+
+
+@st.composite
+def integer_spellings(draw, value):
+    """``value`` as a CSV field: mostly its digits, sometimes another spelling."""
+    return draw(st.sampled_from([str(value)] * 6 + [
+        f" {value}", f"+{value}", f"{value:_}", f"-{value}", f"{value}.0", f'"{value}"', "x", "", "9" * 150,
+    ]))
+
+
+@st.composite
+def csv_traces(draw):
+    """A header and rows mixing plain lines of known spellings with every
+    kind of line the one loop hands to the per-row path."""
+    out = [draw(st.sampled_from(["", "", "", "\ufeff"])) + ",".join(CSV_HEADER) + "\n"]
+    timestamp = block = 10
+    for _ in range(draw(st.integers(0, 16))):
+        kind = draw(st.sampled_from(["plain"] * 3 + ["fuzzed"] * 3 + ["first-seen-out-of-order", "blank", "count"]))
+        timestamp += draw(st.integers(-2, 4))
+        block += draw(st.integers(-2, 3))
+        end = draw(st.sampled_from(["\n", "\n", "\r\n", "\r"]))
+        if kind == "blank":
+            out.append(end)
+            continue
+        fields = [str(timestamp), str(block), draw(st.sampled_from([A1, A2, A3])), "account",
+                  draw(st.sampled_from([A1, A2, A3])), "contract", draw(st.sampled_from(CALL_SPELLINGS[:5])), "tx1"]
+        if kind == "fuzzed":  # one or two fields spelled another way
+            spellings = [
+                integer_spellings(timestamp),
+                integer_spellings(block),
+                st.sampled_from(ADDRESS_SPELLINGS),
+                st.sampled_from(KIND_SPELLINGS),
+                st.sampled_from(ADDRESS_SPELLINGS),
+                st.sampled_from(KIND_SPELLINGS),
+                st.sampled_from(CALL_SPELLINGS),
+                st.sampled_from(TX_SPELLINGS),
+            ]
+            for i in draw(st.lists(st.integers(0, 7), min_size=1, max_size=2)):
+                fields[i] = draw(spellings[i])
+        elif kind == "first-seen-out-of-order":
+            # a row with an address not seen before, then one that goes back in time
+            fields[2] = draw(st.sampled_from(["0x" + A4, A4, A4.upper()]))
+            out.append(",".join(fields) + end)
+            fields[draw(st.sampled_from([0, 1]))] = str(draw(st.integers(0, 9)))
+        elif kind == "count":
+            fields = fields[: draw(st.sampled_from([1, 7]))] + draw(st.sampled_from([[], ["", "x"]]))
+        out.append(",".join(fields) + end)
+    text = "".join(out)
+    if text.endswith("\n") and draw(st.booleans()):
+        text = text.rstrip("\r\n")  # no line end after the last row
+    return text
+
+
+ONE_LOOP_EDGE_CASES = [
+    HEADER + ROW * 3,
+    HEADER + ROW.replace("\n", "\r\n") * 2,
+    HEADER + ROW + f"11,101,0x{A3},account,{A3},contract,transfer,tx2\n" + ROW,  # first-seen, then back in time
+    HEADER + ROW + f"11,99,{A3},account,{A1},contract,transfer,tx2\n" + ROW.replace("10,100", "12,101"),
+    HEADER + f"-1,100,{A1},account,{A2},contract,transfer,tx1\n" + ROW,
+    # lenient mode skips the first row, but its addresses are seen
+    HEADER + f"-5,100,{A1},account,{A2},contract,transfer,tx1\n" + f"-1,100,{A1},account,{A2},contract,transfer,tx1\n" + ROW,
+    HEADER + f"5,-5,{A1},account,{A2},contract,transfer,tx1\n" + f"5,-1,{A1},account,{A2},contract,transfer,tx1\n" + ROW,
+    HEADER + ROW + ROW.replace(",tx1", ","),  # empty tx_id
+    HEADER + ROW + ROW.replace("contract,contractcall", "account,contractcreate"),
+    HEADER + ROW + ROW.replace("tx1", '"tx1"'),  # every field as the plain line's, through csv
+    HEADER + ROW + ROW.replace(f",{A2},", f",{A2.upper()},"),
+    HEADER + ROW + ROW.replace(",account,", ",Account,"),  # known addresses, a cased kind
+]
+
+
+@pytest.mark.parametrize("text", ONE_LOOP_EDGE_CASES)
+def test_one_loop_matches_per_row_parse_on_edge_cases(text):
+    assert_one_loop_matches_per_row(text, 131072)
+
+
+@settings(max_examples=300, deadline=None)
+@given(csv_traces(), st.sampled_from([131072, 131072, 160, 100, 45]))
+def test_one_loop_matches_per_row_parse(text, limit):
+    assert_one_loop_matches_per_row(text, limit)
