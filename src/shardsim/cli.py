@@ -74,8 +74,8 @@ def _emit(payload: str, path: str | None) -> None:
 @click.group()
 def main() -> None:
     """Replay blockchain transaction traces against sharding strategies."""
-    level = os.environ.get("SHARDSIM_LOG", "WARNING").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING))
+    level = logging.getLevelName(os.environ.get("SHARDSIM_LOG", "WARNING").upper())
+    logging.basicConfig(level=level if isinstance(level, int) else logging.WARNING)  # not a level name: warning
 
 
 def _run_one_replay(

@@ -2,11 +2,12 @@
 
 The replay keeps running interaction counts, never the records: each record
 is counted once, into the current metric window; at every window boundary
-the finished window is merged into the graph of the whole trace so far and,
-for the strategies that partition recent activity, into the period since the
-last repartition, both in one pass over its counts. Until the first
-repartition the period is the whole-trace graph itself. The replay also keeps
-the current shard assignment and its shard sizes. At every metric-window
+the finished window is merged into the graph of the whole trace so far and
+into ``target``, the graph the next repartition partitions. Under
+metis-full that is the whole-trace graph; under kl, metis-window and
+metis-threshold it is the windows finished since the last repartition, which
+is the whole-trace graph until the first one. The replay also keeps the
+current shard assignment and its shard sizes. At every metric-window
 boundary it emits a MetricSample and evaluates the strategy's repartition
 trigger; repartitions are applied at the boundary, so samples sit on a uniform
 grid anchored at the first record.
@@ -132,33 +133,30 @@ def relabel_to_match(old: Assignment, new: Assignment) -> Assignment:
 
 
 def repartition(
-    graph: InteractionGraph,
-    period: InteractionGraph,
+    target: InteractionGraph,
     a: Assignment,
     cfg: ReplayConfig,
     clock: int,
     names: Sequence[str],
 ) -> Repartition:
-    """Run one repartition under ``cfg.strategy``.
+    """Run one repartition of ``target`` under ``cfg.strategy``.
 
-    ``graph`` counts the whole trace so far, ``period`` the records since the
-    last repartition; only kl, metis-window and metis-threshold read it. Both
-    are keyed by id, ``a`` is a part vector and ``names`` maps id to address.
+    ``target`` is keyed by id, ``a`` is a part vector and ``names`` maps id
+    to address; vertices outside ``target`` keep their shard.
     """
     strategy = cfg.strategy
     if strategy is Strategy.KL:
         new = a
         for rnd in range(cfg.kl_rounds):
-            cands = kl_select_candidates(new, period, names.__getitem__)
-            matrix = kl_build_matrix(cands, new, period)
+            cands = kl_select_candidates(new, target, names.__getitem__)
+            matrix = kl_build_matrix(cands, new, target)
             new = kl_exchange(new, cands, matrix, cfg.seed ^ clock ^ (rnd << 32))
     else:
-        target = graph if strategy is Strategy.METIS_FULL else period
         if strategy is Strategy.HASHING or target.num_vertices == 0:
             return Repartition(a, 0, 0)  # nothing to partition
         weights = "unit" if strategy is Strategy.METIS_FULL else "activity"
         res = multilevel_partition(target, cfg.partitioner, weights=weights)
-        part = a.shard_of.copy()  # vertices outside the partitioned graph keep their shard
+        part = a.shard_of.copy()
         for v, s in zip(target.vertices, res.assignment.shard_of):
             part[v] = s
         new = Assignment(part, cfg.k)
@@ -170,19 +168,6 @@ def repartition(
     raw_moves = count_moves(a, new)
     matched = relabel_to_match(a, new)
     return Repartition(matched, count_moves(a, matched), raw_moves)
-
-
-def fold(finished: InteractionGraph, graph: InteractionGraph, period: InteractionGraph) -> None:
-    """Add a finished window's counts to the whole-trace graph and the period
-    in one pass; each gets the same keys in the same order as its own merge."""
-    graph_vertices, period_vertices = graph.vertices, period.vertices
-    for v, w in finished.vertices.items():
-        graph_vertices[v] = graph_vertices.get(v, 0) + w
-        period_vertices[v] = period_vertices.get(v, 0) + w
-    graph_edges, period_edges = graph.undirected, period.undirected
-    for key, w in finished.undirected.items():
-        graph_edges[key] = graph_edges.get(key, 0) + w
-        period_edges[key] = period_edges.get(key, 0) + w
 
 
 def run_replay(trace: Iterable[TraceRecord], cfg: ReplayConfig) -> ReplayResult:
@@ -205,12 +190,11 @@ def run_replay(trace: Iterable[TraceRecord], cfg: ReplayConfig) -> ReplayResult:
     repartition_timestamps: list[int] = []
     total_moves = 0
     window = InteractionGraph()
-    window_start: int | None = None
-    window_end = 0  # window_start + cfg.metric_window, set with window_start
-    keep_period = cfg.strategy in (Strategy.KL, Strategy.METIS_WINDOW, Strategy.METIS_THRESHOLD)
-    # The windows finished since the last repartition: until the first one,
-    # every window, so the period is the whole-trace graph itself.
-    period = graph if keep_period else InteractionGraph()
+    window_end: int | None = None  # set by the first record
+    # The graph the next repartition partitions: ``graph`` until a
+    # repartition under kl, metis-window or metis-threshold, then None until
+    # the next boundary adopts the finished window as the new period.
+    target: InteractionGraph | None = graph
     last_repart = 0
     place_by_hash = cfg.strategy in (Strategy.HASHING, Strategy.KL)
     tx_counts = defaultdict(lambda: [0] * k)  # tx_id -> endpoints per shard, for multilevel placement
@@ -232,31 +216,27 @@ def run_replay(trace: Iterable[TraceRecord], cfg: ReplayConfig) -> ReplayResult:
         shard_sizes[s] += 1
         return v
 
-    def emit_boundary() -> None:
-        nonlocal window, window_start, window_end, period, assignment, shard_sizes
-        nonlocal total_moves, last_repart
-        assert window_start is not None
+    def emit_boundary(clock: int) -> None:
+        """Close the metric window that ends at ``clock``."""
+        nonlocal window, target, assignment, shard_sizes, total_moves, last_repart
         finished, window = window, InteractionGraph()
-        if not keep_period or period is graph:
-            graph.merge(finished)
-        elif period.vertices:
-            fold(finished, graph, period)
-        else:  # a new period: the same counts in the same key order as a merge
-            graph.merge(finished)
-            period = finished
+        graph.merge(finished)
+        if target is None:
+            target = finished
+        elif target is not graph:
+            target.merge(finished)
         weights = graph if cfg.cumulative_weights else finished
         # The assignment covers exactly the vertices of ``graph`` here, so
         # ``shard_sizes`` are the static shard sizes ``balance`` would count.
         sample = MetricSample(
-            window_start=window_start,
+            window_start=clock - cfg.metric_window,
             static_edge_cut=edge_cut(graph, assignment, "static"),
             dynamic_edge_cut=edge_cut(graph, assignment, "dynamic", weights.undirected),
             static_balance=load_balance(shard_sizes),
             dynamic_balance=balance(graph, assignment, "dynamic", weights.vertices),
         )
-        clock = window_end
         if fire_trigger(clock, last_repart, sample, cfg):
-            rep = repartition(graph, period, assignment, cfg, clock, names)
+            rep = repartition(target, assignment, cfg, clock, names)
             assignment = rep.assignment
             shard_sizes = [0] * k
             for s in assignment.shard_of:
@@ -266,18 +246,19 @@ def run_replay(trace: Iterable[TraceRecord], cfg: ReplayConfig) -> ReplayResult:
             total_moves += rep.moves
             repartition_timestamps.append(clock)
             last_repart = clock
-            period = InteractionGraph()
+            if cfg.strategy is not Strategy.METIS_FULL:
+                target = None
             log.debug("repartition at %d: %d moves (%d raw)", clock, rep.moves, rep.raw_moves)
         samples.append(sample)
-        window_start, window_end = clock, clock + cfg.metric_window
         tx_counts.clear()  # shards change only here, so each row counts under one assignment
 
     for r in trace:
-        if window_start is None:
-            window_start = last_repart = r.timestamp
-            window_end = window_start + cfg.metric_window
+        if window_end is None:
+            last_repart = r.timestamp
+            window_end = last_repart + cfg.metric_window
         while r.timestamp >= window_end:
-            emit_boundary()
+            emit_boundary(window_end)
+            window_end += cfg.metric_window
         counts = None if place_by_hash else tx_counts[r.tx_id]
         src = ids.get(r.src)
         if src is None:
@@ -290,8 +271,8 @@ def run_replay(trace: Iterable[TraceRecord], cfg: ReplayConfig) -> ReplayResult:
             counts[assignment.shard_of[dst]] += 1
         apply_record(window, src, dst)
 
-    if window_start is not None:
-        emit_boundary()
+    if window_end is not None:
+        emit_boundary(window_end)
 
     for address, s in zip(names, assignment.shard_of):
         ids[address] = s  # ids becomes the final map, keys still in id order

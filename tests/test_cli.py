@@ -656,3 +656,22 @@ def test_cli_runs_with_click_as_the_only_dependency(tmp_path):
     ):
         res = shardsim_cli(*args)
         assert res.returncode == 0, (args, res.stderr)
+
+
+@pytest.mark.parametrize("name, logs", [("debug", True), ("Debug", True), ("basic_format", False), ("nosuchlevel", False)])
+def test_log_level_from_environment(tmp_path, name, logs):
+    # only a level name sets the level; any other name means warning, even one
+    # the logging module defines (BASIC_FORMAT is a format string). Run in a
+    # subprocess: under pytest the root logger has handlers already, so
+    # basicConfig would not look at the level.
+    trace = make_trace_file(tmp_path)
+    src = os.path.dirname(os.path.dirname(shardsim.__file__))
+    env = {**os.environ, "PYTHONPATH": src, "SHARDSIM_LOG": name}
+    res = subprocess.run(
+        [sys.executable, "-m", "shardsim.cli", "replay", "--trace", str(trace), "--shards", "2",
+         "--strategy", "metis-window", "--repartition-interval", "1d", "--out", str(tmp_path / "s.csv")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert res.returncode == 0, res.stderr
+    assert "Traceback" not in res.stderr
+    assert ("repartition at" in res.stderr) == logs

@@ -16,16 +16,17 @@ from shardsim.replay import (
     ReplayConfig,
     Strategy,
     fire_trigger,
-    fold,
     relabel_to_match,
     repartition,
     run_replay,
 )
 from shardsim.metrics import MetricSample
+from shardsim.report import samples_to_csv
 from shardsim.synth import WorkloadSpec, generate_workload
 from shardsim.trace import parse_trace, serialize_trace
 
-from conftest import graph_from_pairs, id_graph, make_record, refinement_cuts_of_replay, vid
+from conftest import make_record, refinement_cuts_of_replay, vid
+from reference_replay import reference_replay
 
 
 def sample(cut=0.0, bal=1.0, start=0):
@@ -167,7 +168,7 @@ def test_infeasible_balance_is_logged(caplog):
             for i in range(n - 1):
                 graph.record(i, i + 1)
             a = Assignment([0] * n, 2)
-            repartition(graph, InteractionGraph(), a, cfg, 5000 + n, [vid(i) for i in range(n)])
+            repartition(graph, a, cfg, 5000 + n, [vid(i) for i in range(n)])
     messages = [r.getMessage() for r in caplog.records if r.levelno == logging.INFO]
     assert messages == ["repartition at 5003: balance cap 1.575 not met (heaviest vertex weighs 1)"]
 
@@ -195,7 +196,7 @@ def test_window_repartition_joins_the_part_vector_by_period_order():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(replay, "multilevel_partition", multilevel_spy)
         mp.setattr(replay, "relabel_to_match", relabel_spy)
-        repartition(period, period, a, basic_cfg(Strategy.METIS_WINDOW), 5000, [vid(i) for i in range(n)])
+        repartition(period, a, basic_cfg(Strategy.METIS_WINDOW), 5000, [vid(i) for i in range(n)])
     (res,), (new,) = results, unlabelled
     part = res.assignment.shard_of
     assert len(part) == 3 and part[0] == part[2] != part[1]  # 2 (weight 4) against 9 and 7 (3 + 1)
@@ -227,28 +228,6 @@ def assert_no_records_kept(records):
         res = run_replay(stream(refs), basic_cfg(strategy, k=3, repartition_interval=DAY))
         assert len(refs) == 2000 and res.samples
         assert peak <= 2, f"{strategy.value} kept {peak} records alive"
-
-
-def test_fold_matches_two_merges():
-    # the whole-trace graph and a period that started later each get the keys
-    # of every finished window in the order their own merge would give them
-    rng = random.Random(6)
-    whole, whole_ref, period_ref = InteractionGraph(), InteractionGraph(), InteractionGraph()
-    for span in range(8):
-        finished = id_graph([(rng.randrange(30), rng.randrange(30)) for _ in range(1 + rng.randrange(25))])
-        if span < 3:
-            whole.merge(finished)
-        elif span == 3:
-            whole.merge(finished)
-            period = finished
-        else:
-            fold(finished, whole, period)
-        whole_ref.merge(finished)
-        if span >= 3:
-            period_ref.merge(finished)
-    for got, ref in ((whole, whole_ref), (period, period_ref)):
-        assert list(got.vertices.items()) == list(ref.vertices.items())
-        assert list(got.undirected.items()) == list(ref.undirected.items())
 
 
 def generated_records():
@@ -284,13 +263,14 @@ def by_address(vertices, undirected, names):
 @settings(max_examples=150, deadline=None)
 @given(
     steps=st.lists(st.tuples(st.sampled_from(GAPS), st.integers(0, 7), st.integers(0, 7)), min_size=1, max_size=60),
-    strategy=st.sampled_from([Strategy.KL, Strategy.METIS_WINDOW, Strategy.METIS_THRESHOLD]),
+    strategy=st.sampled_from([Strategy.KL, Strategy.METIS_FULL, Strategy.METIS_WINDOW, Strategy.METIS_THRESHOLD]),
     k=st.integers(2, 3),
     interval=st.sampled_from([4 * HOUR, 8 * HOUR, DAY]),
 )
 def test_period_matches_window_subgraph_oracle(steps, strategy, k, interval):
-    # the period a repartition partitions is exactly the records since the
-    # previous repartition, with keys in order of first appearance
+    # the graph a repartition partitions is exactly the records since the
+    # first record under metis-full and since the previous repartition under
+    # the others, with keys in order of first appearance
     records, t = [], 1000
     for i, (gap, src, dst) in enumerate(steps):
         t += gap
@@ -322,7 +302,8 @@ def test_period_matches_window_subgraph_oracle(steps, strategy, k, interval):
         oracle = window_subgraph(records, previous, clock)
         if strategy is Strategy.KL or oracle.num_vertices:  # metis skips an empty period
             expected.append((list(oracle.vertices.items()), list(oracle.undirected.items())))
-        previous = clock
+        if strategy is not Strategy.METIS_FULL:
+            previous = clock
     assert seen == expected
 
 
@@ -455,3 +436,42 @@ def test_placement_counts_transaction_neighbours(steps, strategy, k, interval):
         for v, mult in members.items():
             shard_counts[part_then[v]] += mult
         assert counts == shard_counts
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    steps=st.lists(
+        st.tuples(st.sampled_from(GAPS), st.integers(0, 9), st.integers(0, 9), st.integers(0, 3)),
+        min_size=1,
+        max_size=60,
+    ),
+    strategy=st.sampled_from(list(Strategy)),
+    cumulative=st.booleans(),
+    k=st.integers(1, 4),
+    kl_rounds=st.integers(1, 2),
+    windows_per_interval=st.sampled_from([1, 2, 6]),
+    cut_threshold=st.sampled_from([0.0, 0.3, 0.6]),
+    balance_threshold=st.sampled_from([1.2, 1.5, float("inf")]),
+)
+def test_replay_matches_reference_replay(
+    steps, strategy, cumulative, k, kl_rounds, windows_per_interval, cut_threshold, balance_threshold
+):
+    # the whole output, derived window by window from the records by definition
+    records, t = [], 1000
+    for i, (gap, src, dst, tx) in enumerate(steps):
+        t += gap
+        records.append(make_record(src, dst, timestamp=t, block=i, tx_id=f"t{tx}"))
+    cfg = basic_cfg(
+        strategy,
+        k=k,
+        cumulative_weights=cumulative,
+        kl_rounds=kl_rounds,
+        repartition_interval=windows_per_interval * 4 * HOUR,
+        cut_threshold=cut_threshold,
+        balance_threshold=balance_threshold,
+    )
+    got, want = run_replay(records, cfg), reference_replay(records, cfg)
+    assert samples_to_csv(got.samples, k) == samples_to_csv(want.samples, k)
+    assert list(got.final_assignment.shard_of.items()) == list(want.final_assignment.shard_of.items())
+    assert got.total_moves == want.total_moves
+    assert got.repartition_timestamps == want.repartition_timestamps
