@@ -29,17 +29,6 @@ class InteractionGraph:
         self.vertices: dict = {}  # vertex -> endpoint touches
         self.undirected: dict[tuple, int] = {}  # (lesser, greater) vertex -> records
 
-    @property
-    def num_vertices(self) -> int:
-        return len(self.vertices)
-
-    @property
-    def num_undirected_edges(self) -> int:
-        return len(self.undirected)
-
-    def total_edge_weight(self) -> int:
-        return sum(self.undirected.values())
-
     def record(self, src, dst) -> None:
         """Count one interaction."""
         vertices = self.vertices

@@ -63,7 +63,7 @@ def edge_cut(
     window with no edges has edge-cut 0 by definition.
     """
     if weighting == "static":
-        total = graph.num_undirected_edges
+        total = len(graph.undirected)
         if total == 0:
             return 0.0
         shard_of = a.shard_of

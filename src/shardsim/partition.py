@@ -245,12 +245,6 @@ class PartGraph:
     def __len__(self) -> int:
         return len(self.vwgt)
 
-    def total_vwgt(self) -> int:
-        return sum(self.vwgt)
-
-    def num_edges(self) -> int:
-        return sum(len(nbrs) for nbrs in self.adj) // 2
-
     @classmethod
     def from_interaction_graph(cls, g: InteractionGraph, vertex_weights: str = "unit") -> "PartGraph":
         """Index-form copy of the undirected view of ``g``; index i is its i-th vertex.
@@ -384,7 +378,7 @@ def _greedy_grow(pg: PartGraph, k: int, cap: float, rng: random.Random) -> list[
     # kept sorted, rng.choice must see the same sequence; while a shard grows
     # it lacks the vertices passed over, which return when the shard closes
     unassigned = list(range(n))
-    total_left = pg.total_vwgt()
+    total_left = sum(vwgt)
     for shard in range(k - 1):
         if not unassigned:
             break
@@ -499,7 +493,7 @@ def fm_refine(
     cap: float,
     max_passes: int,
     rng: random.Random,
-    pass_cuts: list[tuple[int, int]] | None = None,
+    pass_cuts: list[tuple[int, int]],
     cut: int | None = None,
 ) -> int:
     """Boundary refinement: greedy positive-gain single-vertex moves.
@@ -507,8 +501,10 @@ def fm_refine(
     Each pass visits vertices in a shuffled order and applies any move with
     a strictly positive cut gain whose target shard stays under the weight
     cap; passes repeat until none improves (or max_passes). The cut is
-    non-increasing per pass by construction. Returns the final cut weight;
-    ``cut``, the cut of ``part`` if the caller knows it, saves counting it.
+    non-increasing per pass by construction. Appends each pass's
+    ``(cut_before, cut_after)`` to ``pass_cuts`` and returns the final cut
+    weight; ``cut``, the cut of ``part`` if the caller knows it, saves
+    counting it.
 
     A vertex is evaluated again only when the result could differ: its gains
     depend only on its neighbours' shards, so it is skipped until a neighbour
@@ -567,8 +563,7 @@ def fm_refine(
                 for u in nbrs:
                     full_targets[u] = None
         assert cut <= cut_before, "refinement pass increased the cut"
-        if pass_cuts is not None:
-            pass_cuts.append((cut_before, cut))
+        pass_cuts.append((cut_before, cut))
         if not moved:
             break
     return cut
@@ -590,7 +585,7 @@ def partition_partgraph(pg: PartGraph, cfg: PartitionerConfig) -> MultilevelResu
     n = len(pg)
     if n == 0:
         raise ValueError("cannot partition an empty graph")
-    cap = cfg.balance_cap(pg.total_vwgt())
+    cap = cfg.balance_cap(sum(pg.vwgt))
     heaviest = max(pg.vwgt)
     if k == 1:
         return MultilevelResult(Assignment([0] * n, k), False, [], cap, heaviest)
@@ -671,7 +666,7 @@ def write_adjacency(graph: InteractionGraph, path: str, sidecar: str, weights: s
     """
     pg = PartGraph.from_interaction_graph(graph, weights)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{len(pg)} {pg.num_edges()} 011\n")
+        fh.write(f"{len(pg)} {sum(len(nbrs) for nbrs in pg.adj) // 2} 011\n")
         for v in range(len(pg)):
             parts = [str(pg.vwgt[v])]
             for u in sorted(pg.adj[v]):
@@ -683,14 +678,23 @@ def write_adjacency(graph: InteractionGraph, path: str, sidecar: str, weights: s
             fh.write(f"{name}\n")
 
 
+def _integer(token: str, where: str) -> int:
+    """``int(token)``, or a ValueError that names ``where`` the token sits."""
+    try:
+        return int(token)
+    except ValueError:
+        raise ValueError(f"{where}: {token!r} is not an integer") from None
+
+
 def read_adjacency(path: str, sidecar: str | None = None) -> PartGraph:
     """Load a graph written by write_adjacency.
 
     Raises ValueError unless it is a PartGraph the kernels accept: a header
-    of exactly ``|V| |E| 011``, |V| >= 0 vertex lines (blank lines after them
-    are ignored), neighbour indices in 1..|V|, no self-loops, vertex and edge
-    weights of at least 1, each edge listed from both ends with one weight,
-    |E| as the header says, and a sidecar, if given, of |V| distinct names.
+    of exactly ``|V| |E| 011``, integer tokens, |V| >= 0 vertex lines (blank
+    lines after them are ignored), neighbour indices in 1..|V|, no
+    self-loops, vertex and edge weights of at least 1, each edge listed from
+    both ends with one weight, |E| as the header says, and a sidecar, if
+    given, of |V| distinct names.
     """
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().split()
@@ -698,7 +702,7 @@ def read_adjacency(path: str, sidecar: str | None = None) -> PartGraph:
             raise ValueError(f"adjacency header has {len(header)} fields, not |V|, |E| and the format field 011")
         if header[2] != "011":
             raise ValueError(f"adjacency header's format field is {header[2]}, not 011 (vertex and edge weights)")
-        n, m = int(header[0]), int(header[1])
+        n, m = _integer(header[0], "adjacency header"), _integer(header[1], "adjacency header")
         if n < 0:
             raise ValueError(f"header says {n} vertices, a negative count")
         vwgt = [1] * n
@@ -712,11 +716,12 @@ def read_adjacency(path: str, sidecar: str | None = None) -> PartGraph:
                 continue
             if len(tokens) % 2 == 0:
                 raise ValueError(f"vertex {v + 1}: a neighbour has no edge weight")
-            vwgt[v] = int(tokens[0])
+            where = f"vertex {v + 1}"
+            vwgt[v] = _integer(tokens[0], where)
             if vwgt[v] < 1:
                 raise ValueError(f"vertex {v + 1}: weight {vwgt[v]} is below 1")
             for i in range(1, len(tokens), 2):
-                u, w = int(tokens[i]) - 1, int(tokens[i + 1])
+                u, w = _integer(tokens[i], where) - 1, _integer(tokens[i + 1], where)
                 if not 0 <= u < n or u == v:
                     raise ValueError(f"vertex {v + 1}: neighbour {u + 1} is not another vertex in 1..{n}")
                 if w < 1:

@@ -142,7 +142,8 @@ def repartition(
     """Run one repartition of ``target`` under ``cfg.strategy``.
 
     ``target`` is keyed by id, ``a`` is a part vector and ``names`` maps id
-    to address; vertices outside ``target`` keep their shard.
+    to address; vertices outside ``target`` keep their shard. Never called
+    under hashing, whose trigger never fires.
     """
     strategy = cfg.strategy
     if strategy is Strategy.KL:
@@ -152,7 +153,7 @@ def repartition(
             matrix = kl_build_matrix(cands, new, target)
             new = kl_exchange(new, cands, matrix, cfg.seed ^ clock ^ (rnd << 32))
     else:
-        if strategy is Strategy.HASHING or target.num_vertices == 0:
+        if not target.vertices:
             return Repartition(a, 0, 0)  # nothing to partition
         weights = "unit" if strategy is Strategy.METIS_FULL else "activity"
         res = multilevel_partition(target, cfg.partitioner, weights=weights)
@@ -187,8 +188,6 @@ def run_replay(trace: Iterable[TraceRecord], cfg: ReplayConfig) -> ReplayResult:
     assignment = Assignment([], k)
     shard_sizes = [0] * k
     samples: list[MetricSample] = []
-    repartition_timestamps: list[int] = []
-    total_moves = 0
     window = InteractionGraph()
     window_end: int | None = None  # set by the first record
     # The graph the next repartition partitions: ``graph`` until a
@@ -218,7 +217,7 @@ def run_replay(trace: Iterable[TraceRecord], cfg: ReplayConfig) -> ReplayResult:
 
     def emit_boundary(clock: int) -> None:
         """Close the metric window that ends at ``clock``."""
-        nonlocal window, target, assignment, shard_sizes, total_moves, last_repart
+        nonlocal window, target, assignment, shard_sizes, last_repart
         finished, window = window, InteractionGraph()
         graph.merge(finished)
         if target is None:
@@ -243,8 +242,6 @@ def run_replay(trace: Iterable[TraceRecord], cfg: ReplayConfig) -> ReplayResult:
                 shard_sizes[s] += 1
             sample.moves = rep.moves
             sample.repartitioned = True
-            total_moves += rep.moves
-            repartition_timestamps.append(clock)
             last_repart = clock
             if cfg.strategy is not Strategy.METIS_FULL:
                 target = None
@@ -278,7 +275,7 @@ def run_replay(trace: Iterable[TraceRecord], cfg: ReplayConfig) -> ReplayResult:
         ids[address] = s  # ids becomes the final map, keys still in id order
     return ReplayResult(
         samples=samples,
-        total_moves=total_moves,
-        repartition_timestamps=repartition_timestamps,
+        total_moves=sum(s.moves for s in samples),
+        repartition_timestamps=[s.window_start + cfg.metric_window for s in samples if s.repartitioned],
         final_assignment=Assignment(ids, k),
     )

@@ -71,7 +71,7 @@ def repartition(records: list, shard: dict, cfg: ReplayConfig, start: int, clock
             cands = kl_select_candidates(a, target)  # in address order
             a = kl_exchange(a, cands, kl_build_matrix(cands, a, target), cfg.seed ^ clock ^ (rnd << 32))
         new = a.shard_of
-    elif target.num_vertices:
+    elif target.vertices:
         weights = "unit" if cfg.strategy is Strategy.METIS_FULL else "activity"
         new.update(zip(target.vertices, multilevel_partition(target, cfg.partitioner, weights).assignment.shard_of))
     return relabel(shard, new, cfg.k)

@@ -20,8 +20,8 @@ from shardsim.report import samples_to_csv
 from shardsim.synth import WorkloadSpec, generate_workload
 from shardsim.trace import serialize_trace
 
-from conftest import graph_from_pairs, random_graph, refinement_cuts_of_replay, vid
-from test_metrics import brute_force_metrics
+from conftest import id_graph, random_graph, refinement_cuts_of_replay, vid
+from test_metrics import assign, brute_force_metrics
 
 
 def report(num, desc, ok):
@@ -38,11 +38,11 @@ def test_criterion_1_hashing_cut_matches_theory():
         v = rng.randrange(n)
         if u != v:
             pairs.append((u, v))
-    g = graph_from_pairs(pairs)
+    g = id_graph(pairs)
     results = {}
     for k in (8, 2):
         cfg = PartitionerConfig(k=k, seed=1)
-        a = Assignment({v: hash_partition(v, cfg) for v in g.vertices}, k)
+        a = Assignment([hash_partition(vid(v), cfg) for v in range(n)], k)
         results[k] = edge_cut(g, a)
     ok = abs(results[8] - 0.875) <= 0.02 and abs(results[2] - 0.50) <= 0.02
     report(1, f"hashing static cut k=8 {results[8]:.4f} (0.875+-0.02), "
@@ -51,13 +51,13 @@ def test_criterion_1_hashing_cut_matches_theory():
 
 def test_criterion_2_worked_examples_exact():
     pairs = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (4, 5), (4, 6), (5, 6), (0, 4), (1, 5)]
-    g = graph_from_pairs(pairs)
-    a = Assignment({vid(i): 0 if i < 4 else 1 for i in range(7)}, 2)
+    g = id_graph(pairs)
+    a = Assignment([0 if i < 4 else 1 for i in range(7)], 2)
     cut = edge_cut(g, a)
 
     ring = [(i, (i + 1) % 20) for i in range(20)]
-    g2 = graph_from_pairs(ring)
-    a2 = Assignment({vid(i): 0 if i < 13 else 1 for i in range(20)}, 2)
+    g2 = id_graph(ring)
+    a2 = Assignment([0 if i < 13 else 1 for i in range(20)], 2)
     bal = balance(g2, a2)
     ok = cut == 0.2 and bal == 1.3
     report(2, f"edge_cut {cut} == 0.200 exact, balance {bal} == 1.300 exact", ok)
@@ -77,18 +77,17 @@ def test_criterion_3_metric_oracle_equivalence():
         act_pairs = {}
         for u, v in pairs:
             act_pairs.setdefault((min(u, v), max(u, v)), rng.randint(1, 9))
-        g = graph_from_pairs(pairs)
-        a = Assignment({vid(x): s for x, s in mapping.items()}, k)
-        act = {(vid(u), vid(v)): w for (u, v), w in act_pairs.items()}
+        g = id_graph(pairs)
+        a = assign(mapping, k)
         vact = {}
         for (u, v), w in act_pairs.items():
-            vact[vid(u)] = vact.get(vid(u), 0) + w
-            vact[vid(v)] = vact.get(vid(v), 0) + w
+            vact[u] = vact.get(u, 0) + w
+            vact[v] = vact.get(v, 0) + w
         want = brute_force_metrics(pairs, mapping, k, act_pairs)
         got = (
             edge_cut(g, a),
             balance(g, a),
-            edge_cut(g, a, "dynamic", act),
+            edge_cut(g, a, "dynamic", act_pairs),
             balance(g, a, "dynamic", vact),
         )
         if got != want:
@@ -118,8 +117,8 @@ def test_criterion_4_partitioner_quality():
         pairs = random_graph(rng, n, p, max_weight=5)
         if not pairs:
             pairs = [(0, 1)]
-        g = graph_from_pairs(pairs)
-        n_seen = g.num_vertices
+        g = id_graph(pairs)
+        n_seen = len(g.vertices)
         cfg = PartitionerConfig(k=2, epsilon=0.05, seed=trial)
         res = multilevel_partition(g, cfg)
         part = dict(zip(g.vertices, res.assignment.shard_of))
@@ -132,7 +131,7 @@ def test_criterion_4_partitioner_quality():
         opt = _exhaustive_best_cut(len(index), [(index[u], index[v], w) for u, v, w in edges], cap)
         if opt is None:
             continue
-        got = sum(w for u, v, w in edges if part[vid(u)] != part[vid(v)])
+        got = sum(w for u, v, w in edges if part[u] != part[v])
         total += 1
         if got <= 1.5 * opt or got == opt:
             within += 1
@@ -148,9 +147,9 @@ def test_criterion_4_partitioner_quality():
                 for j in range(i + 1, m):
                     if r2.random() < 0.8 or j == i + 1:
                         pairs.append((base + i, base + j))
-        g = graph_from_pairs(pairs)
+        g = id_graph(pairs)
         res = multilevel_partition(g, PartitionerConfig(k=2, epsilon=0.05, seed=seed))
-        a = Assignment(dict(zip(g.vertices, res.assignment.shard_of)), 2)
+        a = assign(dict(zip(g.vertices, res.assignment.shard_of)), 2)
         if edge_cut(g, a) != 0.0 or balance(g, a) != 1.0:
             planted_ok = False
     ok = frac >= 0.90 and planted_ok

@@ -1,4 +1,7 @@
+import ast
+from collections import Counter
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
@@ -46,6 +49,54 @@ PUBLIC_API = [
 def test_public_api():
     assert shardsim.__all__ == PUBLIC_API
     assert [name for name in PUBLIC_API if not hasattr(shardsim, name)] == []
+
+
+# Functions and methods of src/shardsim that no code in src/ names, each with
+# the reason it stays; any other would be a helper that only tests call.
+NAMED_OUTSIDE_SRC = {
+    "write_adjacency": "the only writer of the adjacency format that `shardsim partition` reads",
+    "activity_from_records": "bench/layers.py wraps it",
+    "DurationParam.convert": "a click hook",
+    "CallKind._missing_": "an Enum hook",
+}
+
+
+def _definitions(node: ast.AST, prefix: str = ""):
+    """(qualified name, node) of every function and method below ``node``."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            name = prefix + child.name
+            if not isinstance(child, ast.ClassDef):
+                yield name, child
+            yield from _definitions(child, name + ".")
+        else:
+            yield from _definitions(child, prefix)
+
+
+def _names(node: ast.AST) -> Counter:
+    """How often each identifier is read or written below ``node``, attributes included."""
+    return Counter(
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute))
+    )
+
+
+def test_every_function_is_named_in_src():
+    # dunders and decorated module-level functions (the click commands) are
+    # called by their frameworks
+    src = Path(shardsim.__file__).parent
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in sorted(src.glob("*.py"))]
+    named = sum((_names(tree) for tree in trees), Counter())
+    unnamed = []
+    for tree in trees:
+        for qualname, node in _definitions(tree):
+            name = node.name
+            if (name.startswith("__") and name.endswith("__")) or ("." not in qualname and node.decorator_list):
+                continue
+            if named[name] == _names(node)[name] and name not in shardsim.__all__:
+                unnamed.append(qualname)
+    assert sorted(unnamed) == sorted(NAMED_OUTSIDE_SRC)
 
 
 def test_option_surface():

@@ -19,9 +19,9 @@ def test_fig2_style_inweight():
 def test_single_record_counts():
     window = InteractionGraph()
     apply_record(window, vid(1), vid(2))
-    assert window.num_vertices == 2
-    assert window.num_undirected_edges == 1
-    assert window.total_edge_weight() == 1
+    assert len(window.vertices) == 2
+    assert len(window.undirected) == 1
+    assert sum(window.undirected.values()) == 1
 
 
 def test_self_loop():
@@ -56,14 +56,14 @@ def test_window_subgraph_filters_by_time():
     log = [make_record(1, 2, timestamp=1), make_record(2, 3, timestamp=10)]
     sub = window_subgraph(log, 5, 15)
     assert set(sub.vertices) == {vid(2), vid(3)}
-    assert sub.total_edge_weight() == 1
+    assert sum(sub.undirected.values()) == 1
 
 
 def test_window_subgraph_empty_and_full():
     log = [make_record(1, 2, timestamp=1), make_record(2, 3, timestamp=10)]
-    assert window_subgraph(log, 100, 200).num_vertices == 0
+    assert len(window_subgraph(log, 100, 200).vertices) == 0
     full = window_subgraph(log, 0, 10**18)
-    assert full.num_vertices == 3 and full.total_edge_weight() == 2
+    assert len(full.vertices) == 3 and sum(full.undirected.values()) == 2
 
 
 def test_prefix_replay_matches_brute_force_tally():
@@ -81,7 +81,7 @@ def test_prefix_replay_matches_brute_force_tally():
             und[key] = und.get(key, 0) + 1
         assert set(window.vertices) == verts
         assert window.undirected == und
-        assert window.total_edge_weight() == prefix_len
+        assert sum(window.undirected.values()) == prefix_len
 
 
 def test_cumulative_weight_order_insensitive():

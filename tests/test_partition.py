@@ -128,7 +128,7 @@ def test_kl_candidate_gain_matches_cut_delta():
                 moved = Assignment(a.shard_of.copy(), k)
                 moved.shard_of[c.vertex] = c.target
                 after = edge_cut(g, moved, "dynamic", act.undirected)
-                total = act.total_edge_weight()
+                total = sum(act.undirected.values())
                 assert math.isclose((before - after) * total, c.gain, abs_tol=1e-9)
 
 
@@ -514,7 +514,7 @@ def test_coarsening_conserves_weight():
     rng = random.Random(6)
     pg = random_partgraph(rng, 60, 0.15)
     coarse, cmap = coarsen_once(pg, random.Random(1))
-    assert coarse.total_vwgt() == pg.total_vwgt()
+    assert sum(coarse.vwgt) == sum(pg.vwgt)
     # edge weight: fine total = coarse total + weight folded into matches
     folded = 0
     for u in range(len(pg)):
@@ -533,7 +533,7 @@ def test_two_hop_matching_pairs_the_leaves_of_a_star():
     for seed in range(5):
         coarse, cmap = coarsen_once(pg, random.Random(seed))
         assert len(coarse) == 600
-        assert coarse.total_vwgt() == 1200
+        assert sum(coarse.vwgt) == 1200
 
 
 def test_coarsening_gives_up_below_ten_percent_shrink(monkeypatch):
@@ -572,7 +572,7 @@ def test_fm_pass_never_increases_cut():
     for trial in range(30):
         pg = random_partgraph(rng, rng.randint(8, 40), 0.2)
         part = [rng.randrange(3) for _ in range(len(pg))]
-        cap = 1.05 * pg.total_vwgt() / 3
+        cap = 1.05 * sum(pg.vwgt) / 3
         pass_cuts = []
         fm_refine(pg, part, 3, cap, 10, random.Random(trial), pass_cuts)
         for before, after in pass_cuts:
@@ -593,7 +593,7 @@ def test_multilevel_respects_balance_cap():
             weights = [0] * k
             for v in range(n):
                 weights[part[v]] += pg.vwgt[v]
-            assert max(weights) <= (1 + cfg.epsilon) * pg.total_vwgt() / k + 1e-9
+            assert max(weights) <= (1 + cfg.epsilon) * sum(pg.vwgt) / k + 1e-9
 
 
 def test_multilevel_deterministic():
@@ -704,7 +704,7 @@ def test_repair_balance_matches_scan_reference_on_community_graphs(seed, n, k, w
     # queued moves, and with two shards over the cap the heaviest one changes
     # back and forth; the skewed k=16 graph cannot meet its cap
     pg = community_partgraph(seed, n, k, 3, weights)
-    cap = 1.05 * pg.total_vwgt() / k
+    cap = 1.05 * sum(pg.vwgt) / k
     starts = [[0] * n]
     if k > 2:  # shards 0 and 1 both over the cap
         starts.append([v % 2 if v % 4 else v % k for v in range(n)])
@@ -804,7 +804,7 @@ def _greedy_grow_ref(pg: PartGraph, k: int, cap: float, rng: random.Random) -> l
     n = len(pg)
     part = [-1] * n
     unassigned = set(range(n))
-    total_left = pg.total_vwgt()
+    total_left = sum(pg.vwgt)
     for shard in range(k - 1):
         if not unassigned:
             break
@@ -1003,7 +1003,7 @@ def test_kernels_match_references_on_community_graphs():
         pg = community_partgraph(seed, 300, 4, 2, "skewed" if seed % 2 else "unit")
         k = (2, 4, 8)[seed % 3]
         for epsilon in (0.0, 0.05):
-            cap = (1 + epsilon) * pg.total_vwgt() / k
+            cap = (1 + epsilon) * sum(pg.vwgt) / k
             rng, ref_rng = random.Random(seed), random.Random(seed)
             coarse, cmap = coarsen_once(pg, rng)
             ref, ref_cmap = _two_hop_ref(pg, _coarsen_once_ref(pg, ref_rng)[1])
@@ -1161,6 +1161,9 @@ BAD_ADJACENCY = {
     "edge-weights-only-format": ("3 2 001\n2 1 3 1\n1 1\n1 1\n", "format field is 001, not 011"),
     "unknown-format": ("4 3 xyz\n1 2 1\n1 1 1 3 1\n1 2 1 4 1\n1 3 1\n", "format field is xyz, not 011"),
     "no-format-field": ("4 3\n1 2 1\n1 1 1 3 1\n1 2 1 4 1\n1 3 1\n", "header has 2 fields"),
+    "header-not-integer": ("abc 2 011\n1 2 1\n1 1 1\n", "adjacency header: 'abc' is not an integer"),
+    "edge-weight-not-integer": ("2 1 011\n1 2 1\n1 1 1.5\n", r"vertex 2: '1\.5' is not an integer"),
+    "neighbour-not-integer": ("2 1 011\n1 2x 1\n1 1 1\n", "vertex 1: '2x' is not an integer"),
     # a third entry is the sidecar's text
     "repeated-sidecar-name": ("2 1 011\n1 2 1\n1 1 1\n", "sidecar names vertex 'a' more than once", "a\na\n"),
 }

@@ -7,24 +7,25 @@ from click.testing import CliRunner
 
 from shardsim import synth
 from shardsim.cli import main
-from shardsim.graph import InteractionGraph
 from shardsim.metrics import Assignment, edge_cut
 from shardsim.synth import WorkloadSpec, generate_workload, vertex_id
 from shardsim.trace import canonical_address, serialize_trace
 
+from conftest import id_graph
+
 
 def build_graph(records):
-    g = InteractionGraph()
-    for r in records:
-        g.record(r.src, r.dst)
-    return g
+    """Graph of the records keyed by dense id, as the replay keys it, and its id -> address list."""
+    ids: dict[str, int] = {}
+    g = id_graph((ids.setdefault(r.src, len(ids)), ids.setdefault(r.dst, len(ids))) for r in records)
+    return g, list(ids)
 
 
 def test_zero_inter_prob_ground_truth_cut_zero():
     spec = WorkloadSpec(vertices=100, communities=2, inter_prob=0.0, duration=86400, records_per_hour=100)
     records, truth = generate_workload(spec, seed=1)
-    g = build_graph(records)
-    a = Assignment({v: truth[v] for v in g.vertices}, 2)
+    g, names = build_graph(records)
+    a = Assignment([truth[name] for name in names], 2)
     assert edge_cut(g, a) == 0.0
 
 
@@ -110,10 +111,9 @@ def test_rewiring_changes_interaction_pattern():
     mid = spec.start_time + spec.duration // 2
     early = [r for r in records if r.timestamp < mid]
     late = [r for r in records if r.timestamp >= mid]
-    a = Assignment(truth, 2)
-    g_early, g_late = build_graph(early), build_graph(late)
-    a_early = Assignment({v: truth[v] for v in g_early.vertices}, 2)
-    a_late = Assignment({v: truth[v] for v in g_late.vertices}, 2)
+    (g_early, early_names), (g_late, late_names) = build_graph(early), build_graph(late)
+    a_early = Assignment([truth[name] for name in early_names], 2)
+    a_late = Assignment([truth[name] for name in late_names], 2)
     assert edge_cut(g_early, a_early) == 0.0
     assert edge_cut(g_late, a_late) > 0.1  # rewired vertices now talk across
 
