@@ -79,7 +79,7 @@ def main() -> None:
 
 
 def _run_one_replay(
-    trace_path: str, fmt: str, strict: bool, cfg: ReplayConfig, out_format: str
+    trace_path: str, fmt: str | None, strict: bool, cfg: ReplayConfig, out_format: str
 ) -> tuple[int, str, int]:
     """Worker for --sweep; module-level so it pickles.
 
@@ -119,7 +119,6 @@ def _run_one_replay(
               "runs independent replays in parallel, one output per k.")
 def replay(trace_path, fmt, k, weights, lenient, out_path, out_format, sweep, **settings):
     """Replay a trace and emit per-window metric samples."""
-    fmt = fmt or infer_format(trace_path)
     if sweep is None and k is None:
         raise click.UsageError("either --shards or --sweep is required")
     if sweep is not None and k is not None:

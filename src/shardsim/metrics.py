@@ -1,16 +1,15 @@
 """Edge-cut, balance, and move-count metrics for a shard assignment.
 
-Static metrics count vertices and undirected edges; dynamic metrics weight
-them by interaction activity. A cut edge is counted once regardless of
-direction, so the edge-cut fraction is "share of (weighted) edges whose
-endpoints sit in different shards". Self-loops can never be cut but do count
-in the denominator.
+Each metric reads one graph. Static metrics count its vertices and undirected
+edges; dynamic metrics weight them by its interaction counts. A cut edge is
+counted once regardless of direction, so the edge-cut fraction is "share of
+(weighted) edges whose endpoints sit in different shards". Self-loops can
+never be cut but do count in the denominator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
 
 from shardsim.graph import InteractionGraph
 
@@ -50,17 +49,11 @@ class MetricSample:
     repartitioned: bool = False
 
 
-def edge_cut(
-    graph: InteractionGraph,
-    a: Assignment,
-    weighting: str = "static",
-    activity: Mapping[tuple, int] | None = None,
-) -> float:
-    """Fraction of (weighted) undirected edges crossing shards, in [0, 1].
+def edge_cut(graph: InteractionGraph, a: Assignment, weighting: str = "static") -> float:
+    """Fraction of (weighted) undirected edges of ``graph`` crossing shards, in [0, 1].
 
     Static mode counts edges; dynamic mode weights each undirected edge by
-    ``activity`` (a map keyed like InteractionGraph.undirected). A graph or
-    window with no edges has edge-cut 0 by definition.
+    its record count. A graph with no edges has edge-cut 0 by definition.
     """
     if weighting == "static":
         total = len(graph.undirected)
@@ -70,11 +63,9 @@ def edge_cut(
         # Counts the uncut edges (self-loops among them): fewer when most are cut.
         return (total - sum(1 for u, v in graph.undirected if shard_of[u] == shard_of[v])) / total
     if weighting == "dynamic":
-        if activity is None:
-            raise ValueError("dynamic edge_cut requires activity weights")
         total = cut = 0
         shard_of = a.shard_of
-        for (u, v), w in activity.items():
+        for (u, v), w in graph.undirected.items():
             total += w
             if shard_of[u] != shard_of[v]:
                 cut += w
@@ -88,27 +79,22 @@ def load_balance(loads: list[int]) -> float:
     return max(loads) * len(loads) / total if total else 1.0
 
 
-def balance(
-    graph: InteractionGraph,
-    a: Assignment,
-    weighting: str = "static",
-    activity: Mapping | None = None,
-) -> float:
-    """``load_balance`` of the shard loads.
+def balance(graph: InteractionGraph, a: Assignment, weighting: str = "static") -> float:
+    """``load_balance`` of the shard loads of ``graph``'s vertices.
 
     Static mode measures shard sizes in vertices: max_i |p_i| * k / |V|.
-    Dynamic mode substitutes summed per-vertex activity for shard size.
-    An empty graph (or zero total activity) has balance 1 by definition.
+    Dynamic mode substitutes summed per-vertex activity (endpoint touches)
+    for shard size. An empty graph (or one without activity) has balance 1
+    by definition.
     """
     if weighting == "static":
-        activity = dict.fromkeys(graph.vertices, 1)
+        loads_of = dict.fromkeys(graph.vertices, 1)
     elif weighting == "dynamic":
-        if activity is None:
-            raise ValueError("dynamic balance requires activity weights")
+        loads_of = graph.vertices
     else:
         raise ValueError(f"unknown weighting {weighting!r}")
     loads = [0] * a.k
-    for v, w in activity.items():
+    for v, w in loads_of.items():
         loads[a.shard_of[v]] += w
     return load_balance(loads)
 

@@ -27,6 +27,7 @@ from __future__ import annotations
 import functools
 import heapq
 import random
+import re
 from bisect import bisect_left, bisect_right, insort
 from collections import Counter
 from dataclasses import dataclass
@@ -678,12 +679,15 @@ def write_adjacency(graph: InteractionGraph, path: str, sidecar: str, weights: s
             fh.write(f"{name}\n")
 
 
+_INTEGER_RE = re.compile(r"-?[0-9]+")
+
+
 def _integer(token: str, where: str) -> int:
-    """``int(token)``, or a ValueError that names ``where`` the token sits."""
-    try:
-        return int(token)
-    except ValueError:
-        raise ValueError(f"{where}: {token!r} is not an integer") from None
+    """``token`` as a plain decimal integer (an optional ``-`` and the digits
+    0-9), or a ValueError that names ``where`` the token sits."""
+    if not _INTEGER_RE.fullmatch(token):
+        raise ValueError(f"{where}: {token!r} is not an integer")
+    return int(token)
 
 
 def read_adjacency(path: str, sidecar: str | None = None) -> PartGraph:

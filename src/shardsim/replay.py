@@ -230,9 +230,9 @@ def run_replay(trace: Iterable[TraceRecord], cfg: ReplayConfig) -> ReplayResult:
         sample = MetricSample(
             window_start=clock - cfg.metric_window,
             static_edge_cut=edge_cut(graph, assignment, "static"),
-            dynamic_edge_cut=edge_cut(graph, assignment, "dynamic", weights.undirected),
+            dynamic_edge_cut=edge_cut(weights, assignment, "dynamic"),
             static_balance=load_balance(shard_sizes),
-            dynamic_balance=balance(graph, assignment, "dynamic", weights.vertices),
+            dynamic_balance=balance(weights, assignment, "dynamic"),
         )
         if fire_trigger(clock, last_repart, sample, cfg):
             rep = repartition(target, assignment, cfg, clock, names)

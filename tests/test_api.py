@@ -1,4 +1,5 @@
 import ast
+import inspect
 from collections import Counter
 from dataclasses import fields
 from pathlib import Path
@@ -115,6 +116,38 @@ def test_option_surface():
     ]
     assert [f.name for f in fields(PartitionerConfig) if f.init] == ["k", "epsilon", "seed"]
     assert "partitioner" not in [f.name for f in fields(ReplayConfig)]
+
+
+PUBLIC_SIGNATURES = {
+    "apply_record": ["self", "src", "dst"],
+    "assign_new_vertex": ["counts", "shard_sizes"],
+    "balance": ["graph", "a", "weighting"],
+    "count_moves": ["old", "new"],
+    "edge_cut": ["graph", "a", "weighting"],
+    "generate_workload": ["spec", "seed"],
+    "hash_partition": ["vertex", "cfg"],
+    "kl_build_matrix": ["candidates", "a", "activity"],
+    "kl_exchange": ["a", "candidates", "matrix", "seed"],
+    "kl_select_candidates": ["a", "activity", "key"],
+    "multilevel_partition": ["graph", "cfg", "weights"],
+    "normalized_balance": ["b", "k"],
+    "parse_trace": ["stream", "format", "strict", "stats"],
+    "read_trace": ["path", "format", "strict", "stats"],
+    "run_replay": ["trace", "cfg"],
+    "serialize_trace": ["records", "format"],
+    "window_subgraph": ["log", "from_t", "to_t"],
+}
+
+
+def test_public_signatures():
+    # the parameters of every exported function; a change to this table is a
+    # change to the library API
+    signatures = {}
+    for name in shardsim.__all__:
+        obj = getattr(shardsim, name)
+        if inspect.isfunction(obj):
+            signatures[name] = list(inspect.signature(obj).parameters)
+    assert signatures == PUBLIC_SIGNATURES
 
 
 def test_replay_config_builds_its_partitioner():

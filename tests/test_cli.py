@@ -204,12 +204,19 @@ def test_sweep_of_one_k_writes_its_per_k_file(tmp_path):
         (["--sweep", "k=2,2"], "a shard count is repeated"),
         (["--sweep", "k=4,2,4"], "a shard count is repeated"),
         (["--shards", "3", "--sweep", "k=2"], "--shards and --sweep cannot be used together"),
+        (["--sweep", "k=a"], "bad sweep 'k=a'"),
+        (["--sweep", "k="], "bad sweep 'k='"),
+        (["--sweep", "k=2,3"], "--sweep requires --out"),
+        (["--shards", "2", "--metric-window", "4x"], "bad duration '4x'"),
+        (["--shards", "2", "--metric-window", "0"], "metric_window must be positive"),
     ],
-    ids=["repeated", "repeated-apart", "shards-and-sweep"],
+    ids=["repeated", "repeated-apart", "shards-and-sweep", "not-a-number", "no-shard-count", "no-out",
+         "bad-duration", "zero-window"],
 )
 def test_sweep_usage_errors(tmp_path, args, message):
     trace = make_trace_file(tmp_path)
-    res = run("replay", "--trace", str(trace), *args, "--out", str(tmp_path / "s.csv"))
+    out = [] if "--out" in message else ["--out", str(tmp_path / "s.csv")]  # a case about --out goes without
+    res = run("replay", "--trace", str(trace), *args, *out)
     assert res.exit_code == 2, res.output
     assert message in res.output
     assert not list(tmp_path.glob("s*.csv"))
@@ -436,8 +443,9 @@ def test_partition_rejects_wrong_vertex_line_count(tmp_path, text, message):
         ("0 0 011\n", None, "error: cannot partition an empty graph"),
         ("-1 0 011\n", None, "error: header says -1 vertices, a negative count"),
         ("2 1 011\n1 2 1\n1 1 1\n", "a\na\n", "error: sidecar names vertex 'a' more than once"),
+        ("2 1 011\n1 2 1\n1 1 1\n", "a\nb\nc\n", "error: sidecar length does not match vertex count"),
     ],
-    ids=["empty-graph", "negative-vertex-count", "repeated-sidecar-name"],
+    ids=["empty-graph", "negative-vertex-count", "repeated-sidecar-name", "sidecar-length"],
 )
 def test_partition_rejects_graph_it_cannot_partition(tmp_path, text, sidecar, message):
     gpath, spath = tmp_path / "g.graph", tmp_path / "g.map"

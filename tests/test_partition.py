@@ -119,15 +119,15 @@ def test_kl_candidate_gain_matches_cut_delta():
         n = rng.randint(4, 12)
         k = rng.randint(2, 4)
         pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(3, 25))]
-        g = act = id_graph(pairs)
+        act = id_graph(pairs)
         a = Assignment([rng.randrange(k) for _ in range(n)], k)
         for shard, cands in kl_select_candidates(a, act).items():
             for c in cands:
                 assert c.gain > 0
-                before = edge_cut(g, a, "dynamic", act.undirected)
+                before = edge_cut(act, a, "dynamic")
                 moved = Assignment(a.shard_of.copy(), k)
                 moved.shard_of[c.vertex] = c.target
-                after = edge_cut(g, moved, "dynamic", act.undirected)
+                after = edge_cut(act, moved, "dynamic")
                 total = sum(act.undirected.values())
                 assert math.isclose((before - after) * total, c.gain, abs_tol=1e-9)
 
@@ -1164,6 +1164,11 @@ BAD_ADJACENCY = {
     "header-not-integer": ("abc 2 011\n1 2 1\n1 1 1\n", "adjacency header: 'abc' is not an integer"),
     "edge-weight-not-integer": ("2 1 011\n1 2 1\n1 1 1.5\n", r"vertex 2: '1\.5' is not an integer"),
     "neighbour-not-integer": ("2 1 011\n1 2x 1\n1 1 1\n", "vertex 1: '2x' is not an integer"),
+    # int() reads these, but they are not plain decimal integers
+    "header-with-underscore": ("2_0 1 011\n1 2 1\n1 1 1\n", "adjacency header: '2_0' is not an integer"),
+    "neighbour-with-plus": ("2 1 011\n1 +2 1\n1 1 1\n", r"vertex 1: '\+2' is not an integer"),
+    "edge-weight-with-underscore": ("2 1 011\n1 2 1_0\n1 1 10\n", "vertex 1: '1_0' is not an integer"),
+    "edge-weight-non-ascii-digit": ("2 1 011\n1 2 \u0661\n1 1 1\n", "vertex 1: '\u0661' is not an integer"),
     # a third entry is the sidecar's text
     "repeated-sidecar-name": ("2 1 011\n1 2 1\n1 1 1\n", "sidecar names vertex 'a' more than once", "a\na\n"),
 }
@@ -1173,7 +1178,7 @@ BAD_ADJACENCY = {
 def test_read_adjacency_rejects_bad_graph(tmp_path, case):
     text, message, *sidecar = BAD_ADJACENCY[case]
     path, sidecar_path = tmp_path / "g.graph", tmp_path / "g.map"
-    path.write_text(text)
+    path.write_text(text, encoding="utf-8")
     if sidecar:
         sidecar_path.write_text(sidecar[0])
     with pytest.raises(ValueError, match=message):
