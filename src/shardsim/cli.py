@@ -15,7 +15,7 @@ import os
 import re
 import sys
 import zlib
-from typing import NoReturn
+from typing import Callable, NoReturn
 
 import click
 
@@ -23,17 +23,18 @@ from shardsim.partition import PartitionerConfig, partition_partgraph, read_adja
 from shardsim.replay import ReplayConfig, Strategy, run_replay
 from shardsim.report import format_summary, read_samples_csv, samples_to_csv, samples_to_json, summarize
 from shardsim.synth import WorkloadSpec, generate_workload, write_truth
-from shardsim.trace import ParseStats, TraceError, _csv_field, infer_format, open_trace, read_trace, serialize_trace
+from shardsim.trace import (ParseStats, TraceError, _csv_field, decimal, infer_format, open_trace, read_trace,
+                            serialize_trace)
 
-_DURATION_RE = re.compile(r"^(\d+)\s*(s|m|h|d|w)?$")
+_DURATION_RE = re.compile("([0-9]+)([smhdw]?)")
 _DURATION_UNITS = {"s": 1, "m": 60, "h": 3600, "d": 86400, "w": 7 * 86400}
 
 
 def parse_duration(text: str) -> int:
-    """Trace-time duration: plain seconds or a number with s/m/h/d/w suffix."""
-    m = _DURATION_RE.match(text.strip().lower())
+    """Trace-time duration: digits 0-9 alone (seconds) or followed by an s/m/h/d/w unit."""
+    m = _DURATION_RE.fullmatch(text.lower())
     if not m:
-        raise click.BadParameter(f"bad duration {text!r} (examples: 4h, 14d, 900s)")
+        raise ValueError(f"bad duration {text!r} (examples: 4h, 14d, 900s)")
     return int(m.group(1)) * _DURATION_UNITS[m.group(2) or "s"]
 
 
@@ -43,14 +44,21 @@ def _format_duration(seconds: int) -> str:
     return f"{seconds // _DURATION_UNITS[unit]}{unit}"
 
 
-class DurationParam(click.ParamType):
-    name = "duration"
+class Reader(click.ParamType):
+    """An option type that reads its text with ``read``; a ValueError is a usage error."""
+
+    def __init__(self, name: str, read: Callable[[str], object]):
+        self.name, self.read = name, read
 
     def convert(self, value, param, ctx):
-        return parse_duration(value)
+        try:
+            return self.read(value)
+        except ValueError as exc:
+            self.fail(str(exc), param, ctx)
 
 
-DURATION = DurationParam()
+DURATION = Reader("duration", parse_duration)
+INTEGER = Reader("integer", functools.partial(decimal, name="value"))
 
 
 def _fail(exc: Exception | str) -> NoReturn:
@@ -98,7 +106,7 @@ def _run_one_replay(
 @click.option("--trace", "trace_path", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--format", "fmt", type=click.Choice(["csv", "jsonl"]), default=None,
               help="Trace format; inferred from the extension by default.")
-@click.option("--shards", "k", type=int, default=None, help="Shard count.")
+@click.option("--shards", "k", type=INTEGER, default=None, help="Shard count.")
 @click.option("--strategy", type=click.Choice([s.value for s in Strategy]), default="hashing")
 @click.option("--metric-window", type=DURATION, default=_format_duration(ReplayConfig.metric_window), show_default=True)
 @click.option("--repartition-interval", type=DURATION, default=_format_duration(ReplayConfig.repartition_interval),
@@ -106,8 +114,8 @@ def _run_one_replay(
 @click.option("--cut-threshold", type=float, default=ReplayConfig.cut_threshold, show_default=True)
 @click.option("--balance-threshold", type=float, default=ReplayConfig.balance_threshold, show_default=True)
 @click.option("--epsilon", type=float, default=ReplayConfig.epsilon, show_default=True)
-@click.option("--seed", type=int, default=ReplayConfig.seed, show_default=True)
-@click.option("--kl-rounds", type=int, default=ReplayConfig.kl_rounds, show_default=True)
+@click.option("--seed", type=INTEGER, default=ReplayConfig.seed, show_default=True)
+@click.option("--kl-rounds", type=INTEGER, default=ReplayConfig.kl_rounds, show_default=True)
 @click.option("--weights", type=click.Choice(["window", "cumulative"]),
               default="cumulative" if ReplayConfig.cumulative_weights else "window",
               help="Activity weights for dynamic metrics.")
@@ -150,12 +158,12 @@ def replay(trace_path, fmt, k, weights, lenient, out_path, out_format, sweep, **
 
 
 def _parse_sweep(sweep: str) -> list[int]:
-    text = sweep.split("=", 1)[-1]  # "k=2,4" or "2,4"
+    name, equals, text = sweep.rpartition("=")  # "k=2,4" or "2,4"
     try:
-        ks = [int(part) for part in text.split(",") if part.strip()]
+        ks = [decimal(part, "shard count") for part in text.split(",") if part]
     except ValueError:
         ks = []
-    if not ks:
+    if not ks or equals and name != "k":
         raise click.BadParameter(f"bad sweep {sweep!r}, expected e.g. 'k=2,4,8'")
     if len(set(ks)) < len(ks):
         raise click.BadParameter(f"bad sweep {sweep!r}, a shard count is repeated")
@@ -172,9 +180,9 @@ def _sweep_path(out_path: str, k: int) -> str:
               help="Adjacency file in the exported text format.")
 @click.option("--sidecar", type=click.Path(exists=True, dir_okay=False), default=None,
               help="Line-index -> vertex id map written alongside the export.")
-@click.option("--shards", "k", type=int, required=True)
+@click.option("--shards", "k", type=INTEGER, required=True)
 @click.option("--epsilon", type=float, default=PartitionerConfig.epsilon, show_default=True)
-@click.option("--seed", type=int, default=PartitionerConfig.seed, show_default=True)
+@click.option("--seed", type=INTEGER, default=PartitionerConfig.seed, show_default=True)
 @click.option("--out", "out_path", type=click.Path(dir_okay=False), default=None)
 def partition(graph_path, sidecar, k, epsilon, seed, out_path):
     """Partition an exported adjacency file offline; emits vertex,shard CSV."""
@@ -199,8 +207,8 @@ def partition(graph_path, sidecar, k, epsilon, seed, out_path):
 
 
 @main.command()
-@click.option("--vertices", type=int, required=True)
-@click.option("--communities", type=int, default=WorkloadSpec.communities, show_default=True)
+@click.option("--vertices", type=INTEGER, required=True)
+@click.option("--communities", type=INTEGER, default=WorkloadSpec.communities, show_default=True)
 @click.option("--inter-prob", type=float, default=WorkloadSpec.inter_prob, show_default=True)
 @click.option("--zipf", "zipf_exponent", type=float, default=WorkloadSpec.zipf_exponent, show_default=True)
 @click.option("--duration", type=DURATION, default=_format_duration(WorkloadSpec.duration), show_default=True)
@@ -209,7 +217,7 @@ def partition(graph_path, sidecar, k, epsilon, seed, out_path):
 @click.option("--rewire-at", type=float, default=WorkloadSpec.rewire_at,
               help="Fraction of the duration at which communities rewire.")
 @click.option("--rewire-frac", type=float, default=WorkloadSpec.rewire_frac, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=INTEGER, default=0, show_default=True)
 @click.option("--out", "out_path", required=True, type=click.Path(dir_okay=False),
               help="Trace file: JSONL for .jsonl/.ndjson, CSV otherwise; gzipped when it ends in .gz.")
 @click.option("--truth-out", type=click.Path(dir_okay=False), default=None,

@@ -27,7 +27,6 @@ from __future__ import annotations
 import functools
 import heapq
 import random
-import re
 from bisect import bisect_left, bisect_right, insort
 from collections import Counter
 from dataclasses import dataclass
@@ -36,6 +35,7 @@ from typing import Callable, ClassVar, Sequence
 
 from shardsim.graph import InteractionGraph
 from shardsim.metrics import Assignment
+from shardsim.trace import decimal
 
 MASK64 = (1 << 64) - 1
 REFINE_PASSES = 10  # refinement pass cap per level
@@ -679,26 +679,16 @@ def write_adjacency(graph: InteractionGraph, path: str, sidecar: str, weights: s
             fh.write(f"{name}\n")
 
 
-_INTEGER_RE = re.compile(r"-?[0-9]+")
-
-
-def _integer(token: str, where: str) -> int:
-    """``token`` as a plain decimal integer (an optional ``-`` and the digits
-    0-9), or a ValueError that names ``where`` the token sits."""
-    if not _INTEGER_RE.fullmatch(token):
-        raise ValueError(f"{where}: {token!r} is not an integer")
-    return int(token)
-
-
 def read_adjacency(path: str, sidecar: str | None = None) -> PartGraph:
     """Load a graph written by write_adjacency.
 
     Raises ValueError unless it is a PartGraph the kernels accept: a header
-    of exactly ``|V| |E| 011``, integer tokens, |V| >= 0 vertex lines (blank
-    lines after them are ignored), neighbour indices in 1..|V|, no
-    self-loops, vertex and edge weights of at least 1, each edge listed from
-    both ends with one weight, |E| as the header says, and a sidecar, if
-    given, of |V| distinct names.
+    of exactly ``|V| |E| 011``, ``decimal`` integer tokens, |V| >= 0 vertex
+    lines (a blank one is a vertex of weight 1 without edges; blank lines
+    after them are ignored), neighbour indices in 1..|V|, no self-loops,
+    vertex and edge weights of at least 1, each edge listed from both ends
+    with one weight, |E| as the header says, and a sidecar, if given, of |V|
+    distinct names.
     """
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().split()
@@ -706,7 +696,7 @@ def read_adjacency(path: str, sidecar: str | None = None) -> PartGraph:
             raise ValueError(f"adjacency header has {len(header)} fields, not |V|, |E| and the format field 011")
         if header[2] != "011":
             raise ValueError(f"adjacency header's format field is {header[2]}, not 011 (vertex and edge weights)")
-        n, m = _integer(header[0], "adjacency header"), _integer(header[1], "adjacency header")
+        n, m = decimal(header[0], "adjacency header:"), decimal(header[1], "adjacency header:")
         if n < 0:
             raise ValueError(f"header says {n} vertices, a negative count")
         vwgt = [1] * n
@@ -720,12 +710,12 @@ def read_adjacency(path: str, sidecar: str | None = None) -> PartGraph:
                 continue
             if len(tokens) % 2 == 0:
                 raise ValueError(f"vertex {v + 1}: a neighbour has no edge weight")
-            where = f"vertex {v + 1}"
-            vwgt[v] = _integer(tokens[0], where)
+            where = f"vertex {v + 1}:"
+            vwgt[v] = decimal(tokens[0], where)
             if vwgt[v] < 1:
                 raise ValueError(f"vertex {v + 1}: weight {vwgt[v]} is below 1")
             for i in range(1, len(tokens), 2):
-                u, w = _integer(tokens[i], where) - 1, _integer(tokens[i + 1], where)
+                u, w = decimal(tokens[i], where) - 1, decimal(tokens[i + 1], where)
                 if not 0 <= u < n or u == v:
                     raise ValueError(f"vertex {v + 1}: neighbour {u + 1} is not another vertex in 1..{n}")
                 if w < 1:

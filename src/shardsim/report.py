@@ -13,9 +13,11 @@ import csv
 import io
 import json
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterable, Sequence
 
 from shardsim.metrics import MetricSample, normalized_balance
+from shardsim.trace import decimal
 
 SAMPLE_COLUMNS = [
     "window_start",
@@ -37,7 +39,8 @@ def _read_bool(text: str) -> bool:
 
 
 # The typed value of each column from its CSV text, in SAMPLE_COLUMNS order.
-COLUMN_READERS = [int, float, float, float, float, float, int, _read_bool]
+COLUMN_READERS = [partial(decimal, name="window_start"), float, float, float, float, float,
+                  partial(decimal, name="moves"), _read_bool]
 METRIC_COLUMNS = SAMPLE_COLUMNS[1:6]
 
 

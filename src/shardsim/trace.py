@@ -7,10 +7,10 @@ Canonical trace formats:
 
 Addresses are 40 hex digits (an optional ``0x`` prefix is stripped and the
 string lowercased on input). Blocks and timestamps must not decrease from
-row to row. In JSONL, a timestamp or block is an integer (not a boolean or a
-float) or a string holding one, and ``tx_id`` must not be null. ``tx_id``
-must not be empty in either format. ``.gz`` files are decompressed
-transparently.
+row to row. A timestamp or block is a string of a plain decimal integer
+(``decimal``: an optional ``-`` and the digits 0-9) or, in JSONL, an integer
+(not a boolean or a float). In JSONL ``tx_id`` must not be null; in either
+format it must not be empty. ``.gz`` files are decompressed transparently.
 
 A CSV field is written in double quotes, inner quotes doubled, when it holds
 a comma, a quote, a carriage return or a line feed, as ``csv`` reads it back.
@@ -115,6 +115,17 @@ class OutOfOrderTimestamp(TraceError):
 
 
 _HEX40 = re.compile("[0-9a-f]{40}")
+_DECIMAL = re.compile("-?[0-9]+")
+
+
+def decimal(raw: object, name: str) -> int:
+    """The one integer rule: an int (not a bool) as it is, or a string of an
+    optional ``-`` and the digits 0-9; anything else is a ValueError naming ``name``."""
+    if type(raw) is int:
+        return raw
+    if type(raw) is str and _DECIMAL.fullmatch(raw):
+        return int(raw)
+    raise ValueError(f"{name} {raw!r} is not an integer")
 
 
 def canonical_address(raw: str) -> str:
@@ -168,13 +179,6 @@ def _address(spelling: str, names: dict[str, str]) -> str:
     return address
 
 
-def _integer(raw: object, name: str) -> int:
-    """A timestamp or block given as a non-string: it must be an int."""
-    if type(raw) is not int:  # bool is a subclass of int, so it fails too
-        raise ValueError(f"{name} {raw!r} is not an integer")
-    return raw
-
-
 def _record_from_fields(fields: Sequence, line_no: int, names: dict[str, str]) -> TraceRecord:
     """Record of the eight field values of one row, in ``CSV_HEADER`` order.
 
@@ -183,8 +187,7 @@ def _record_from_fields(fields: Sequence, line_no: int, names: dict[str, str]) -
     """
     timestamp, block, src, src_kind, dst, dst_kind, call_kind, tx_id = fields
     try:
-        timestamp = int(timestamp) if type(timestamp) is str else _integer(timestamp, "timestamp")
-        block = int(block) if type(block) is str else _integer(block, "block")
+        timestamp, block = decimal(timestamp, "timestamp"), decimal(block, "block")
         src = (type(src) is str and names.get(src)) or _address(str(src), names)
         dst = (type(dst) is str and names.get(dst)) or _address(str(dst), names)
         src_kind = (type(src_kind) is str and _VERTEX_KINDS.get(src_kind)) or _kind(VertexKind, src_kind)
@@ -286,6 +289,8 @@ def parse_trace(
             # every check. Any other line takes the per-row path below.
             try:
                 timestamp, block, src, src_kind, dst, dst_kind, call_kind, tx_id = text.split(",")
+                if not (text.isascii() and timestamp.isdigit() and block.isdigit()):
+                    raise ValueError  # not digits 0-9 alone: the per-row path reads or names it
                 timestamp, block = int(timestamp), int(block)
                 src, dst = names[src], names[dst]
                 src_kind, dst_kind = _VERTEX_KINDS[src_kind], _VERTEX_KINDS[dst_kind]
@@ -293,7 +298,6 @@ def parse_trace(
             except (ValueError, KeyError):
                 pass
             else:
-                # last_block and last_timestamp start at 0, so this also checks the sign
                 in_order = block >= last_block and timestamp >= last_timestamp
                 if in_order and tx_id and (call_kind is not create or dst_kind is contract):
                     last_block, last_timestamp = block, timestamp

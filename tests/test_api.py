@@ -57,7 +57,7 @@ def test_public_api():
 NAMED_OUTSIDE_SRC = {
     "write_adjacency": "the only writer of the adjacency format that `shardsim partition` reads",
     "activity_from_records": "bench/layers.py wraps it",
-    "DurationParam.convert": "a click hook",
+    "Reader.convert": "a click hook",
     "CallKind._missing_": "an Enum hook",
 }
 

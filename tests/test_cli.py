@@ -46,6 +46,11 @@ def test_parse_duration_forms():
     assert parse_duration("14d") == 14 * 86400
     assert parse_duration("900") == 900
     assert parse_duration("2w") == 14 * 86400
+    assert parse_duration("007H") == 7 * 3600
+    # the count is a plain decimal integer, and nothing surrounds the duration
+    for bad in ("4h\n", " 4h", "4 h", "+4h", "1_0s", "\u0661\u0662h", "-4h", "h", ""):
+        with pytest.raises(ValueError, match="^bad duration "):
+            parse_duration(bad)
 
 
 def option_defaults(command, *required):
@@ -68,6 +73,11 @@ def test_option_defaults_are_the_config_defaults(tmp_path):
                  "rewire_at", "rewire_frac"):
         assert synth[name] == getattr(WorkloadSpec, name), name
     assert synth["seed"] == inspect.signature(generate_workload).parameters["seed"].default
+
+
+def test_integer_options_read_plain_decimals():
+    replay = option_defaults("replay", "--trace", __file__, "--shards", "007", "--seed", "-3", "--kl-rounds", "2")
+    assert (replay["k"], replay["seed"], replay["kl_rounds"]) == (7, -3, 2)
 
 
 def test_duration_defaults_read_in_units():
@@ -209,9 +219,17 @@ def test_sweep_of_one_k_writes_its_per_k_file(tmp_path):
         (["--sweep", "k=2,3"], "--sweep requires --out"),
         (["--shards", "2", "--metric-window", "4x"], "bad duration '4x'"),
         (["--shards", "2", "--metric-window", "0"], "metric_window must be positive"),
+        (["--sweep", "q=2,3"], "bad sweep 'q=2,3'"),
+        (["--sweep", "=2,3"], "bad sweep '=2,3'"),
+        (["--sweep", "k=1_0"], "bad sweep 'k=1_0'"),
+        (["--sweep", "k=2, 3"], "bad sweep 'k=2, 3'"),
+        (["--shards", "1_6"], "value '1_6' is not an integer"),
+        (["--shards", "2", "--seed", "+3"], "value '+3' is not an integer"),
+        (["--shards", "2", "--metric-window", "\u0661\u0662h"], "bad duration '\u0661\u0662h'"),
     ],
     ids=["repeated", "repeated-apart", "shards-and-sweep", "not-a-number", "no-shard-count", "no-out",
-         "bad-duration", "zero-window"],
+         "bad-duration", "zero-window", "other-name", "no-name", "underscore-count", "spaced-count",
+         "underscore-shards", "signed-seed", "non-ascii-duration"],
 )
 def test_sweep_usage_errors(tmp_path, args, message):
     trace = make_trace_file(tmp_path)
@@ -550,8 +568,10 @@ def test_partition_of_an_export_matches_the_library(tmp_path):
          "error: line 3: field larger than field limit (131072)"),
         (lambda lines: lines[:2] + [lines[2].rsplit(",", 1)[0] + ",True"] + lines[3:],
          "error: line 3: not true or false: 'True'"),
+        (lambda lines: lines[:2] + [",".join(lines[2].split(",")[:6] + ["1_0", "false"])] + lines[3:],
+         "error: line 3: moves '1_0' is not an integer"),
     ],
-    ids=["missing-column", "short-row", "oversize-field", "capitalised-flag"],
+    ids=["missing-column", "short-row", "oversize-field", "capitalised-flag", "underscore-moves"],
 )
 def test_summarize_rejects_bad_samples_file(tmp_path, edit, message):
     trace = make_trace_file(tmp_path)

@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from shardsim.graph import InteractionGraph, apply_record, window_subgraph
 from shardsim.partition import PartGraph
 
@@ -64,6 +66,9 @@ def test_window_subgraph_empty_and_full():
     assert len(window_subgraph(log, 100, 200).vertices) == 0
     full = window_subgraph(log, 0, 10**18)
     assert len(full.vertices) == 3 and sum(full.undirected.values()) == 2
+    assert len(window_subgraph(log, 10, 10).vertices) == 0
+    with pytest.raises(ValueError, match="^from_t must not exceed to_t$"):
+        window_subgraph(log, 11, 10)
 
 
 def test_prefix_replay_matches_brute_force_tally():

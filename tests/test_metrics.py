@@ -96,6 +96,11 @@ def test_balance_rejects_unknown_weighting():
     a = assign({0: 0, 1: 1}, 2)
     with pytest.raises(ValueError, match="^unknown weighting 'bogus'$"):
         balance(g, a, "bogus")
+    # edge_cut and Assignment check their arguments the same way
+    with pytest.raises(ValueError, match="^unknown weighting 'bogus'$"):
+        edge_cut(g, a, "bogus")
+    with pytest.raises(ValueError, match="^shard count must be >= 1$"):
+        Assignment([0, 0], 0)
 
 
 def test_normalized_balance_formula():

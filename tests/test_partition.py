@@ -1128,6 +1128,8 @@ def test_adjacency_roundtrip(tmp_path):
     orig = PartGraph.from_interaction_graph(g, "activity")
     assert pg.adj == orig.adj
     assert pg.vwgt == orig.vwgt
+    with pytest.raises(ValueError, match="^unknown vertex weight mode 'bogus'$"):
+        PartGraph.from_interaction_graph(g, "bogus")
 
 
 def test_adjacency_roundtrip_of_int_keyed_graph(tmp_path):
@@ -1183,3 +1185,12 @@ def test_read_adjacency_rejects_bad_graph(tmp_path, case):
         sidecar_path.write_text(sidecar[0])
     with pytest.raises(ValueError, match=message):
         read_adjacency(str(path), str(sidecar_path) if sidecar else None)
+
+
+def test_read_adjacency_blank_vertex_line_is_an_isolated_vertex(tmp_path):
+    # a blank line among the |V| vertex lines is a vertex of weight 1 without edges
+    path = tmp_path / "g.graph"
+    path.write_text("3 1 011\n2 3 1\n\n1 1 1\n")
+    pg = read_adjacency(str(path))
+    assert pg.vwgt == [2, 1, 1]
+    assert pg.adj == [{2: 1}, {}, {0: 1}]

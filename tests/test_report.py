@@ -78,6 +78,13 @@ def test_read_samples_csv_accepts_byte_order_mark(tmp_path):
     assert read_samples_csv(str(marked)) == read_samples_csv(str(plain))
 
 
+def test_read_samples_csv_skips_blank_rows(tmp_path):
+    header, first, second = samples_to_csv(make_samples(), k=2).splitlines()
+    path = tmp_path / "blank.csv"
+    path.write_text(f"{header}\n\n{first}\n\n{second}\n\n")
+    assert [row["window_start"] for row in read_samples_csv(str(path))] == [0, 14400]
+
+
 @pytest.mark.parametrize(
     "edit, message",
     [

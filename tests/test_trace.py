@@ -23,6 +23,7 @@ from shardsim.trace import (
     VertexKind,
     _record_from_fields,
     canonical_address,
+    decimal,
     infer_format,
     open_trace,
     parse_trace,
@@ -60,6 +61,13 @@ def test_empty_input_yields_nothing():
     assert parse_str("") == []
     assert parse_str(",".join(CSV_HEADER) + "\n") == []
     assert parse_str("", "jsonl") == []
+
+
+def test_unknown_format_rejected():
+    with pytest.raises(ValueError, match="^unknown trace format 'xml'$"):
+        parse_str(CSV_TEXT, "xml")
+    with pytest.raises(ValueError, match="^unknown trace format 'xml'$"):
+        serialize_trace([], "xml")
 
 
 def test_out_of_order_block_strict():
@@ -385,7 +393,12 @@ ROW = f"10,100,{A1},account,{A2},contract,contractcall,tx1\n"
         (HEADER + "\n" + ROW + "\n" + "x\n", "csv", "line 5: expected 8 fields, got 1"),
         (HEADER + "  \n", "csv", "line 2: expected 8 fields, got 1"),
         (HEADER + f"1x,100,{A1},account,{A2},contract,contractcall,tx1\n", "csv",
-         "line 2: invalid literal for int() with base 10: '1x'"),
+         "line 2: timestamp '1x' is not an integer"),
+        # after a row of the same addresses, so the one loop sees them: int() would read both
+        (HEADER + ROW.replace("10,100,", "1,1,") + f"+5,1,{A1},account,{A2},contract,contractcall,tx1\n", "csv",
+         "line 3: timestamp '+5' is not an integer"),
+        (HEADER + ROW.replace("10,100,", "1,1,") + f"5,\u0661\u0662,{A1},account,{A2},contract,contractcall,tx1\n",
+         "csv", "line 3: block '\u0661\u0662' is not an integer"),
         (HEADER + f"-1,100,{A1},account,{A2},contract,contractcall,tx1\n", "csv", "line 2: negative timestamp or block"),
         (HEADER + f"1,100,xyz,account,{A2},contract,contractcall,tx1\n", "csv", "line 2: address 'xyz' is not 40 hex digits"),
         (HEADER + ROW + f"11,100,{A1},account,{A2},contract,transfer,\n", "csv", "line 3: tx_id is empty"),
@@ -440,7 +453,11 @@ JSONL_BAD_TYPES = [
     ({"timestamp": True}, "line 1: timestamp True is not an integer"),
     ({"block": True}, "line 1: block True is not an integer"),
     ({"block": None}, "line 1: block None is not an integer"),
-    ({"block": "1.5"}, "line 1: invalid literal for int() with base 10: '1.5'"),
+    ({"block": "1.5"}, "line 1: block '1.5' is not an integer"),
+    ({"timestamp": "+5"}, "line 1: timestamp '+5' is not an integer"),
+    ({"timestamp": "1_0"}, "line 1: timestamp '1_0' is not an integer"),
+    ({"block": " 7"}, "line 1: block ' 7' is not an integer"),
+    ({"block": "\u0661\u0662"}, "line 1: block '\u0661\u0662' is not an integer"),
     ({"tx_id": None}, "line 1: tx_id is null"),
     ({"tx_id": ""}, "line 1: tx_id is empty"),
 ]
@@ -462,6 +479,21 @@ def test_jsonl_integers_and_digit_strings_accepted():
     a, b = parse_str(rows, "jsonl")
     assert (a.timestamp, a.block, a.tx_id) == (5, 1, "7")
     assert (b.timestamp, b.block, b.tx_id) == (6, 2, "t")
+
+
+def test_decimal_is_the_one_integer_rule():
+    assert [decimal(raw, "n") for raw in ("007", "-5", "0", 5, -3, 10**30)] == [7, -5, 0, 5, -3, 10**30]
+    for raw in ("+5", "1_0", " 7", "7 ", "5\n", "\u0661\u0662", "\uff15", "", "-", "1.5", True, 5.0, None):
+        with pytest.raises(ValueError) as info:
+            decimal(raw, "n")
+        assert str(info.value) == f"n {raw!r} is not an integer"
+    # both trace formats read their integers by it
+    (a,) = parse_str(HEADER + ROW.replace("10,100,", "007,0100,"))
+    (b,) = parse_str(jsonl_row(timestamp="007", block="0100"), "jsonl")
+    assert (a.timestamp, a.block) == (b.timestamp, b.block) == (7, 100)
+    for text, fmt in ((HEADER + ROW.replace("10,100,", "-5,100,"), "csv"), (jsonl_row(timestamp="-5"), "jsonl")):
+        with pytest.raises(MalformedRow, match="^line [12]: negative timestamp or block$"):
+            parse_str(text, fmt)
 
 
 @pytest.mark.parametrize(
@@ -753,7 +785,8 @@ TX_SPELLINGS = ["tx1", "tx2", "t", "", '"t,x"', '"a""b"', '"x\ny"', "x\0y", "\uf
 def integer_spellings(draw, value):
     """``value`` as a CSV field: mostly its digits, sometimes another spelling."""
     return draw(st.sampled_from([str(value)] * 6 + [
-        f" {value}", f"+{value}", f"{value:_}", f"-{value}", f"{value}.0", f'"{value}"', "x", "", "9" * 150,
+        f" {value}", f"{value} ", f"+{value}", f"{value:_}", f"-{value}", f"{value}.0", f'"{value}"', "x", "",
+        "9" * 150, "\u0661\u0662",
     ]))
 
 
@@ -814,6 +847,9 @@ ONE_LOOP_EDGE_CASES = [
     HEADER + ROW + ROW.replace("tx1", '"tx1"'),  # every field as the plain line's, through csv
     HEADER + ROW + ROW.replace(f",{A2},", f",{A2.upper()},"),
     HEADER + ROW + ROW.replace(",account,", ",Account,"),  # known addresses, a cased kind
+    # known addresses, integers that int() reads but that are not plain decimals
+    HEADER + ROW + ROW.replace("10,100,", "+11,101,") + ROW.replace("10,100,", "11,1_01,"),
+    HEADER + ROW + ROW.replace("10,100,", "\u0661\u0661,101,") + ROW.replace("10,100,", " 11,101 ,"),
 ]
 
 
