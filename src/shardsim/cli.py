@@ -23,7 +23,7 @@ from shardsim.partition import PartitionerConfig, partition_partgraph, read_adja
 from shardsim.replay import ReplayConfig, Strategy, run_replay
 from shardsim.report import format_summary, read_samples_csv, samples_to_csv, samples_to_json, summarize
 from shardsim.synth import WorkloadSpec, generate_workload, write_truth
-from shardsim.trace import (ParseStats, TraceError, _csv_field, decimal, infer_format, open_trace, read_trace,
+from shardsim.trace import (ParseStats, TraceError, _csv_field, decimal, infer_format, open_trace, read_trace, real,
                             serialize_trace)
 
 _DURATION_RE = re.compile("([0-9]+)([smhdw]?)")
@@ -59,6 +59,7 @@ class Reader(click.ParamType):
 
 DURATION = Reader("duration", parse_duration)
 INTEGER = Reader("integer", functools.partial(decimal, name="value"))
+REAL = Reader("number", functools.partial(real, name="value"))
 
 
 def _fail(exc: Exception | str) -> NoReturn:
@@ -111,9 +112,9 @@ def _run_one_replay(
 @click.option("--metric-window", type=DURATION, default=_format_duration(ReplayConfig.metric_window), show_default=True)
 @click.option("--repartition-interval", type=DURATION, default=_format_duration(ReplayConfig.repartition_interval),
               show_default=True)
-@click.option("--cut-threshold", type=float, default=ReplayConfig.cut_threshold, show_default=True)
-@click.option("--balance-threshold", type=float, default=ReplayConfig.balance_threshold, show_default=True)
-@click.option("--epsilon", type=float, default=ReplayConfig.epsilon, show_default=True)
+@click.option("--cut-threshold", type=REAL, default=ReplayConfig.cut_threshold, show_default=True)
+@click.option("--balance-threshold", type=REAL, default=ReplayConfig.balance_threshold, show_default=True)
+@click.option("--epsilon", type=REAL, default=ReplayConfig.epsilon, show_default=True)
 @click.option("--seed", type=INTEGER, default=ReplayConfig.seed, show_default=True)
 @click.option("--kl-rounds", type=INTEGER, default=ReplayConfig.kl_rounds, show_default=True)
 @click.option("--weights", type=click.Choice(["window", "cumulative"]),
@@ -181,7 +182,7 @@ def _sweep_path(out_path: str, k: int) -> str:
 @click.option("--sidecar", type=click.Path(exists=True, dir_okay=False), default=None,
               help="Line-index -> vertex id map written alongside the export.")
 @click.option("--shards", "k", type=INTEGER, required=True)
-@click.option("--epsilon", type=float, default=PartitionerConfig.epsilon, show_default=True)
+@click.option("--epsilon", type=REAL, default=PartitionerConfig.epsilon, show_default=True)
 @click.option("--seed", type=INTEGER, default=PartitionerConfig.seed, show_default=True)
 @click.option("--out", "out_path", type=click.Path(dir_okay=False), default=None)
 def partition(graph_path, sidecar, k, epsilon, seed, out_path):
@@ -209,14 +210,14 @@ def partition(graph_path, sidecar, k, epsilon, seed, out_path):
 @main.command()
 @click.option("--vertices", type=INTEGER, required=True)
 @click.option("--communities", type=INTEGER, default=WorkloadSpec.communities, show_default=True)
-@click.option("--inter-prob", type=float, default=WorkloadSpec.inter_prob, show_default=True)
-@click.option("--zipf", "zipf_exponent", type=float, default=WorkloadSpec.zipf_exponent, show_default=True)
+@click.option("--inter-prob", type=REAL, default=WorkloadSpec.inter_prob, show_default=True)
+@click.option("--zipf", "zipf_exponent", type=REAL, default=WorkloadSpec.zipf_exponent, show_default=True)
 @click.option("--duration", type=DURATION, default=_format_duration(WorkloadSpec.duration), show_default=True)
-@click.option("--rate", "records_per_hour", type=float, default=WorkloadSpec.records_per_hour, show_default=True,
+@click.option("--rate", "records_per_hour", type=REAL, default=WorkloadSpec.records_per_hour, show_default=True,
               help="Records per trace-time hour.")
-@click.option("--rewire-at", type=float, default=WorkloadSpec.rewire_at,
+@click.option("--rewire-at", type=REAL, default=WorkloadSpec.rewire_at,
               help="Fraction of the duration at which communities rewire.")
-@click.option("--rewire-frac", type=float, default=WorkloadSpec.rewire_frac, show_default=True)
+@click.option("--rewire-frac", type=REAL, default=WorkloadSpec.rewire_frac, show_default=True)
 @click.option("--seed", type=INTEGER, default=0, show_default=True)
 @click.option("--out", "out_path", required=True, type=click.Path(dir_okay=False),
               help="Trace file: JSONL for .jsonl/.ndjson, CSV otherwise; gzipped when it ends in .gz.")

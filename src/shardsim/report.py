@@ -17,7 +17,7 @@ from functools import partial
 from typing import Iterable, Sequence
 
 from shardsim.metrics import MetricSample, normalized_balance
-from shardsim.trace import decimal
+from shardsim.trace import decimal, real
 
 SAMPLE_COLUMNS = [
     "window_start",
@@ -39,9 +39,9 @@ def _read_bool(text: str) -> bool:
 
 
 # The typed value of each column from its CSV text, in SAMPLE_COLUMNS order.
-COLUMN_READERS = [partial(decimal, name="window_start"), float, float, float, float, float,
-                  partial(decimal, name="moves"), _read_bool]
 METRIC_COLUMNS = SAMPLE_COLUMNS[1:6]
+COLUMN_READERS = [partial(decimal, name="window_start"), *(partial(real, name=col) for col in METRIC_COLUMNS),
+                  partial(decimal, name="moves"), _read_bool]
 
 
 def fmt6(x: float) -> str:

@@ -21,10 +21,15 @@ A CSV line is split at its commas directly unless it holds a double quote or
 a NUL, holds a carriage return or line feed anywhere but in its line end, or
 is longer than ``csv.field_size_limit()`` (read once per parse); those lines,
 the lines a quoted field on them runs on into, and the header are read by
-``csv.reader``. A split line of known spellings that passes every check
-becomes a record in one loop; every other row takes the per-row path. Routes
-and paths give the same records, errors, line numbers and skip counts, so the
-result never depends on which a line takes.
+``csv.reader``. A JSONL line in the exact shape ``serialize_trace`` writes
+(``_CANONICAL_JSONL``: keys in header order without spaces, integers without
+a sign or leading zero, 40-hex-digit addresses, strings without escapes or
+control characters) is read by one pattern; any other JSONL line is
+JSON-decoded. A split ASCII line or a pattern-read line of known spellings
+that passes every check becomes a record in one loop, the same for both
+formats; every other row takes the per-row path. Routes and paths give the
+same records, errors, line numbers and skip counts, so the result never
+depends on which a line takes.
 """
 
 from __future__ import annotations
@@ -35,6 +40,7 @@ import io
 import itertools
 import json
 import logging
+import math
 import operator
 import re
 from dataclasses import dataclass
@@ -116,6 +122,18 @@ class OutOfOrderTimestamp(TraceError):
 
 _HEX40 = re.compile("[0-9a-f]{40}")
 _DECIMAL = re.compile("-?[0-9]+")
+_REAL = re.compile(r"-?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][-+]?[0-9]+)?")
+
+# A JSONL line in the shape serialize_trace writes: the eight keys in
+# CSV_HEADER order with no spaces, integers with no sign or leading zero,
+# addresses of 40 hex digits, and strings with no escape or control
+# character, so that the text of each group is the field's JSON value.
+_STRING = r'"([^"\\\x00-\x1f]*)"'
+_CANONICAL_JSONL = re.compile(
+    r'\{"timestamp":(0|[1-9][0-9]*),"block":(0|[1-9][0-9]*),'
+    rf'"from":"([0-9a-f]{{40}})","from_kind":{_STRING},"to":"([0-9a-f]{{40}})","to_kind":{_STRING},'
+    rf'"call_kind":{_STRING},"tx_id":{_STRING}\}}\r?\n?'
+)
 
 
 def decimal(raw: object, name: str) -> int:
@@ -126,6 +144,18 @@ def decimal(raw: object, name: str) -> int:
     if type(raw) is str and _DECIMAL.fullmatch(raw):
         return int(raw)
     raise ValueError(f"{name} {raw!r} is not an integer")
+
+
+def real(raw: object, name: str) -> float:
+    """The one float rule: a finite float as it is, or a string of an optional
+    ``-``, the digits 0-9 with at most one ``.`` among them and an optional
+    exponent (``e``, a sign, digits) whose value is finite; anything else is a
+    ValueError naming ``name``."""
+    if type(raw) is float or (type(raw) is str and _REAL.fullmatch(raw)):
+        value = float(raw)
+        if math.isfinite(value):
+            return value
+    raise ValueError(f"{name} {raw!r} is not a finite decimal")
 
 
 def canonical_address(raw: str) -> str:
@@ -249,47 +279,61 @@ def parse_trace(
         last_block, last_timestamp = record.block, record.timestamp
         return record
 
-    if format == "jsonl":
-        for line_no, fields in _jsonl_rows(stream):
-            record = checked(line_no, fields)
-            if record is not None:
-                yield record
-        return
-
     lines = iter(stream)
-    limit = csv.field_size_limit()
+    jsonl = format == "jsonl"
+    if jsonl:
+        line_no = 0
+        canonical = _CANONICAL_JSONL.fullmatch
+    else:
+        limit = csv.field_size_limit()
 
-    def csv_row(line: str) -> tuple[list[str] | str, int]:
-        """The csv module's row starting at ``line``, or its error, and the
-        number of lines the row took from ``lines``."""
-        reader = csv.reader(itertools.chain((line,), lines))
-        try:
-            return next(reader), reader.line_num
-        except csv.Error as exc:  # reading goes on at the next line
-            return str(exc), reader.line_num
+        def csv_row(line: str) -> tuple[list[str] | str, int]:
+            """The csv module's row starting at ``line``, or its error, and the
+            number of lines the row took from ``lines``."""
+            reader = csv.reader(itertools.chain((line,), lines))
+            try:
+                return next(reader), reader.line_num
+            except csv.Error as exc:  # reading goes on at the next line
+                return str(exc), reader.line_num
 
-    first = next(lines, None)
-    if first is None:
-        return
-    header, line_no = csv_row(first)
-    if type(header) is str:
-        raise MalformedRow(1, header)
-    if [h.strip().lower() for h in header] != CSV_HEADER:
-        raise MalformedRow(1, f"bad header {header!r}, expected {','.join(CSV_HEADER)}")
+        first = next(lines, None)
+        if first is None:
+            return
+        header, line_no = csv_row(first)
+        if type(header) is str:
+            raise MalformedRow(1, header)
+        if [h.strip().lower() for h in header] != CSV_HEADER:
+            raise MalformedRow(1, f"bad header {header!r}, expected {','.join(CSV_HEADER)}")
     create, contract = CallKind.CONTRACT_CREATE, VertexKind.CONTRACT
     for line in lines:
-        text = line.rstrip("\r\n")
-        # NUL goes to csv: Python 3.10's reader rejects it, 3.11's reads it
-        if '"' in text or "\0" in text or "\r" in text or "\n" in text or len(line) > limit:
-            row, n = csv_row(line)  # a row that spans lines is numbered by its last line
-            line_no += n
-        else:
+        # Each line gives a row (its field values, its error, or an empty
+        # sequence when blank) and whether the one loop may read it: a JSONL
+        # line the pattern read, or a CSV line split at its commas that is
+        # ASCII, so that isdigit below means the digits 0-9.
+        if jsonl:
             line_no += 1
-            # The one loop: eight fields of spellings seen before that pass
-            # every check. Any other line takes the per-row path below.
+            match = canonical(line)
+            if match is None:
+                row, plain = _jsonl_row(line), False
+            else:
+                row, plain = match.groups(), True
+        else:
+            text = line.rstrip("\r\n")
+            # NUL goes to csv: Python 3.10's reader rejects it, 3.11's reads it
+            if '"' in text or "\0" in text or "\r" in text or "\n" in text or len(line) > limit:
+                row, n = csv_row(line)  # a row that spans lines is numbered by its last line
+                line_no += n
+                plain = False
+            else:
+                line_no += 1
+                row, plain = (text.split(",") if text else []), text.isascii()
+        if plain:
+            # The one loop, for both formats: eight field strings of
+            # spellings seen before that pass every check. Any other row
+            # takes the per-row path below.
             try:
-                timestamp, block, src, src_kind, dst, dst_kind, call_kind, tx_id = text.split(",")
-                if not (text.isascii() and timestamp.isdigit() and block.isdigit()):
+                timestamp, block, src, src_kind, dst, dst_kind, call_kind, tx_id = row
+                if not (timestamp.isdigit() and block.isdigit()):
                     raise ValueError  # not digits 0-9 alone: the per-row path reads or names it
                 timestamp, block = int(timestamp), int(block)
                 src, dst = names[src], names[dst]
@@ -304,7 +348,6 @@ def parse_trace(
                     record = TraceRecord(timestamp, block, src, src_kind, dst, dst_kind, call_kind, tx_id)
                     yield record
                     continue
-            row = text.split(",") if text else []
         if type(row) is not str:
             if not row:
                 continue
@@ -315,34 +358,32 @@ def parse_trace(
             yield record
 
 
-def _jsonl_rows(stream: IO[str]) -> Iterator[tuple[int, Sequence | str]]:
-    """File line number and field values of each JSONL row, or the row's error."""
-    decode = json.JSONDecoder().raw_decode
-    for line_no, line in enumerate(stream, start=1):
-        # A value that starts the line and is followed only by JSON
-        # whitespace is what json.loads would return; any other line goes
-        # through json.loads, for its skip rule and messages.
+_decode = json.JSONDecoder().raw_decode
+
+
+def _jsonl_row(line: str) -> Sequence | str:
+    """Field values of one JSONL line, its error, or ``()`` when it is blank."""
+    # A value that starts the line and is followed only by JSON whitespace
+    # is what json.loads would return; any other line goes through
+    # json.loads, for its skip rule and messages.
+    try:
+        obj, end = _decode(line)
+        decoded = not line[end:].strip(" \t\n\r")
+    except ValueError:
+        decoded = False
+    if not decoded:
+        if not line.strip():
+            return ()
         try:
-            obj, end = decode(line)
-            decoded = not line[end:].strip(" \t\n\r")
-        except ValueError:
-            decoded = False
-        if not decoded:
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                yield line_no, f"bad json: {exc}"
-                continue
-        if not isinstance(obj, dict):
-            yield line_no, "record is not an object"
-            continue
-        try:
-            fields = _jsonl_fields(obj)
-        except KeyError as exc:
-            fields = str(exc)
-        yield line_no, fields
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            return f"bad json: {exc}"
+    if not isinstance(obj, dict):
+        return "record is not an object"
+    try:
+        return _jsonl_fields(obj)
+    except KeyError as exc:
+        return str(exc)
 
 
 def _csv_field(text: str) -> str:

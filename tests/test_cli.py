@@ -494,7 +494,7 @@ def test_partition_nan_epsilon_usage_error(tmp_path):
     res = run("partition", "--graph", str(gpath), "--shards", "2", "--epsilon", "nan")
     assert res.exit_code == 2
     assert isinstance(res.exception, SystemExit)
-    assert "epsilon must be >= 0" in res.stderr
+    assert "Invalid value for '--epsilon': value 'nan' is not a finite decimal" in res.stderr
 
 
 def test_partition_zero_shards_usage_error(tmp_path):
@@ -557,6 +557,32 @@ def test_partition_of_an_export_matches_the_library(tmp_path):
     assert len(set(expected)) == 3
 
 
+# spellings float() reads that the one float rule does not
+FLOAT_SPELLINGS = ["1_0.5", " 0.3", "\u0661.5", "nan", "inf", "1e999"]
+
+
+@pytest.mark.parametrize("spelling", FLOAT_SPELLINGS)
+@pytest.mark.parametrize(
+    "command, option",
+    [("replay", "--cut-threshold"), ("replay", "--balance-threshold"), ("replay", "--epsilon"),
+     ("partition", "--epsilon"), ("synth", "--inter-prob"), ("synth", "--zipf"), ("synth", "--rate"),
+     ("synth", "--rewire-at"), ("synth", "--rewire-frac")],
+)
+def test_float_options_are_finite_decimals(tmp_path, command, option, spelling):
+    if command == "replay":
+        args = ["--trace", str(make_trace_file(tmp_path)), "--shards", "2"]
+    elif command == "partition":
+        gpath = tmp_path / "g.graph"
+        gpath.write_text("2 1 011\n1 2 1\n1 1 1\n")
+        args = ["--graph", str(gpath), "--shards", "2"]
+    else:
+        args = ["--vertices", "40", "--duration", "1d"]
+    res = run(command, *args, option, spelling, "--out", str(tmp_path / "o.csv"))
+    assert res.exit_code == 2, res.output
+    assert f"Invalid value for '{option}': value {spelling!r} is not a finite decimal" in res.stderr
+    assert not (tmp_path / "o.csv").exists()
+
+
 @pytest.mark.parametrize(
     "edit, message",
     [
@@ -570,8 +596,12 @@ def test_partition_of_an_export_matches_the_library(tmp_path):
          "error: line 3: not true or false: 'True'"),
         (lambda lines: lines[:2] + [",".join(lines[2].split(",")[:6] + ["1_0", "false"])] + lines[3:],
          "error: line 3: moves '1_0' is not an integer"),
+        # every metric column spelled one way; the first is named
+        *((lambda lines, spelling=spelling: lines[:2] + [f"0,{f'{spelling},' * 5}0,false"] + lines[3:],
+           f"error: line 3: static_edge_cut {spelling!r} is not a finite decimal") for spelling in FLOAT_SPELLINGS),
     ],
-    ids=["missing-column", "short-row", "oversize-field", "capitalised-flag", "underscore-moves"],
+    ids=["missing-column", "short-row", "oversize-field", "capitalised-flag", "underscore-moves",
+         *(f"float-{spelling!r}" for spelling in FLOAT_SPELLINGS)],
 )
 def test_summarize_rejects_bad_samples_file(tmp_path, edit, message):
     trace = make_trace_file(tmp_path)

@@ -1,10 +1,13 @@
+import csv
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from shardsim.metrics import MetricSample
 from shardsim.report import (
+    METRIC_COLUMNS,
     EmptySeries,
     fmt6,
     quantile,
@@ -13,6 +16,7 @@ from shardsim.report import (
     samples_to_json,
     summarize,
     summarize_series,
+    typed_row,
 )
 
 
@@ -69,6 +73,26 @@ def test_csv_columns_and_roundtrip(tmp_path):
     assert rows[1]["normalized_dynamic_balance"] == 0.5
 
 
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@given(
+    st.lists(
+        st.builds(MetricSample, st.integers(0, 2**40), finite, finite, finite, finite, st.integers(0, 2**40),
+                  st.booleans()),
+        min_size=1, max_size=5,
+    ),
+    st.integers(1, 64),
+)
+def test_every_written_float_reads_back(samples, k):
+    # the float rule takes every spelling fmt6 writes, exponents and "-0" included
+    header, *rows = csv.reader(samples_to_csv(samples, k).splitlines())
+    for row in rows:
+        typed = typed_row(row)
+        for col in METRIC_COLUMNS:
+            assert typed[col] == float(row[header.index(col)])
+
+
 def test_read_samples_csv_accepts_byte_order_mark(tmp_path):
     text = samples_to_csv(make_samples(), k=2)
     plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
@@ -94,7 +118,7 @@ def test_read_samples_csv_skips_blank_rows(tmp_path):
         (lambda header, first, second: [header, ",".join(first.split(",")[:6]), second],
          "line 2: expected 8 fields, got 6"),
         (lambda header, first, second: [header, first, second.replace(",0.3,", ",x,")],
-         "line 3: could not convert string to float: 'x'"),
+         "line 3: static_edge_cut 'x' is not a finite decimal"),
         (lambda header, first, second: [header, first, second.replace(",0.3,", "," + "9" * 131073 + ",")],
          "line 3: field larger than field limit (131072)"),
         (lambda header, first, second: ["x" * 131073, first],

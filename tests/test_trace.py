@@ -11,6 +11,8 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from shardsim import trace as trace_module
+from shardsim.synth import WorkloadSpec, generate_workload
 from shardsim.trace import (
     CSV_HEADER,
     CallKind,
@@ -28,6 +30,7 @@ from shardsim.trace import (
     open_trace,
     parse_trace,
     read_trace,
+    real,
     serialize_trace,
 )
 
@@ -496,6 +499,16 @@ def test_decimal_is_the_one_integer_rule():
             parse_str(text, fmt)
 
 
+def test_real_is_the_one_float_rule():
+    spellings = ("0.3", "-0.5", "5", "5.", ".5", "1e-05", "1.23457e+06", "2E3", "-0", 0.25)
+    assert [real(raw, "x") for raw in spellings] == [0.3, -0.5, 5.0, 5.0, 0.5, 1e-05, 1234570.0, 2000.0, 0.0, 0.25]
+    for raw in ("1_0.5", " 0.3", "0.3 ", "\u0661.5", "+1", "nan", "inf", "-inf", "1e999", ".", "", "e5", "1e", "0x1",
+                math.nan, math.inf, 5, True, None):
+        with pytest.raises(ValueError) as info:
+            real(raw, "x")
+        assert str(info.value) == f"x {raw!r} is not a finite decimal"
+
+
 @pytest.mark.parametrize(
     "field, message",
     [
@@ -654,14 +667,40 @@ def test_csv_reader_matches_single_reader(body, limit):
     assert_csv_reader_matches_single_reader(body, limit)
 
 
+def per_row_checked(rows, strict, stats, skipped):
+    """Records of ``(line number, field values or error)`` rows, each checked
+    by ``_record_from_fields`` and the order test: the per-row path alone.
+    Each skipped row's warning goes to ``skipped``."""
+    if stats is None:
+        stats = ParseStats()
+    names = {}
+    last_block = last_timestamp = -1
+    for line_no, fields in rows:
+        try:
+            if type(fields) is str:
+                raise MalformedRow(line_no, fields)
+            record = _record_from_fields(fields, line_no, names)
+            if record.block < last_block:
+                raise OutOfOrderBlock(line_no, record.block, last_block)
+            if record.timestamp < last_timestamp:
+                raise OutOfOrderTimestamp(line_no, record.timestamp, last_timestamp)
+        except TraceError as exc:
+            if strict:
+                raise
+            stats.skipped += 1
+            if skipped is not None:
+                skipped.append(f"skipping row: {exc}")
+            continue
+        last_block = record.block
+        last_timestamp = record.timestamp
+        yield record
+
+
 def per_row_parse(stream, strict=True, stats=None, skipped=None):
     """The CSV branch of ``parse_trace`` as it was before plain lines went
     through one loop: every row, split at its commas or read by
-    ``csv.reader``, then checked by ``_record_from_fields`` and the order
-    test. The oracle of the one loop. Each skipped row's warning goes to
-    ``skipped``."""
-    if stats is None:
-        stats = ParseStats()
+    ``csv.reader``, then checked by ``per_row_checked``. The oracle of the
+    one loop on CSV."""
 
     def rows():
         lines = iter(stream)
@@ -700,30 +739,43 @@ def per_row_parse(stream, strict=True, stats=None, skipped=None):
                 continue
             yield line_no, row
 
-    names = {}
-    last_block = last_timestamp = -1
-    for line_no, fields in rows():
-        try:
-            if type(fields) is str:
-                raise MalformedRow(line_no, fields)
-            record = _record_from_fields(fields, line_no, names)
-            if record.block < last_block:
-                raise OutOfOrderBlock(line_no, record.block, last_block)
-            if record.timestamp < last_timestamp:
-                raise OutOfOrderTimestamp(line_no, record.timestamp, last_timestamp)
-        except TraceError as exc:
-            if strict:
-                raise
-            stats.skipped += 1
-            if skipped is not None:
-                skipped.append(f"skipping row: {exc}")
-            continue
-        last_block = record.block
-        last_timestamp = record.timestamp
-        yield record
+    return per_row_checked(rows(), strict, stats, skipped)
 
 
-def full_outcome(parse, lines, strict):
+def per_row_jsonl_parse(stream, strict=True, stats=None, skipped=None):
+    """The JSONL branch of ``parse_trace`` as it was before canonical lines
+    went through the one loop: every line JSON-decoded, then checked by
+    ``per_row_checked``. The oracle of the one loop on JSONL."""
+
+    def rows():
+        decode = json.JSONDecoder().raw_decode
+        for line_no, line in enumerate(stream, start=1):
+            try:
+                obj, end = decode(line)
+                decoded = not line[end:].strip(" \t\n\r")
+            except ValueError:
+                decoded = False
+            if not decoded:
+                if not line.strip():
+                    continue
+                try:
+                    obj = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    yield line_no, f"bad json: {exc}"
+                    continue
+            if not isinstance(obj, dict):
+                yield line_no, "record is not an object"
+                continue
+            try:
+                fields = tuple(obj[key] for key in CSV_HEADER)
+            except KeyError as exc:
+                fields = str(exc)
+            yield line_no, fields
+
+    return per_row_checked(rows(), strict, stats, skipped)
+
+
+def full_outcome(parse, lines, strict, fmt="csv"):
     """What a parse gives: its records, which of their addresses are one
     object, and in lenient mode its skip count and the warning of each
     skipped row; or the type, message and line of its error."""
@@ -734,7 +786,7 @@ def full_outcome(parse, lines, strict):
         handler.emit = lambda rec: skipped.append(rec.getMessage())
         logger = logging.getLogger("shardsim.trace")
         logger.addHandler(handler)
-        run = lambda: list(parse_trace(lines, strict=strict, stats=stats))  # noqa: E731
+        run = lambda: list(parse_trace(lines, fmt, strict=strict, stats=stats))  # noqa: E731
     else:
         handler = None
         run = lambda: list(parse(lines, strict=strict, stats=stats, skipped=skipped))  # noqa: E731
@@ -750,10 +802,11 @@ def full_outcome(parse, lines, strict):
     return records, shared, stats.skipped, skipped
 
 
-def assert_one_loop_matches_per_row(text, limit):
-    """``parse_trace`` reads ``text`` as the per-row parser does under field
-    size limit ``limit``: from a stream, and from lists of lines split at
-    line feeds only or at carriage returns only."""
+def assert_one_loop_matches_per_row(text, limit=131072, fmt="csv"):
+    """``parse_trace`` reads ``text`` as the per-row parser of ``fmt`` does
+    under field size limit ``limit``: from a stream, and from lists of lines
+    split at line feeds only or at carriage returns only."""
+    oracle = per_row_parse if fmt == "csv" else per_row_jsonl_parse
     old_limit = csv.field_size_limit(limit)
     try:
         for lines in (
@@ -762,7 +815,7 @@ def assert_one_loop_matches_per_row(text, limit):
             lambda: re.findall("[^\r]*\r|[^\r]+", text),
         ):
             for strict in (True, False):
-                assert full_outcome(parse_trace, lines(), strict) == full_outcome(per_row_parse, lines(), strict)
+                assert full_outcome(parse_trace, lines(), strict, fmt) == full_outcome(oracle, lines(), strict)
     finally:
         csv.field_size_limit(old_limit)
 
@@ -790,16 +843,30 @@ def integer_spellings(draw, value):
     ]))
 
 
+ARABIC_INDIC = str.maketrans("0123456789", "".join(map(chr, range(0x660, 0x66A))))
+
+
+def non_plain_integers(value):
+    """Spellings of ``value`` (at least 10) that ``int`` reads as ``value``
+    but the integer rule does not: only the one loop's guard keeps a row that
+    holds one off the one loop."""
+    digits = str(value)
+    return [f"+{digits}", f"{digits[:1]}_{digits[1:]}", digits.translate(ARABIC_INDIC), f" {digits}", f"{digits} "]
+
+
 @st.composite
 def csv_traces(draw):
     """A header and rows mixing plain lines of known spellings with every
     kind of line the one loop hands to the per-row path."""
     out = [draw(st.sampled_from(["", "", "", "\ufeff"])) + ",".join(CSV_HEADER) + "\n"]
-    timestamp = block = 10
+    timestamp = block = top_timestamp = top_block = 10
     for _ in range(draw(st.integers(0, 16))):
-        kind = draw(st.sampled_from(["plain"] * 3 + ["fuzzed"] * 3 + ["first-seen-out-of-order", "blank", "count"]))
+        kind = draw(st.sampled_from(
+            ["plain"] * 3 + ["fuzzed"] * 3 + ["spelled"] * 2 + ["first-seen-out-of-order", "blank", "count"]
+        ))
         timestamp += draw(st.integers(-2, 4))
         block += draw(st.integers(-2, 3))
+        top_timestamp, top_block = max(top_timestamp, timestamp), max(top_block, block)
         end = draw(st.sampled_from(["\n", "\n", "\r\n", "\r"]))
         if kind == "blank":
             out.append(end)
@@ -819,6 +886,13 @@ def csv_traces(draw):
             ]
             for i in draw(st.lists(st.integers(0, 7), min_size=1, max_size=2)):
                 fields[i] = draw(spellings[i])
+        elif kind == "spelled":
+            # a plain row at the highest values so far, then the same row, in
+            # order on the addresses it taught, with a non-plain integer
+            fields[:2] = str(top_timestamp), str(top_block)
+            out.append(",".join(fields) + end)
+            i = draw(st.sampled_from([0, 1]))
+            fields[i] = draw(st.sampled_from(non_plain_integers(int(fields[i]))))
         elif kind == "first-seen-out-of-order":
             # a row with an address not seen before, then one that goes back in time
             fields[2] = draw(st.sampled_from(["0x" + A4, A4, A4.upper()]))
@@ -862,3 +936,160 @@ def test_one_loop_matches_per_row_parse_on_edge_cases(text):
 @given(csv_traces(), st.sampled_from([131072, 131072, 160, 100, 45]))
 def test_one_loop_matches_per_row_parse(text, limit):
     assert_one_loop_matches_per_row(text, limit)
+
+
+def jsonl_line(tokens, keys=CSV_HEADER, comma=",", colon=":"):
+    """A JSON object of the JSON texts ``tokens`` under ``keys``, in that order."""
+    return "{" + comma.join(f'"{key}"{colon}{tokens[key]}' for key in keys) + "}"
+
+
+def jsonl_integers(value):
+    """JSON texts of ``value``: mostly its digits, sometimes another spelling."""
+    return [str(value)] * 4 + [
+        f"0{value}", f"-{value}", f"{value}.0", f"{value}e0", "true", "null", f'"{value}"', f'" {value}"',
+        '"\u0661\u0662"', "[1]",
+    ]
+
+
+# JSON texts of each field: the spelling serialize_trace writes first
+JSONL_SPELLINGS = {
+    "from": [json.dumps(a) for a in (A1, A4, "0x" + A1, A2.upper(), " " + A1, A1[:-1], "x" * 40)]
+    + ["5", "null", '"\\u0038' + A1[1:] + '"'],
+    "from_kind": [
+        '"account"', '"contract"', '"Account"', '"CONTRACT"', '"acount"', '"\\u0061ccount"', "5", "null", '""',
+    ],
+    "call_kind": [json.dumps(c) for c in CALL_SPELLINGS] + ["5", "null", '"contract\\u0063all"'],
+    "tx_id": ['"tx1"', '"t"', '""', "null", "7", '"t,x"', '"t\\"x"', '"\\u00e9"', '"\u00e9"', '"t\x01"', '"t\x1f"',
+              '"t\x7f"', '"\ud800"'],
+}
+JSONL_SPELLINGS.update(to=JSONL_SPELLINGS["from"], to_kind=JSONL_SPELLINGS["from_kind"])
+
+# texts after the closing brace: JSON whitespace, and characters that are not
+TRAILERS = ["", "", "", " ", "\t", "\f", "\xa0"]
+
+
+def jsonl_non_canonical(tokens):
+    """One change to the canonical tokens of an accepted row that the pattern
+    must not take: with it, a broken pattern would read a value the JSON
+    decoder reads otherwise or not at all."""
+    return [
+        ("timestamp", f"0{tokens['timestamp']}"),
+        ("block", f"0{tokens['block']}"),
+        ("tx_id", '"t\\"x"'),
+        ("tx_id", '"\\u00e9"'),
+        ("tx_id", '"t\\\\x"'),
+        ("tx_id", '"t\x01"'),
+        ("from_kind", '"\\u0061ccount"'),
+        ("trailer", "\f"),
+        ("trailer", "\xa0"),
+    ]
+
+
+@st.composite
+def jsonl_traces(draw):
+    """JSONL lines mixing the canonical shape with every kind of line the
+    pattern hands to the per-row path: other layouts, escapes, bad values,
+    first-seen addresses, out-of-order rows, blank lines and line ends."""
+    out = []
+    timestamp = block = top_timestamp = top_block = 10
+    for _ in range(draw(st.integers(0, 16))):
+        kind = draw(st.sampled_from(
+            ["canonical"] * 3 + ["fuzzed"] * 3 + ["layout"] * 2 + ["spelled"] * 2
+            + ["first-seen-out-of-order", "blank", "not-a-record"]
+        ))
+        timestamp += draw(st.integers(-2, 4))
+        block += draw(st.integers(-2, 3))
+        top_timestamp, top_block = max(top_timestamp, timestamp), max(top_block, block)
+        end = draw(st.sampled_from(["\n", "\n", "\r\n", "\r"]))
+        if kind == "blank":
+            out.append(draw(st.sampled_from(["", " ", "\t "])) + end)
+            continue
+        if kind == "not-a-record":
+            out.append(draw(st.sampled_from(["[]", "5", "{", '{"timestamp":1}', "{}x"])) + end)
+            continue
+        tokens = {
+            "timestamp": str(timestamp), "block": str(block), "from": json.dumps(draw(st.sampled_from([A1, A2, A3]))),
+            "from_kind": '"account"', "to": json.dumps(draw(st.sampled_from([A1, A2, A3]))), "to_kind": '"contract"',
+            "call_kind": json.dumps(draw(st.sampled_from(CALL_SPELLINGS[:5]))), "tx_id": '"tx1"',
+        }
+        keys, comma, colon, trailer = CSV_HEADER, ",", ":", ""
+        if kind == "fuzzed":  # one or two fields spelled another way
+            for key in draw(st.lists(st.sampled_from(CSV_HEADER), min_size=1, max_size=2)):
+                spellings = jsonl_integers(tokens[key]) if key in ("timestamp", "block") else JSONL_SPELLINGS[key]
+                tokens[key] = draw(st.sampled_from(spellings))
+        elif kind == "layout":  # the canonical values, spaced, reordered or with extra keys
+            comma, colon = draw(st.sampled_from([(",", ":"), (", ", ": "), (",", ": "), (" ,", ":")]))
+            keys = draw(st.sampled_from([CSV_HEADER, CSV_HEADER[::-1], CSV_HEADER[1:] + CSV_HEADER[:1]]))
+            tokens["x"] = "1"
+            keys = keys + draw(st.sampled_from([[], ["x"], ["tx_id"]]))  # a repeated key: the last one counts
+            trailer = draw(st.sampled_from(TRAILERS))
+        elif kind == "spelled":
+            # a canonical row at the highest values so far, then the same row,
+            # in order on the addresses it taught, changed in one place
+            tokens.update(timestamp=str(top_timestamp), block=str(top_block))
+            out.append(jsonl_line(tokens) + end)
+            key, text = draw(st.sampled_from(jsonl_non_canonical(tokens)))
+            if key == "trailer":
+                trailer = text
+            else:
+                tokens[key] = text
+        elif kind == "first-seen-out-of-order":
+            # a row with an address not seen before, then one that goes back in time
+            tokens["from"] = json.dumps(draw(st.sampled_from(["0x" + A4, A4, A4.upper()])))
+            out.append(jsonl_line(tokens) + end)
+            tokens[draw(st.sampled_from(["timestamp", "block"]))] = str(draw(st.integers(0, 9)))
+        out.append(jsonl_line(tokens, keys, comma, colon) + trailer + end)
+    text = "".join(out)
+    if text.endswith("\n") and draw(st.booleans()):
+        text = text.rstrip("\r\n")  # no line end after the last row
+    return text
+
+
+JL = serialize_trace(parse_str(HEADER + ROW), "jsonl")  # ROW as a canonical JSONL line
+JSONL_ONE_LOOP_EDGE_CASES = [
+    JL * 3,
+    JL.replace("\n", "\r\n") * 2,
+    JL + JL.rstrip("\n"),
+    JL + JL.replace(":", ": "),
+    JL + JL.replace(f'"to":"{A2}"', f'"to":"{A3}"') + JL.replace('"block":100', '"block":99'),  # first-seen, then back
+    # after a line of the same addresses: what the pattern must leave to the JSON decoder
+    JL + JL.replace('"timestamp":10', '"timestamp":010') + JL.replace('"block":100', '"block":0100'),
+    JL + JL.replace('"tx1"', '"t\\u00e9"') + JL.replace('"tx1"', '"t\\"1"') + JL.replace('"tx1"', '"t\x011"'),
+    JL + JL.replace("}\n", "}\f\n") + JL.replace("}\n", "} \n"),
+    JL + JL.replace('"tx1"', '""')
+    + JL.replace('"contract","call_kind":"contractcall"', '"account","call_kind":"contractcreate"'),
+]
+
+
+@pytest.mark.parametrize("text", JSONL_ONE_LOOP_EDGE_CASES)
+def test_jsonl_one_loop_matches_per_row_parse_on_edge_cases(text):
+    assert_one_loop_matches_per_row(text, fmt="jsonl")
+
+
+@settings(max_examples=300, deadline=None)
+@given(jsonl_traces())
+def test_jsonl_one_loop_matches_per_row_parse(text):
+    assert_one_loop_matches_per_row(text, fmt="jsonl")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+def test_only_rows_naming_a_new_address_take_the_per_row_path(monkeypatch, fmt):
+    # a broken pattern or guard would send every line down the per-row path
+    # and still give the same records: count the rows that reach it
+    spec = WorkloadSpec(vertices=60, communities=3, duration=86400, records_per_hour=80, rewire_at=0.5)
+    records, _ = generate_workload(spec, seed=5)
+    reached = []
+
+    def spy(fields, line_no, names):
+        reached.append(line_no)
+        return _record_from_fields(fields, line_no, names)
+
+    monkeypatch.setattr(trace_module, "_record_from_fields", spy)
+    assert parse_str(serialize_trace(records, fmt), fmt) == records
+    seen, first_seen = set(), []
+    for line_no, r in enumerate(records, start=2 if fmt == "csv" else 1):
+        if not {r.src, r.dst} <= seen:
+            first_seen.append(line_no)
+            seen |= {r.src, r.dst}
+    assert reached == first_seen
+    assert 0 < len(first_seen) < len(records) / 4
