@@ -89,10 +89,10 @@ def main() -> None:
 
 def _run_one_replay(
     trace_path: str, fmt: str | None, strict: bool, cfg: ReplayConfig, out_format: str
-) -> tuple[int, str, int]:
+) -> tuple[str, int]:
     """Worker for --sweep; module-level so it pickles.
 
-    Returns (k, output text, malformed rows skipped).
+    Returns (output text, malformed rows skipped).
     """
     stats = ParseStats()
     result = run_replay(read_trace(trace_path, fmt, strict=strict, stats=stats), cfg)
@@ -100,7 +100,7 @@ def _run_one_replay(
         payload = samples_to_json(result.samples, cfg.k)
     else:
         payload = samples_to_csv(result.samples, cfg.k)
-    return cfg.k, payload, stats.skipped
+    return payload, stats.skipped
 
 
 @main.command()
@@ -151,11 +151,11 @@ def replay(trace_path, fmt, k, weights, lenient, out_path, out_format, sweep, **
         _fail(exc)
     except (OSError, EOFError, UnicodeDecodeError, zlib.error) as exc:  # cannot open, decompress or decode
         _fail(f"cannot read {trace_path}: {exc}")
-    skipped = results[0][2]  # every job reads the same trace
+    skipped = results[0][1]  # every job reads the same trace
     if skipped:
         click.echo(f"skipped {skipped} malformed rows", err=True)
-    for kk, payload, _ in results:
-        _emit(payload, out_path if sweep is None else _sweep_path(out_path, kk))
+    for cfg, (payload, _) in zip(cfgs, results):  # pool.map keeps the order of cfgs
+        _emit(payload, out_path if sweep is None else _sweep_path(out_path, cfg.k))
 
 
 def _parse_sweep(sweep: str) -> list[int]:

@@ -24,12 +24,15 @@ the lines a quoted field on them runs on into, and the header are read by
 ``csv.reader``. A JSONL line in the exact shape ``serialize_trace`` writes
 (``_CANONICAL_JSONL``: keys in header order without spaces, integers without
 a sign or leading zero, 40-hex-digit addresses, strings without escapes or
-control characters) is read by one pattern; any other JSONL line is
-JSON-decoded. A split ASCII line or a pattern-read line of known spellings
-that passes every check becomes a record in one loop, the same for both
-formats; every other row takes the per-row path. Routes and paths give the
-same records, errors, line numbers and skip counts, so the result never
-depends on which a line takes.
+control characters) is read by one pattern; any other JSONL line is decoded
+once by ``json.loads``. A split ASCII line or a pattern-read line becomes a
+record in one loop, the same for both formats, when its timestamp and block
+are the digits 0-9, its kinds are exact lowercase spellings, its addresses
+are valid (the loop reads and remembers one seen for the first time) and it
+passes every check: every row of a ``synth`` trace does. Any other row takes
+the per-row path, which reads each field by its rule and names the error.
+Routes and paths give the same records, errors, line numbers and skip
+counts, so the result never depends on which a line takes.
 """
 
 from __future__ import annotations
@@ -41,7 +44,6 @@ import itertools
 import json
 import logging
 import math
-import operator
 import re
 from dataclasses import dataclass
 from enum import Enum
@@ -71,10 +73,7 @@ class CallKind(Enum):
         return _CALL_KINDS.get(value)  # type: ignore[arg-type]
 
 
-# The field values of a JSONL object in CSV_HEADER order, as a tuple.
-_jsonl_fields = operator.itemgetter(*CSV_HEADER)
-
-# Field value -> member, for the parser's exact-spelling fast path.
+# Field value -> member, for the exact spellings the one loop reads.
 _VERTEX_KINDS = {kind.value: kind for kind in VertexKind}
 _CALL_KINDS = {
     **{kind.value: kind for kind in CallKind},
@@ -190,17 +189,19 @@ class ParseStats:
 
 
 def _kind(kind: type[Enum], raw: object):
-    """Member of ``kind`` for a field value the exact-spelling tables miss:
-    case, spaces and non-strings go through ``kind`` itself."""
+    """The one kind rule: the member of ``kind`` whose value is ``raw`` as a
+    string, stripped and lowercased; a ValueError otherwise."""
     return kind(str(raw).strip().lower())
 
 
 def _address(spelling: str, names: dict[str, str]) -> str:
-    """Canonical address of ``spelling`` as one shared string.
+    """The one address rule: canonical address of ``spelling`` as one shared
+    string, or a ValueError.
 
     ``names`` maps every spelling seen so far in a parse to the shared string
-    of its canonical address, so a repeated spelling costs one lookup and
-    equal addresses come out as the same object.
+    of its canonical address, so equal addresses come out as the same object.
+    The per-row path reads every address with it; the one loop reads a
+    repeated spelling with ``names.get`` alone and calls it on a miss.
     """
     address = names.get(spelling)
     if address is None:
@@ -210,18 +211,13 @@ def _address(spelling: str, names: dict[str, str]) -> str:
 
 
 def _record_from_fields(fields: Sequence, line_no: int, names: dict[str, str]) -> TraceRecord:
-    """Record of the eight field values of one row, in ``CSV_HEADER`` order.
-
-    String fields, which every CSV field and most JSONL fields are, take the
-    table lookups inline; a miss or any other value takes the slow path.
-    """
+    """Record of the eight field values of one row, in ``CSV_HEADER`` order,
+    each read by its rule."""
     timestamp, block, src, src_kind, dst, dst_kind, call_kind, tx_id = fields
     try:
         timestamp, block = decimal(timestamp, "timestamp"), decimal(block, "block")
-        src = (type(src) is str and names.get(src)) or _address(str(src), names)
-        dst = (type(dst) is str and names.get(dst)) or _address(str(dst), names)
-        src_kind = (type(src_kind) is str and _VERTEX_KINDS.get(src_kind)) or _kind(VertexKind, src_kind)
-        dst_kind = (type(dst_kind) is str and _VERTEX_KINDS.get(dst_kind)) or _kind(VertexKind, dst_kind)
+        src, dst = _address(str(src), names), _address(str(dst), names)
+        src_kind, dst_kind = _kind(VertexKind, src_kind), _kind(VertexKind, dst_kind)
         if tx_id is None:
             raise ValueError("tx_id is null")
         tx_id = str(tx_id)
@@ -230,7 +226,7 @@ def _record_from_fields(fields: Sequence, line_no: int, names: dict[str, str]) -
     except ValueError as exc:
         raise MalformedRow(line_no, str(exc)) from exc
     try:
-        call_kind = (type(call_kind) is str and _CALL_KINDS.get(call_kind)) or _kind(CallKind, call_kind)
+        call_kind = _kind(CallKind, call_kind)
     except ValueError as exc:
         raise MalformedRow(line_no, f"unknown call kind {call_kind!r}") from exc
     if timestamp < 0 or block < 0:
@@ -328,15 +324,16 @@ def parse_trace(
                 line_no += 1
                 row, plain = (text.split(",") if text else []), text.isascii()
         if plain:
-            # The one loop, for both formats: eight field strings of
-            # spellings seen before that pass every check. Any other row
-            # takes the per-row path below.
+            # The one loop, for both formats: eight field strings of exact
+            # spellings that pass every check, an address seen for the first
+            # time read by _address. Any other row takes the per-row path below.
             try:
                 timestamp, block, src, src_kind, dst, dst_kind, call_kind, tx_id = row
                 if not (timestamp.isdigit() and block.isdigit()):
                     raise ValueError  # not digits 0-9 alone: the per-row path reads or names it
                 timestamp, block = int(timestamp), int(block)
-                src, dst = names[src], names[dst]
+                src = names.get(src) or _address(src, names)
+                dst = names.get(dst) or _address(dst, names)
                 src_kind, dst_kind = _VERTEX_KINDS[src_kind], _VERTEX_KINDS[dst_kind]
                 call_kind = _CALL_KINDS[call_kind]
             except (ValueError, KeyError):
@@ -358,30 +355,18 @@ def parse_trace(
             yield record
 
 
-_decode = json.JSONDecoder().raw_decode
-
-
 def _jsonl_row(line: str) -> Sequence | str:
     """Field values of one JSONL line, its error, or ``()`` when it is blank."""
-    # A value that starts the line and is followed only by JSON whitespace
-    # is what json.loads would return; any other line goes through
-    # json.loads, for its skip rule and messages.
+    if not line.strip():
+        return ()
     try:
-        obj, end = _decode(line)
-        decoded = not line[end:].strip(" \t\n\r")
-    except ValueError:
-        decoded = False
-    if not decoded:
-        if not line.strip():
-            return ()
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            return f"bad json: {exc}"
+        obj = json.loads(line)
+    except ValueError as exc:  # bad JSON, or an integer too long for int()
+        return f"bad json: {exc}"
     if not isinstance(obj, dict):
         return "record is not an object"
     try:
-        return _jsonl_fields(obj)
+        return [obj[key] for key in CSV_HEADER]
     except KeyError as exc:
         return str(exc)
 

@@ -1,10 +1,15 @@
 import random
 
 import pytest
+from hypothesis import settings
 
 from shardsim import replay
 from shardsim.graph import InteractionGraph
 from shardsim.trace import CallKind, TraceRecord, VertexKind
+
+# the same examples on every run and none saved from earlier runs, for
+# tests/mutants.py: pytest --hypothesis-profile=mutants
+settings.register_profile("mutants", derandomize=True, database=None)
 
 
 def vid(i: int) -> str:

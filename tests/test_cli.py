@@ -190,6 +190,26 @@ def test_replay_jsonl_field_types_strict_vs_lenient(tmp_path, field, value):
     assert res.stderr.splitlines()[-1] == "skipped 1 malformed rows"
 
 
+def test_replay_jsonl_integer_too_long_for_int_strict_vs_lenient(tmp_path):
+    trace = make_trace_file(tmp_path, "t.jsonl")
+    lines = trace.read_text().splitlines()
+    row = lines[2].replace('":', '": ')  # spaced, so JSON-decoded
+    timestamp = json.loads(row)["timestamp"]
+    lines.insert(2, row.replace(f'"timestamp": {timestamp}', '"timestamp": ' + "9" * 5000))
+    bad = tmp_path / "long.jsonl"
+    bad.write_text("\n".join(lines) + "\n")
+    res = run("replay", "--trace", str(bad), "--shards", "2")
+    assert res.exit_code == 1
+    assert res.stderr == (
+        "error: line 3: bad json: Exceeds the limit (4300 digits) for integer string conversion: "
+        "value has 5000 digits; use sys.set_int_max_str_digits() to increase the limit\n"
+    )
+    res = run("replay", "--trace", str(bad), "--shards", "2", "--lenient")
+    assert res.exit_code == 0
+    assert res.stderr.splitlines()[-1] == "skipped 1 malformed rows"
+    assert res.stdout == run("replay", "--trace", str(trace), "--shards", "2").stdout
+
+
 def test_sweep_runs_multiple_k(tmp_path):
     trace = make_trace_file(tmp_path)
     out = tmp_path / "s.csv"

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import gzip
 import io
 import itertools
@@ -418,6 +419,14 @@ ROW = f"10,100,{A1},account,{A2},contract,contractcall,tx1\n"
         (JSONL_LINE + "\f\n", "jsonl", "line 1: bad json: Extra data: line 1 column 217 (char 216)"),
         (jsonl_row() + JSONL_LINE + "\xa0\n", "jsonl", "line 2: bad json: Extra data: line 1 column 217 (char 216)"),
         (jsonl_row(timestamp=math.nan), "jsonl", "line 1: timestamp nan is not an integer"),
+        # json.loads raises a ValueError that is not a JSONDecodeError for an
+        # integer over int()'s string limit
+        pytest.param(
+            jsonl_row() + JSONL_LINE.replace('"timestamp": 5', '"timestamp": ' + "9" * 5000) + "\n", "jsonl",
+            "line 2: bad json: Exceeds the limit (4300 digits) for integer string conversion: "
+            "value has 5000 digits; use sys.set_int_max_str_digits() to increase the limit",
+            id="integer-too-long-for-int",
+        ),
     ],
 )
 def test_malformed_row_messages(text, fmt, message):
@@ -1073,9 +1082,10 @@ def test_jsonl_one_loop_matches_per_row_parse(text):
 
 
 @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
-def test_only_rows_naming_a_new_address_take_the_per_row_path(monkeypatch, fmt):
-    # a broken pattern or guard would send every line down the per-row path
-    # and still give the same records: count the rows that reach it
+def test_a_clean_trace_never_takes_the_per_row_path(monkeypatch, fmt):
+    # a broken pattern or guard, or a loop that does not learn new addresses,
+    # would send rows down the per-row path and still give the same records:
+    # count the rows that reach it
     spec = WorkloadSpec(vertices=60, communities=3, duration=86400, records_per_hour=80, rewire_at=0.5)
     records, _ = generate_workload(spec, seed=5)
     reached = []
@@ -1085,11 +1095,16 @@ def test_only_rows_naming_a_new_address_take_the_per_row_path(monkeypatch, fmt):
         return _record_from_fields(fields, line_no, names)
 
     monkeypatch.setattr(trace_module, "_record_from_fields", spy)
-    assert parse_str(serialize_trace(records, fmt), fmt) == records
-    seen, first_seen = set(), []
-    for line_no, r in enumerate(records, start=2 if fmt == "csv" else 1):
-        if not {r.src, r.dst} <= seen:
-            first_seen.append(line_no)
-            seen |= {r.src, r.dst}
-    assert reached == first_seen
-    assert 0 < len(first_seen) < len(records) / 4
+    text = serialize_trace(records, fmt)
+    assert parse_str(text, fmt) == records
+    assert reached == []
+    # rows the loop leaves to it: a kind of another spelling, and a CSV
+    # timestamp that int() reads but the integer rule does not
+    last = dataclasses.replace(records[-1], src_kind=VertexKind.ACCOUNT)
+    row = serialize_trace([last], fmt).splitlines()[-1]
+    extra = [row.replace("account", " Account", 1)] + (["+" + row] if fmt == "csv" else [])
+    stats = ParseStats()
+    assert parse_str(text + "\n".join(extra) + "\n", fmt, strict=False, stats=stats) == records + [last]
+    assert stats.skipped == len(extra) - 1
+    n = len(text.splitlines())
+    assert reached == [n + 1, n + 2][: len(extra)]
