@@ -99,6 +99,7 @@ class Repartition(NamedTuple):
     assignment: Assignment
     moves: int
     raw_moves: int  # before shard-label matching
+    shard_sizes: list[int]  # vertices per shard of ``assignment``
 
 
 def fire_trigger(clock: int, last_repart: int, last_sample: MetricSample, cfg: ReplayConfig) -> bool:
@@ -114,61 +115,89 @@ def fire_trigger(clock: int, last_repart: int, last_sample: MetricSample, cfg: R
     return clock - last_repart >= cfg.repartition_interval
 
 
-def relabel_to_match(old: Assignment, new: Assignment) -> Assignment:
+def relabel_to_match(overlap: Counter, k: int) -> list[int]:
     """Rename new shard labels to maximize vertex overlap with the old labels.
 
-    ``old`` and ``new`` are part vectors of the same vertices over ``old.k``
-    shards. Greedy maximum-overlap matching; a pure label permutation
-    relocates no state and must not count as moves.
+    ``overlap[s_new, s_old]`` counts the vertices that new shard ``s_new``
+    takes from old shard ``s_old``, with no zero counts. Greedy
+    maximum-overlap matching; returns the old label each new label takes, by
+    new label. A pure label permutation relocates no state and must not count
+    as moves.
     """
-    k = old.k
-    overlap = Counter(zip(new.shard_of, old.shard_of))
     mapping: dict[int, int] = {}
     for (s_new, s_old), _ in sorted(overlap.items(), key=lambda kv: (-kv[1], kv[0])):
         if s_new not in mapping and s_old not in mapping.values():
             mapping[s_new] = s_old
     free = [s for s in range(k) if s not in mapping.values()]
     mapping.update(zip([s for s in range(k) if s not in mapping], free))
-    return Assignment([mapping[s] for s in new.shard_of], k)
+    return [mapping[s] for s in range(k)]
 
 
 def repartition(
     target: InteractionGraph,
     a: Assignment,
+    shard_sizes: list[int],
     cfg: ReplayConfig,
     clock: int,
     names: Sequence[str],
 ) -> Repartition:
     """Run one repartition of ``target`` under ``cfg.strategy``.
 
-    ``target`` is keyed by id, ``a`` is a part vector and ``names`` maps id
-    to address; vertices outside ``target`` keep their shard. Never called
-    under hashing, whose trigger never fires.
+    ``target`` is keyed by id, ``a`` is a part vector, ``shard_sizes`` its
+    vertices per shard, and ``names`` maps id to address; vertices outside
+    ``target`` keep their shard. Never called under hashing, whose trigger
+    never fires.
+
+    Only ``target``'s vertices can change shard, so every count is taken over
+    them: a repartition costs its graph, plus O(k²) for the label matching,
+    plus one copy of the part vector, and a pass over the part vector only
+    when the matching renames a shard.
     """
     strategy = cfg.strategy
+    period = target.vertices
     if strategy is Strategy.KL:
         new = a
         for rnd in range(cfg.kl_rounds):
             cands = kl_select_candidates(new, target, names.__getitem__)
             matrix = kl_build_matrix(cands, new, target)
             new = kl_exchange(new, cands, matrix, cfg.seed ^ clock ^ (rnd << 32))
+        shard_of = new.shard_of  # a copy of a's, changed only at candidates, all of them in ``period``
+        part = [shard_of[v] for v in period]
     else:
-        if not target.vertices:
-            return Repartition(a, 0, 0)  # nothing to partition
+        if not period:
+            return Repartition(a, 0, 0, shard_sizes)  # nothing to partition
         weights = "unit" if strategy is Strategy.METIS_FULL else "activity"
         res = multilevel_partition(target, cfg.partitioner, weights=weights)
-        part = a.shard_of.copy()
-        for v, s in zip(target.vertices, res.assignment.shard_of):
-            part[v] = s
-        new = Assignment(part, cfg.k)
+        part = res.assignment.shard_of  # in ``period`` order
+        shard_of = a.shard_of.copy()
+        for v, s in zip(period, part):
+            shard_of[v] = s
         if res.infeasible_balance:
             log.info(
                 "repartition at %d: balance cap %g not met (heaviest vertex weighs %d)",
                 clock, res.balance_cap, res.max_vertex_weight,
             )
-    raw_moves = count_moves(a, new)
-    matched = relabel_to_match(a, new)
-    return Repartition(matched, count_moves(a, matched), raw_moves)
+    k = cfg.k
+    old_of = a.shard_of
+    old = [old_of[v] for v in period]
+    raw_moves = count_moves(Assignment(old, k), Assignment(part, k))
+    # Vertices by (new, old) shard: the period's, then those outside it, who
+    # stay where they are, on the diagonal.
+    overlap = Counter(zip(part, old))
+    outside = shard_sizes.copy()
+    for (_, s_old), n in overlap.items():
+        outside[s_old] -= n
+    for s, n in enumerate(outside):
+        if n:  # the matching reads the same counts as over the whole vector
+            overlap[s, s] += n
+    mapping = relabel_to_match(overlap, k)
+    moves = sum(n for (s_new, s_old), n in overlap.items() if mapping[s_new] != s_old)
+    sizes = [0] * k
+    for (s_new, _), n in overlap.items():
+        sizes[mapping[s_new]] += n
+    if mapping != list(range(k)):  # a renamed shard takes its vertices outside the period along
+        shard_of = [mapping[s] for s in shard_of]
+    return Repartition(Assignment(shard_of, k), moves, raw_moves, sizes)
 
 
 def run_replay(trace: Iterable[TraceRecord], cfg: ReplayConfig) -> ReplayResult:
@@ -235,11 +264,8 @@ def run_replay(trace: Iterable[TraceRecord], cfg: ReplayConfig) -> ReplayResult:
             dynamic_balance=balance(weights, assignment, "dynamic"),
         )
         if fire_trigger(clock, last_repart, sample, cfg):
-            rep = repartition(target, assignment, cfg, clock, names)
-            assignment = rep.assignment
-            shard_sizes = [0] * k
-            for s in assignment.shard_of:
-                shard_sizes[s] += 1
+            rep = repartition(target, assignment, shard_sizes, cfg, clock, names)
+            assignment, shard_sizes = rep.assignment, rep.shard_sizes
             sample.moves = rep.moves
             sample.repartitioned = True
             last_repart = clock

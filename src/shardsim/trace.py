@@ -361,7 +361,7 @@ def _jsonl_row(line: str) -> Sequence | str:
         return ()
     try:
         obj = json.loads(line)
-    except ValueError as exc:  # bad JSON, or an integer too long for int()
+    except (ValueError, RecursionError) as exc:  # bad JSON, an integer too long for int(), or nested too deep
         return f"bad json: {exc}"
     if not isinstance(obj, dict):
         return "record is not an object"

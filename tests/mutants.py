@@ -47,6 +47,12 @@ CSV_SPLIT = 'row, plain = (text.split(",") if text else []), text.isascii()'
 STRING = r"""_STRING = r'"([^"\\\x00-\x1f]*)"'"""
 INTEGERS = r"""r'\{"timestamp":(0|[1-9][0-9]*),"block":(0|[1-9][0-9]*),'"""
 TRAILER = r"""rf'"call_kind":{_STRING},"tx_id":{_STRING}\}}\r?\n?'"""
+CATCH = "except (ValueError, RecursionError) as exc:  # bad JSON"
+REPLAY = "shardsim/replay.py"
+TAIL_ORACLE = "tests/test_replay.py::test_repartition_tail_matches_the_whole_vector_tail"
+OUTSIDE = "if n:  # the matching reads the same counts as over the whole vector"
+MOVES = "moves = sum(n for (s_new, s_old), n in overlap.items() if mapping[s_new] != s_old)"
+SIZES = "assignment, shard_sizes = rep.assignment, rep.shard_sizes"
 LEARN = "src = names.get(src) or _address(src, names)\n                dst = names.get(dst) or _address(dst, names)"
 
 MUTANTS = [
@@ -65,10 +71,18 @@ MUTANTS = [
     Mutant("jsonl-never-plain", TRACE, "row, plain = match.groups(), True", "row, plain = match.groups(), False",
            (CLEAN_TRACE,)),
     Mutant("loop-does-not-learn-addresses", TRACE, LEARN, "src, dst = names[src], names[dst]", (CLEAN_TRACE,)),
-    # a JSON value json.loads rejects with a plain ValueError escapes as a crash
-    Mutant("jsonl-catch-decode-error-only", TRACE, "except ValueError as exc:  # bad JSON",
-           "except json.JSONDecodeError as exc:  # bad JSON",
+    # a JSON value json.loads rejects with a plain ValueError, or a line nested
+    # past the recursion limit, escapes as a crash
+    Mutant("jsonl-catch-decode-error-only", TRACE, CATCH, CATCH.replace("ValueError", "json.JSONDecodeError"),
            ("tests/test_trace.py::test_malformed_row_messages[integer-too-long-for-int]",)),
+    Mutant("jsonl-recursion-escapes", TRACE, CATCH, CATCH.replace("(ValueError, RecursionError)", "ValueError"),
+           ("tests/test_trace.py::test_jsonl_line_nested_past_the_recursion_limit_is_a_malformed_row",)),
+    # the tail of a repartition reads other counts than the whole part vector
+    Mutant("tail-keeps-zero-diagonal", REPLAY, OUTSIDE, OUTSIDE.replace("if n:", "if True:"), (TAIL_ORACLE,)),
+    Mutant("tail-drops-outside-moves", REPLAY, MOVES, MOVES.replace("!= s_old)", "!= s_old != s_new)"),
+           (TAIL_ORACLE,)),
+    Mutant("tail-keeps-old-shard-sizes", REPLAY, SIZES, "assignment = rep.assignment",
+           ("tests/test_replay.py::test_replay_matches_reference_replay",)),
 ]
 
 

@@ -5,11 +5,12 @@ import weakref
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from shardsim import replay
 from shardsim.graph import InteractionGraph, window_subgraph
 from shardsim.metrics import Assignment, balance, count_moves
+from shardsim.partition import MultilevelResult
 from shardsim.replay import (
     HOUR,
     DAY,
@@ -134,10 +135,32 @@ def test_every_seen_vertex_always_assigned():
         assert all(0 <= s < 3 for s in res.final_assignment.shard_of.values())
 
 
+def relabel(old, new):
+    """``new`` renamed to match ``old``, matched over the whole part vectors."""
+    mapping = relabel_to_match(Counter(zip(new.shard_of, old.shard_of)), old.k)
+    return Assignment([mapping[s] for s in new.shard_of], old.k)
+
+
+def whole_vector_tail(a, new):
+    """The tail of a repartition as it once ran, over every vertex: ``new`` is
+    the partitioner's answer joined into a copy of ``a``. Returns the fields
+    of ``Repartition``."""
+    raw_moves = count_moves(a, new)
+    matched = relabel(a, new)
+    sizes = [0] * a.k
+    for s in matched.shard_of:
+        sizes[s] += 1
+    return matched.shard_of, count_moves(a, matched), raw_moves, sizes
+
+
+def sizes_of(a):
+    return [a.shard_of.count(s) for s in range(a.k)]
+
+
 def test_relabel_pure_permutation_zero_moves():
     old = Assignment([i % 3 for i in range(30)], 3)
     permuted = Assignment([(s + 1) % 3 for s in old.shard_of], 3)
-    matched = relabel_to_match(old, permuted)
+    matched = relabel(old, permuted)
     assert count_moves(old, matched) == 0
 
 
@@ -145,7 +168,7 @@ def test_relabel_partial_overlap():
     old = Assignment([0 if i < 6 else 1 for i in range(10)], 2)
     # new labels flipped plus one genuine move
     new = Assignment([1 if i < 5 else 0 for i in range(10)], 2)
-    matched = relabel_to_match(old, new)
+    matched = relabel(old, new)
     assert count_moves(old, matched) == 1
 
 
@@ -168,7 +191,7 @@ def test_infeasible_balance_is_logged(caplog):
             for i in range(n - 1):
                 graph.record(i, i + 1)
             a = Assignment([0] * n, 2)
-            repartition(graph, a, cfg, 5000 + n, [vid(i) for i in range(n)])
+            repartition(graph, a, [n, 0], cfg, 5000 + n, [vid(i) for i in range(n)])
     messages = [r.getMessage() for r in caplog.records if r.levelno == logging.INFO]
     assert messages == ["repartition at 5003: balance cap 1.575 not met (heaviest vertex weighs 1)"]
 
@@ -182,28 +205,119 @@ def test_window_repartition_joins_the_part_vector_by_period_order():
     assert list(period.vertices) == [9, 2, 7]
     n = 12
     a = Assignment([i % 2 for i in range(n)], 2)
-    results, unlabelled = [], []
-    real_multilevel, real_relabel = replay.multilevel_partition, replay.relabel_to_match
+    results = []
+    real_multilevel = replay.multilevel_partition
 
     def multilevel_spy(*args, **kwargs):
         results.append(real_multilevel(*args, **kwargs))
         return results[-1]
 
-    def relabel_spy(old, new):
-        unlabelled.append(new)
-        return real_relabel(old, new)
-
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(replay, "multilevel_partition", multilevel_spy)
-        mp.setattr(replay, "relabel_to_match", relabel_spy)
-        repartition(period, a, basic_cfg(Strategy.METIS_WINDOW), 5000, [vid(i) for i in range(n)])
-    (res,), (new,) = results, unlabelled
+        rep = repartition(period, a, sizes_of(a), basic_cfg(Strategy.METIS_WINDOW), 5000, [vid(i) for i in range(n)])
+    (res,) = results
     part = res.assignment.shard_of
     assert len(part) == 3 and part[0] == part[2] != part[1]  # 2 (weight 4) against 9 and 7 (3 + 1)
     expected = a.shard_of.copy()
     for position, v in enumerate(period.vertices):
         expected[v] = part[position]
-    assert new.shard_of == expected
+    # the nine vertices outside the period outweigh it, so no shard is renamed
+    assert rep.assignment.shard_of == expected
+
+
+PARTITIONING = [Strategy.KL, Strategy.METIS_FULL, Strategy.METIS_WINDOW, Strategy.METIS_THRESHOLD]
+
+
+@st.composite
+def repartition_cases(draw):
+    """A part vector, a period of its vertices in any order, and a drawn
+    answer for the period, or None to run the real partitioner."""
+    k = draw(st.integers(1, 6))
+    old = draw(st.lists(st.integers(0, k - 1), min_size=1, max_size=24))
+    period = draw(st.lists(st.integers(0, len(old) - 1), min_size=1, max_size=len(old), unique=True))
+    answer = draw(st.none() | st.lists(st.integers(0, k - 1), min_size=len(period), max_size=len(period)))
+    return k, old, period, answer
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=repartition_cases(), strategy=st.sampled_from(PARTITIONING), kl_rounds=st.integers(1, 2))
+# every vertex in the period, so no shard has one outside it: new 2 takes old
+# 0, then new 0 and 1 take old 1 and 2 in order; a zero count on the
+# diagonal would hand new 1 old 1 first
+@example(case=(3, [0, 0, 0, 1], [0, 1, 2, 3], [2, 2, 1, 2]), strategy=Strategy.METIS_WINDOW, kl_rounds=1)
+# the shards swap labels: vertex 4, outside the period, moves with its shard
+@example(case=(2, [0, 0, 0, 1, 1], [0, 1, 2, 3], [1, 1, 1, 0]), strategy=Strategy.KL, kl_rounds=1)
+def test_repartition_tail_matches_the_whole_vector_tail(case, strategy, kl_rounds):
+    # the tail reads only the period, the whole-vector tail every vertex:
+    # the same assignment, moves, raw moves and shard sizes
+    k, old, period_order, answer = case
+    n = len(old)
+    period = InteractionGraph()
+    for u, v in zip(period_order, period_order[1:] or period_order):
+        period.record(u, v)
+    assert list(period.vertices) == period_order
+    a = Assignment(old.copy(), k)
+    real_multilevel, real_exchange = replay.multilevel_partition, replay.kl_exchange
+    answers = []
+
+    def multilevel_spy(graph, cfg, weights):
+        if answer is None:
+            answers.append(real_multilevel(graph, cfg, weights=weights))
+        else:
+            answers.append(MultilevelResult(Assignment(answer, k), False, [], 0.0, 0))
+        return answers[-1]
+
+    def exchange_spy(b, cands, matrix, seed):
+        answers.append(real_exchange(b, cands, matrix, seed))
+        if answer is not None:
+            for v, s in zip(period_order, answer):
+                answers[-1].shard_of[v] = s
+        return answers[-1]
+
+    cfg = basic_cfg(strategy, k=k, kl_rounds=kl_rounds)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(replay, "multilevel_partition", multilevel_spy)
+        mp.setattr(replay, "kl_exchange", exchange_spy)
+        rep = repartition(period, a, sizes_of(a), cfg, 5000, [vid(i) for i in range(n)])
+    assert a.shard_of == old  # the input is left as it was
+    if strategy is Strategy.KL:
+        new = answers[-1].shard_of
+    else:
+        (res,) = answers
+        new = old.copy()
+        for v, s in zip(period_order, res.assignment.shard_of):
+            new[v] = s
+    assert (rep.assignment.shard_of, rep.moves, rep.raw_moves, rep.shard_sizes) == whole_vector_tail(
+        a, Assignment(new, k)
+    )
+
+
+class CountingList(list):
+    """A part vector that counts the passes made over it."""
+
+    iterations = 0
+
+    def __iter__(self):
+        self.iterations += 1
+        return super().__iter__()
+
+
+@pytest.mark.parametrize("strategy", [Strategy.METIS_WINDOW, Strategy.KL])
+def test_repartition_of_a_small_period_never_passes_over_the_part_vector(strategy):
+    # 3 vertices in 10,000: no shard is renamed, and the tail makes no pass
+    # over the part vector (a C-level copy is not a pass)
+    k, n = 4, 10_000
+    period = InteractionGraph()
+    for u, v in [(17, 4242), (17, 4242), (17, 4242), (4242, 9001), (9001, 9001)]:
+        period.record(u, v)
+    shard_of = CountingList(i % k for i in range(n))
+    a = Assignment(shard_of, k)
+    rep = repartition(period, a, [n // k] * k, basic_cfg(strategy, k=k), 5000, [vid(i) for i in range(n)])
+    assert shard_of.iterations == 0
+    moved = count_moves(Assignment(list(shard_of), k), rep.assignment)
+    assert shard_of.iterations == 1  # the count does see a pass
+    assert rep.moves == rep.raw_moves == moved > 0
+    assert rep.shard_sizes == sizes_of(rep.assignment)
 
 
 def assert_no_records_kept(records):

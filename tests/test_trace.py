@@ -439,6 +439,17 @@ def test_malformed_row_messages(text, fmt, message):
     assert stats.skipped == 1
 
 
+def test_jsonl_line_nested_past_the_recursion_limit_is_a_malformed_row():
+    # json.loads raises RecursionError for it, which is not a ValueError
+    text = "[" * 100_000 + "\n" + JSONL_LINE + "\n"
+    with pytest.raises(MalformedRow, match="^line 1: bad json: ") as info:
+        parse_str(text, "jsonl")
+    assert info.value.line_no == 1
+    stats = ParseStats()
+    assert parse_str(text, "jsonl", strict=False, stats=stats) == parse_str(JSONL_LINE + "\n", "jsonl")
+    assert stats.skipped == 1
+
+
 def test_jsonl_whitespace_around_rows_accepted():
     text = (
         "  " + JSONL_LINE + "\n" + JSONL_LINE + "\t\n" + "\xa0 \n" + JSONL_LINE + "\r\n"
