@@ -14,12 +14,12 @@ not left with every vertex the others stopped short of, for the balance
 repair to move one at a time. Its kernels skip work whose outcome is known
 without changing a move or a random draw: refinement re-evaluates a vertex
 only when its neighbourhood or its targets' room has changed, projection
-hands each level the cut of the last, graph growing keeps its frontier in
-a heap, and balance repair keeps one lazy heap of the moves out of the
-heaviest shard instead of rescanning it for every move. Kernels shuffle
-through ``_shuffle``, which makes ``Random.shuffle``'s ``getrandbits`` draws
-and swaps inline: it leaves the same order and generator state, without two
-Python-level calls per element.
+hands each level the cut of the last, and graph growing keeps its frontier
+in a heap. Balance repair rescans the heaviest shard for every move, since
+the parts it is given need few. Kernels shuffle through ``_shuffle``, which
+makes ``Random.shuffle``'s ``getrandbits`` draws and swaps inline: it leaves
+the same order and generator state, without two Python-level calls per
+element.
 """
 
 from __future__ import annotations
@@ -426,64 +426,40 @@ def _shard_weights(pg: PartGraph, part: Sequence[int], k: int) -> list[int]:
 def _repair_balance(pg: PartGraph, part: list[int], k: int, cap: float) -> bool:
     """Move cheapest vertices out of overweight shards. Returns feasibility.
 
-    Each step takes the heaviest shard ``over`` (lowest index on ties) and
-    makes the move of one of its vertices ``v`` to a shard ``j`` that stays
-    within ``cap`` minimising ``(conn[v][over] - conn[v][j], weights[j], v,
-    j)``, where ``conn[v][j]`` is v's edge weight into shard j. It stops when
-    no shard is over the cap, no move fits, or after ``2 * |V|`` moves.
-
-    One lazy heap holds these keys for every move of every member of
-    ``over``; it is rebuilt, with fresh ``conn`` rows, whenever ``over``
-    changes. Until then the other shards only gain weight, so a move that
-    no longer fits never will and is dropped, and one whose ``weights[j]``
-    has risen is pushed back with the new weight. A neighbour leaving
-    ``over`` strictly lowers every key of a member, whose fresh keys are
-    pushed then. They come out ahead of the old ones, so an old key surfaces
-    only once its member has moved or its move no longer fits, and is dropped
-    as such. Edge weights must be positive and the adjacency symmetric.
+    Each step takes the heaviest shard ``over`` (lowest index on ties),
+    recomputes the edge weight ``conn[j]`` into each shard j of each of its
+    vertices ``v``, and makes the move to a shard ``j`` that stays within
+    ``cap`` minimising ``(conn[over] - conn[j], weights[j], v, j)``. It stops
+    when no shard is over the cap, no move fits, or after ``2 * |V|`` moves.
+    Each move rescans the graph, O(|V| + E), so a start far over the cap is
+    quadratic; the partitioner's parts need few moves.
     """
     n = len(pg)
     vwgt, adj = pg.vwgt, pg.adj
     weights = _shard_weights(pg, part, k)
-    conn: dict[int, list[int]] = {}  # the members of over
-    heap: list[tuple[int, int, int, int]] = []
-    heap_over = -1
     for _ in range(n * 2):
         heaviest = max(weights)
         if heaviest <= cap:
             return True
         over = weights.index(heaviest)
-        if over != heap_over:
-            conn = {}
-            for v in range(n):
-                if part[v] == over:
-                    c = conn[v] = [0] * k
-                    for u, w in adj[v].items():
-                        c[part[u]] += w
-            heap = [(c[over] - c[j], weights[j], v, j) for v, c in conn.items() for j in range(k) if j != over]
-            heapq.heapify(heap)
-            heap_over = over
-        while heap:
-            d, wj, v, j = heapq.heappop(heap)
-            if v not in conn or weights[j] + vwgt[v] > cap:
+        best = None
+        for v in range(n):
+            if part[v] != over:
                 continue
-            if wj == weights[j]:
-                break
-            heapq.heappush(heap, (d, weights[j], v, j))
-        else:
+            conn = [0] * k
+            for u, w in adj[v].items():
+                conn[part[u]] += w
+            for j in range(k):
+                if j != over and weights[j] + vwgt[v] <= cap:
+                    move = (conn[over] - conn[j], weights[j], v, j)
+                    if best is None or move < best:
+                        best = move
+        if best is None:
             return False
-        del conn[v]
+        _, _, v, j = best
         part[v] = j
         weights[over] -= vwgt[v]
         weights[j] += vwgt[v]
-        for u, w in adj[v].items():
-            c = conn.get(u)
-            if c is not None:
-                c[over] -= w
-                c[j] += w
-                for i in range(k):
-                    if i != over:
-                        heapq.heappush(heap, (c[over] - c[i], weights[i], u, i))
     return max(weights) <= cap
 
 

@@ -54,6 +54,15 @@ OUTSIDE = "if n:  # the matching reads the same counts as over the whole vector"
 MOVES = "moves = sum(n for (s_new, s_old), n in overlap.items() if mapping[s_new] != s_old)"
 SIZES = "assignment, shard_sizes = rep.assignment, rep.shard_sizes"
 LEARN = "src = names.get(src) or _address(src, names)\n                dst = names.get(dst) or _address(dst, names)"
+PARTITION = "shardsim/partition.py"
+REPAIR_ORACLES = (
+    "tests/test_partition.py::test_repair_balance_matches_scan_reference",
+    "tests/test_partition.py::test_repair_balance_matches_scan_reference_on_community_graphs",
+)
+REPAIR_KEY = "move = (conn[over] - conn[j], weights[j], v, j)"
+FITS = "if j != over and weights[j] + vwgt[v] <= cap:"
+DECIMAL = '_DECIMAL = re.compile("-?[0-9]+")'
+BOTH_ENDS = "if adj[u].get(v) != w:"
 
 MUTANTS = [
     # the one loop reads an integer int() takes but the integer rule does not
@@ -83,6 +92,17 @@ MUTANTS = [
            (TAIL_ORACLE,)),
     Mutant("tail-keeps-old-shard-sizes", REPLAY, SIZES, "assignment = rep.assignment",
            ("tests/test_replay.py::test_replay_matches_reference_replay",)),
+    # balance repair makes another move than the full scan
+    Mutant("repair-key-ignores-target-weight", PARTITION, REPAIR_KEY, REPAIR_KEY.replace(" weights[j],", ""),
+           REPAIR_ORACLES),
+    Mutant("repair-fit-ignores-vertex-weight", PARTITION, FITS, FITS.replace(" + vwgt[v]", ""), REPAIR_ORACLES),
+    Mutant("repair-tie-to-last-shard", PARTITION, "over = weights.index(heaviest)",
+           "over = k - 1 - weights[::-1].index(heaviest)", REPAIR_ORACLES),
+    # the integer and adjacency rules let through what they reject
+    Mutant("decimal-takes-plus-sign", TRACE, DECIMAL, DECIMAL.replace("-?", "[-+]?"),
+           ("tests/test_trace.py::test_decimal_is_the_one_integer_rule",)),
+    Mutant("adjacency-one-way-edge", PARTITION, BOTH_ENDS, "if False:",
+           ("tests/test_partition.py::test_read_adjacency_rejects_bad_graph",)),
 ]
 
 

@@ -700,9 +700,9 @@ def test_repair_balance_heaviest_shard_changes():
      (4, 300, 16, "skewed"), (5, 400, 8, "unit"), (6, 200, 2, "skewed")],
 )
 def test_repair_balance_matches_scan_reference_on_community_graphs(seed, n, k, weights):
-    # hundreds of moves per call: keys go stale, targets gain weight under
-    # queued moves, and with two shards over the cap the heaviest one changes
-    # back and forth; the skewed k=16 graph cannot meet its cap
+    # hundreds of moves per call: targets gain weight from move to move, and
+    # with two shards over the cap the heaviest one changes back and forth;
+    # the skewed k=16 graph cannot meet its cap
     pg = community_partgraph(seed, n, k, 3, weights)
     cap = 1.05 * sum(pg.vwgt) / k
     starts = [[0] * n]
@@ -1053,18 +1053,34 @@ MULTILEVEL_GOLDEN = {
         lambda: community_partgraph(6, 800, 2, 2, "heavy"), 2,
         "be404d946c2945b55befa3154b40034fbd331cb1b4aed961baef4a7fcc9195ae",
     ),
+    "communities-800-k16-skewed": (  # the only one whose balance repair moves
+        lambda: community_partgraph(7, 800, 16, 2, "skewed"), 16,
+        "e4ab7ecfe5fad835fb6c587d020f86166a393df9f7b55f265325a3b3f1f37712",
+    ),
 }
 
 
 @pytest.mark.parametrize("name", list(MULTILEVEL_GOLDEN))
-def test_multilevel_golden(name):
+def test_multilevel_golden(name, monkeypatch):
     """SHA-256 of repr((part, infeasible, pass_cuts)) with seed 7."""
+    moved = []
+
+    def counted(pg, part, k, cap):
+        before = list(part)
+        feasible = repair(pg, part, k, cap)
+        moved.append(sum(a != b for a, b in zip(before, part)))
+        return feasible
+
+    repair = partition._repair_balance
+    monkeypatch.setattr(partition, "_repair_balance", counted)
     build, k, digest = MULTILEVEL_GOLDEN[name]
     res = partition_partgraph(build(), PartitionerConfig(k=k, seed=7))
     out = (list(res.assignment.shard_of), res.infeasible_balance, res.refinement_cuts)
     assert hashlib.sha256(repr(out).encode()).hexdigest() == digest
     if name.startswith("heavy"):
         assert out[1]  # the heavy vertex makes the cap unattainable
+    if name == "communities-800-k16-skewed":
+        assert sum(moved) >= 1
 
 
 # --- new-vertex placement ---------------------------------------------------
