@@ -383,15 +383,31 @@ def serialize_trace(records: Iterable[TraceRecord], format: str = "csv") -> str:
     """Inverse of parse_trace on canonical records (round-trip identity)."""
     # Kinds are read through ``_value_``, a plain attribute: ``.value`` is a
     # property, and hashing a member calls the Python-level Enum.__hash__.
+    # Each text ends in one join: the "" appended last puts the final line end
+    # in it, where `+ "\n"` would copy the whole text once more.
     if format == "csv":
+        # Only src, dst and tx_id can need quoting: ints and kind words never
+        # do. So the lines are built with them as they are, and the text is
+        # checked once: with no quote, no CR, and 7 commas and one line end
+        # per line, no field held a character _csv_field quotes.
+        records = list(records)  # the fallback reads them a second time
         lines = [",".join(CSV_HEADER)]
-        append = lines.append
-        for r in records:
-            append(
-                f"{r.timestamp},{r.block},{_csv_field(r.src)},{r.src_kind._value_},{_csv_field(r.dst)},"
-                f"{r.dst_kind._value_},{r.call_kind._value_},{_csv_field(r.tx_id)}"
-            )
-        return "\n".join(lines) + "\n"
+        lines += [
+            f"{r.timestamp},{r.block},{r.src},{r.src_kind._value_},{r.dst},"
+            f"{r.dst_kind._value_},{r.call_kind._value_},{r.tx_id}"
+            for r in records
+        ]
+        lines.append("")
+        text = "\n".join(lines)
+        n = len(lines) - 1
+        if '"' not in text and "\r" not in text and text.count(",") == 7 * n and text.count("\n") == n:
+            return text
+        lines[1:-1] = [
+            f"{r.timestamp},{r.block},{_csv_field(r.src)},{r.src_kind._value_},{_csv_field(r.dst)},"
+            f"{r.dst_kind._value_},{r.call_kind._value_},{_csv_field(r.tx_id)}"
+            for r in records
+        ]
+        return "\n".join(lines)
     if format == "jsonl":
         # As json.JSONEncoder(separators=(",", ":")) writes the row dict:
         # strings ASCII-escaped, kind values (plain ASCII words) and ints as is.
@@ -401,7 +417,8 @@ def serialize_trace(records: Iterable[TraceRecord], format: str = "csv") -> str:
             f'"to":{q(r.dst)},"to_kind":"{r.dst_kind._value_}","call_kind":"{r.call_kind._value_}","tx_id":{q(r.tx_id)}}}'
             for r in records
         ]
-        return "\n".join(lines) + ("\n" if lines else "")
+        lines.append("")  # no records: "", as the join of [""]
+        return "\n".join(lines)
     raise ValueError(f"unknown trace format {format!r}")
 
 

@@ -63,6 +63,8 @@ REPAIR_KEY = "move = (conn[over] - conn[j], weights[j], v, j)"
 FITS = "if j != over and weights[j] + vwgt[v] <= cap:"
 DECIMAL = '_DECIMAL = re.compile("-?[0-9]+")'
 BOTH_ENDS = "if adj[u].get(v) != w:"
+WRITER_PATHS = "tests/test_trace.py::test_csv_writer_paths_match_field_by_field_quoting"
+UNQUOTED = '''if '"' not in text and "\\r" not in text and text.count(",") == 7 * n and text.count("\\n") == n:'''
 
 MUTANTS = [
     # the one loop reads an integer int() takes but the integer rule does not
@@ -103,6 +105,18 @@ MUTANTS = [
            ("tests/test_trace.py::test_decimal_is_the_one_integer_rule",)),
     Mutant("adjacency-one-way-edge", PARTITION, BOTH_ENDS, "if False:",
            ("tests/test_partition.py::test_read_adjacency_rejects_bad_graph",)),
+    # the CSV writer returns unquoted text that holds a character to quote,
+    # or its fallback meets the iterator that the first pass spent
+    Mutant("csv-writer-no-comma-count", TRACE, UNQUOTED, UNQUOTED.replace(' and text.count(",") == 7 * n', ""),
+           (WRITER_PATHS,)),
+    Mutant("csv-writer-no-lf-count", TRACE, UNQUOTED, UNQUOTED.replace(' and text.count("\\n") == n', ""),
+           (WRITER_PATHS,)),
+    Mutant("csv-writer-no-quote-test", TRACE, UNQUOTED, UNQUOTED.replace(''''"' not in text and ''', ""),
+           (WRITER_PATHS,)),
+    Mutant("csv-writer-no-cr-test", TRACE, UNQUOTED, UNQUOTED.replace(' and "\\r" not in text', ""),
+           (WRITER_PATHS,)),
+    Mutant("csv-writer-fallback-reads-spent-iterator", TRACE, "records = list(records)", "records = iter(records)",
+           (WRITER_PATHS,)),
 ]
 
 

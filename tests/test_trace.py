@@ -251,6 +251,46 @@ def test_csv_writer_matches_csv_module(records):
     assert serialize_trace(records, "csv") == csv_module_reference(records)
 
 
+WRITER_RECORDS = [
+    TraceRecord(10 + i, 7, A1, VertexKind.ACCOUNT, A2, VertexKind.CONTRACT, CallKind.CONTRACT_CALL, f"tx{i}")
+    for i in range(3)
+]
+# the clean records, then one record per character that needs quoting and per
+# field that can hold it, the character alone in its trace
+WRITER_CASES = {"clean": WRITER_RECORDS} | {
+    f"{field}-{name}": [
+        WRITER_RECORDS[0], dataclasses.replace(WRITER_RECORDS[1], **{field: f"a{char}b"}), WRITER_RECORDS[2],
+    ]
+    for name, char in [("comma", ","), ("quote", '"'), ("lf", "\n"), ("cr", "\r")]
+    for field in ("src", "dst", "tx_id")
+}
+
+
+@pytest.mark.parametrize("as_generator", [False, True], ids=["list", "generator"])
+@pytest.mark.parametrize("case", list(WRITER_CASES))
+def test_csv_writer_paths_match_field_by_field_quoting(monkeypatch, case, as_generator):
+    """A clean trace is written without quoting a field, any other trace with
+    _csv_field on each string field, even when its records come from an
+    iterator that the first pass has spent."""
+    records = WRITER_CASES[case]
+    field, quoted = trace_module._csv_field, []
+
+    def csv_field(text):
+        quoted.append(text)
+        return field(text)
+
+    expected = "".join(
+        ",".join(field(str(value)) for value in row) + "\n"
+        for row in [CSV_HEADER] + [
+            [r.timestamp, r.block, r.src, r.src_kind.value, r.dst, r.dst_kind.value, r.call_kind.value, r.tx_id]
+            for r in records
+        ]
+    )
+    monkeypatch.setattr(trace_module, "_csv_field", csv_field)
+    assert serialize_trace((r for r in records) if as_generator else records, "csv") == expected
+    assert len(quoted) == (0 if case == "clean" else 3 * len(records))
+
+
 def json_module_reference(records):
     """The JSONL trace as ``json.JSONEncoder`` writes each row's dict."""
     encode = json.JSONEncoder(separators=(",", ":")).encode
