@@ -8,7 +8,6 @@ Set ``SHARDSIM_LOG=DEBUG`` (or INFO, ...) for diagnostics.
 
 from __future__ import annotations
 
-import concurrent.futures
 import functools
 import logging
 import os
@@ -87,22 +86,6 @@ def main() -> None:
     logging.basicConfig(level=level if isinstance(level, int) else logging.WARNING)  # not a level name: warning
 
 
-def _run_one_replay(
-    trace_path: str, fmt: str | None, strict: bool, cfg: ReplayConfig, out_format: str
-) -> tuple[str, int]:
-    """Worker for --sweep; module-level so it pickles.
-
-    Returns (output text, malformed rows skipped).
-    """
-    stats = ParseStats()
-    result = run_replay(read_trace(trace_path, fmt, strict=strict, stats=stats), cfg)
-    if out_format == "json":
-        payload = samples_to_json(result.samples, cfg.k)
-    else:
-        payload = samples_to_csv(result.samples, cfg.k)
-    return payload, stats.skipped
-
-
 @main.command()
 @click.option("--trace", "trace_path", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--format", "fmt", type=click.Choice(["csv", "jsonl"]), default=None,
@@ -125,7 +108,7 @@ def _run_one_replay(
               help="Output file (stdout when omitted).")
 @click.option("--out-format", type=click.Choice(["csv", "json"]), default="csv", show_default=True)
 @click.option("--sweep", default=None, help="Comma-separated shard counts, e.g. 'k=2,4,8'; "
-              "runs independent replays in parallel, one output per k.")
+              "parses the trace once and replays it per k, one output per k.")
 def replay(trace_path, fmt, k, weights, lenient, out_path, out_format, sweep, **settings):
     """Replay a trace and emit per-window metric samples."""
     if sweep is None and k is None:
@@ -140,28 +123,27 @@ def replay(trace_path, fmt, k, weights, lenient, out_path, out_format, sweep, **
         cfgs = [ReplayConfig(k=kk, cumulative_weights=weights == "cumulative", **settings) for kk in ks]
     except ValueError as exc:
         raise click.UsageError(str(exc))
-    run_one = functools.partial(_run_one_replay, trace_path, fmt, not lenient, out_format=out_format)
+    to_text = samples_to_json if out_format == "json" else samples_to_csv
+    stats = ParseStats()
     try:
-        if len(cfgs) == 1:
-            results = [run_one(cfgs[0])]
-        else:
-            with concurrent.futures.ProcessPoolExecutor(max_workers=min(len(cfgs), os.cpu_count() or 1)) as pool:
-                results = list(pool.map(run_one, cfgs))
+        records = read_trace(trace_path, fmt, strict=not lenient, stats=stats)
+        if len(cfgs) > 1:  # every k replays the one parse; a single replay streams
+            records = list(records)
+        payloads = [to_text(run_replay(records, cfg).samples, cfg.k) for cfg in cfgs]
     except TraceError as exc:
         _fail(exc)
     except (OSError, EOFError, UnicodeDecodeError, zlib.error) as exc:  # cannot open, decompress or decode
         _fail(f"cannot read {trace_path}: {exc}")
-    skipped = results[0][1]  # every job reads the same trace
-    if skipped:
-        click.echo(f"skipped {skipped} malformed rows", err=True)
-    for cfg, (payload, _) in zip(cfgs, results):  # pool.map keeps the order of cfgs
+    if stats.skipped:
+        click.echo(f"skipped {stats.skipped} malformed rows", err=True)
+    for cfg, payload in zip(cfgs, payloads):
         _emit(payload, out_path if sweep is None else _sweep_path(out_path, cfg.k))
 
 
 def _parse_sweep(sweep: str) -> list[int]:
     name, equals, text = sweep.rpartition("=")  # "k=2,4" or "2,4"
     try:
-        ks = [decimal(part, "shard count") for part in text.split(",") if part]
+        ks = [decimal(part, "shard count") for part in text.split(",")]
     except ValueError:
         ks = []
     if not ks or equals and name != "k":

@@ -83,8 +83,7 @@ _CALL_KINDS = {
 
 
 class TraceError(Exception):
-    """Base class for trace parsing/validation failures. The subclasses pickle
-    as their constructor's arguments, so a ``--sweep`` worker's error reaches the parent."""
+    """Base class for trace parsing/validation failures."""
 
 
 class MalformedRow(TraceError):
@@ -92,9 +91,6 @@ class MalformedRow(TraceError):
         super().__init__(f"line {line_no}: {reason}")
         self.line_no = line_no
         self.reason = reason
-
-    def __reduce__(self):
-        return MalformedRow, (self.line_no, self.reason)
 
 
 class OutOfOrderBlock(TraceError):
@@ -104,9 +100,6 @@ class OutOfOrderBlock(TraceError):
         self.block = block
         self.previous = previous
 
-    def __reduce__(self):
-        return OutOfOrderBlock, (self.line_no, self.block, self.previous)
-
 
 class OutOfOrderTimestamp(TraceError):
     def __init__(self, line_no: int, timestamp: int, previous: int):
@@ -114,9 +107,6 @@ class OutOfOrderTimestamp(TraceError):
         self.line_no = line_no
         self.timestamp = timestamp
         self.previous = previous
-
-    def __reduce__(self):
-        return OutOfOrderTimestamp, (self.line_no, self.timestamp, self.previous)
 
 
 _HEX40 = re.compile("[0-9a-f]{40}")

@@ -65,6 +65,13 @@ DECIMAL = '_DECIMAL = re.compile("-?[0-9]+")'
 BOTH_ENDS = "if adj[u].get(v) != w:"
 WRITER_PATHS = "tests/test_trace.py::test_csv_writer_paths_match_field_by_field_quoting"
 UNQUOTED = '''if '"' not in text and "\\r" not in text and text.count(",") == 7 * n and text.count("\\n") == n:'''
+CLI = "shardsim/cli.py"
+METRICS = "shardsim/metrics.py"
+NORMALIZED = '''def normalized_balance(b: float, k: int) -> float:
+    """Rescale a balance ratio to [0, 1] for cross-k comparison: (b-1)/(k-1)."""
+    if k <= 1:
+        return 0.0
+    return (b - 1.0) / (k - 1.0)'''
 
 MUTANTS = [
     # the one loop reads an integer int() takes but the integer rule does not
@@ -117,6 +124,13 @@ MUTANTS = [
            (WRITER_PATHS,)),
     Mutant("csv-writer-fallback-reads-spent-iterator", TRACE, "records = list(records)", "records = iter(records)",
            (WRITER_PATHS,)),
+    # every k of a sweep after the first replays the parse that the first spent
+    Mutant("sweep-replays-a-spent-iterator", CLI, "records = list(records)", "pass",
+           ("tests/test_cli.py::test_sweep_runs_multiple_k",)),
+    # an exported function's parameter is renamed: callers that pass it by
+    # keyword break, and nothing but the signature table notices
+    Mutant("public-parameter-renamed", METRICS, NORMALIZED, NORMALIZED.replace("(b", "(ratio"),
+           ("tests/test_api.py::test_public_signatures",)),
 ]
 
 

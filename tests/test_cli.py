@@ -210,13 +210,34 @@ def test_replay_jsonl_integer_too_long_for_int_strict_vs_lenient(tmp_path):
     assert res.stdout == run("replay", "--trace", str(trace), "--shards", "2").stdout
 
 
-def test_sweep_runs_multiple_k(tmp_path):
+@pytest.mark.parametrize("ext", ["csv", "json"])
+def test_sweep_runs_multiple_k(tmp_path, ext):
+    # every k replays the one parse of the trace: each output is the one a
+    # replay of that k alone writes, byte for byte
     trace = make_trace_file(tmp_path)
-    out = tmp_path / "s.csv"
-    res = run("replay", "--trace", str(trace), "--sweep", "k=2,4", "--out", str(out))
+    settings = ["--strategy", "metis-window", "--repartition-interval", "1d", "--out-format", ext]
+    res = run("replay", "--trace", str(trace), "--sweep", "k=2,4", *settings, "--out", str(tmp_path / f"s.{ext}"))
     assert res.exit_code == 0, res.output
-    assert (tmp_path / "s.k2.csv").exists()
-    assert (tmp_path / "s.k4.csv").exists()
+    assert sorted(p.name for p in tmp_path.glob("s*")) == [f"s.k2.{ext}", f"s.k4.{ext}"]
+    for k in (2, 4):
+        one = tmp_path / f"one.{ext}"
+        res = run("replay", "--trace", str(trace), "--shards", str(k), *settings, "--out", str(one))
+        assert res.exit_code == 0, res.output
+        assert (tmp_path / f"s.k{k}.{ext}").read_bytes() == one.read_bytes()
+
+
+def test_lenient_sweep_counts_the_skipped_rows_once(tmp_path):
+    lines = make_trace_file(tmp_path).read_text().splitlines()
+    lines[5] = "1,2,3"
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    res = run("replay", "--trace", str(bad), "--lenient", "--sweep", "k=2,4", "--out", str(tmp_path / "s.csv"))
+    assert res.exit_code == 0, res.output
+    assert res.stderr.splitlines().count("skipped 1 malformed rows") == 1
+    for k in (2, 4):
+        one = run("replay", "--trace", str(bad), "--lenient", "--shards", str(k))
+        assert one.exit_code == 0, one.output
+        assert (tmp_path / f"s.k{k}.csv").read_text() == one.stdout
 
 
 def test_sweep_of_one_k_writes_its_per_k_file(tmp_path):
@@ -243,13 +264,16 @@ def test_sweep_of_one_k_writes_its_per_k_file(tmp_path):
         (["--sweep", "=2,3"], "bad sweep '=2,3'"),
         (["--sweep", "k=1_0"], "bad sweep 'k=1_0'"),
         (["--sweep", "k=2, 3"], "bad sweep 'k=2, 3'"),
+        (["--sweep", "k=2,,4"], "bad sweep 'k=2,,4'"),
+        (["--sweep", "k=,2"], "bad sweep 'k=,2'"),
+        (["--sweep", "k=2,"], "bad sweep 'k=2,'"),
         (["--shards", "1_6"], "value '1_6' is not an integer"),
         (["--shards", "2", "--seed", "+3"], "value '+3' is not an integer"),
         (["--shards", "2", "--metric-window", "\u0661\u0662h"], "bad duration '\u0661\u0662h'"),
     ],
     ids=["repeated", "repeated-apart", "shards-and-sweep", "not-a-number", "no-shard-count", "no-out",
          "bad-duration", "zero-window", "other-name", "no-name", "underscore-count", "spaced-count",
-         "underscore-shards", "signed-seed", "non-ascii-duration"],
+         "empty-between", "empty-first", "empty-last", "underscore-shards", "signed-seed", "non-ascii-duration"],
 )
 def test_sweep_usage_errors(tmp_path, args, message):
     trace = make_trace_file(tmp_path)
@@ -262,8 +286,8 @@ def test_sweep_usage_errors(tmp_path, args, message):
 
 @pytest.mark.parametrize("case", ["malformed", "block", "timestamp"])
 def test_sweep_over_a_bad_trace_is_an_error(tmp_path, case):
-    # the worker's parse error crosses the process pool: a message, not a
-    # BrokenProcessPool traceback
+    # the parse error of the one read ends the sweep: a message, not a
+    # traceback, and no output for any k
     lines = make_trace_file(tmp_path).read_text().splitlines()
     row = lines[5].split(",")
     if case == "malformed":
@@ -405,7 +429,7 @@ def unreadable_trace(tmp_path, monkeypatch, case):
         def denied(file, *args, **kwargs):
             raise PermissionError(13, "Permission denied", file)
 
-        # the sweep's worker processes are forked, so they see the patch too
+        # every mode opens the trace through the module's open, the sweep too
         monkeypatch.setattr(trace_module, "open", denied, raising=False)
     path.write_bytes(data)
     return path
@@ -696,8 +720,8 @@ def test_replay_byte_identical_across_runs(tmp_path):
     assert outs[0] == outs[1]
 
 
-# Installed into every interpreter of the smoke run below, pool workers too,
-# as a sitecustomize module: any import of a test-only package fails.
+# Installed into every interpreter of the smoke run below as a sitecustomize
+# module: any import of a test-only package fails.
 TEST_ONLY_BLOCKER = """
 import sys
 
