@@ -22,8 +22,8 @@ from shardsim.partition import PartitionerConfig, partition_partgraph, read_adja
 from shardsim.replay import ReplayConfig, Strategy, run_replay
 from shardsim.report import format_summary, read_samples_csv, samples_to_csv, samples_to_json, summarize
 from shardsim.synth import WorkloadSpec, generate_workload, write_truth
-from shardsim.trace import (ParseStats, TraceError, _csv_field, decimal, infer_format, open_trace, read_trace, real,
-                            serialize_trace)
+from shardsim.trace import (ParseStats, TraceError, _csv_field, decimal, gc_paused, infer_format, open_trace,
+                            read_trace, real, serialize_trace)
 
 _DURATION_RE = re.compile("([0-9]+)([smhdw]?)")
 _DURATION_UNITS = {"s": 1, "m": 60, "h": 3600, "d": 86400, "w": 7 * 86400}
@@ -128,7 +128,8 @@ def replay(trace_path, fmt, k, weights, lenient, out_path, out_format, sweep, **
     try:
         records = read_trace(trace_path, fmt, strict=not lenient, stats=stats)
         if len(cfgs) > 1:  # every k replays the one parse; a single replay streams
-            records = list(records)
+            with gc_paused():
+                records = list(records)
         payloads = [to_text(run_replay(records, cfg).samples, cfg.k) for cfg in cfgs]
     except TraceError as exc:
         _fail(exc)

@@ -429,15 +429,15 @@ def _repair_balance(pg: PartGraph, part: list[int], k: int, cap: float) -> bool:
     Each step takes the heaviest shard ``over`` (lowest index on ties),
     recomputes the edge weight ``conn[j]`` into each shard j of each of its
     vertices ``v``, and makes the move to a shard ``j`` that stays within
-    ``cap`` minimising ``(conn[over] - conn[j], weights[j], v, j)``. It stops
-    when no shard is over the cap, no move fits, or after ``2 * |V|`` moves.
-    Each move rescans the graph, O(|V| + E), so a start far over the cap is
-    quadratic; the partitioner's parts need few moves.
+    ``cap`` minimising ``(conn[over] - conn[j], weights[j], v, j)``, until no
+    shard is over the cap or no move fits. A move lands in a shard that it
+    leaves within the cap, and such a shard is never the source of a later
+    move, so no vertex moves twice: at most |V| moves, each an O(|V| + E) rescan.
     """
     n = len(pg)
     vwgt, adj = pg.vwgt, pg.adj
     weights = _shard_weights(pg, part, k)
-    for _ in range(n * 2):
+    while True:
         heaviest = max(weights)
         if heaviest <= cap:
             return True
@@ -460,7 +460,6 @@ def _repair_balance(pg: PartGraph, part: list[int], k: int, cap: float) -> bool:
         part[v] = j
         weights[over] -= vwgt[v]
         weights[j] += vwgt[v]
-    return max(weights) <= cap
 
 
 def fm_refine(

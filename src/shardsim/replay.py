@@ -12,10 +12,10 @@ boundary it emits a MetricSample and evaluates the strategy's repartition
 trigger; repartitions are applied at the boundary, so samples sit on a uniform
 grid anchored at the first record.
 
-Each address becomes a dense int id, in order of first appearance; the graphs
-are keyed by id and the assignment is a part vector indexed by id. Addresses
-are read only to hash a new vertex, to order KL's vertices and to build the
-final assignment.
+Each address becomes a dense int id, in order of first appearance, in one table
+whose keys are thus the addresses in id order; graphs are keyed by id and the
+assignment is a part vector by id. Addresses are read only to hash a new vertex
+and to order KL's vertices; the final assignment is written over the table.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import logging
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple
 
 from shardsim.graph import InteractionGraph, apply_record
 # Unused here; bench/layers.py wraps these names of this module.
@@ -139,14 +139,14 @@ def repartition(
     shard_sizes: list[int],
     cfg: ReplayConfig,
     clock: int,
-    names: Sequence[str],
+    names: Iterable[str],
 ) -> Repartition:
     """Run one repartition of ``target`` under ``cfg.strategy``.
 
     ``target`` is keyed by id, ``a`` is a part vector, ``shard_sizes`` its
-    vertices per shard, and ``names`` maps id to address; vertices outside
-    ``target`` keep their shard. Never called under hashing, whose trigger
-    never fires.
+    vertices per shard, and ``names`` the addresses in id order, read only by
+    KL; vertices outside ``target`` keep their shard. Never called under
+    hashing, whose trigger never fires.
 
     Only ``target``'s vertices can change shard, so every count is taken over
     them: a repartition costs its graph, plus O(k²) for the label matching,
@@ -157,6 +157,7 @@ def repartition(
     period = target.vertices
     if strategy is Strategy.KL:
         new = a
+        names = list(names)  # id -> address, KL's vertex order
         for rnd in range(cfg.kl_rounds):
             cands = kl_select_candidates(new, target, names.__getitem__)
             matrix = kl_build_matrix(cands, new, target)
@@ -212,8 +213,7 @@ def run_replay(trace: Iterable[TraceRecord], cfg: ReplayConfig) -> ReplayResult:
     k = cfg.k
     pcfg = cfg.partitioner
     graph = InteractionGraph()
-    ids: dict[str, int] = {}  # address -> id
-    names: list[str] = []  # id -> address
+    ids: dict[str, int] = {}  # address -> id, keys in id order
     assignment = Assignment([], k)
     shard_sizes = [0] * k
     samples: list[MetricSample] = []
@@ -238,8 +238,7 @@ def run_replay(trace: Iterable[TraceRecord], cfg: ReplayConfig) -> ReplayResult:
                 counts = counts.copy()
                 counts[assignment.shard_of[other]] += 1
             s = assign_new_vertex(counts, shard_sizes)
-        v = ids[address] = len(names)
-        names.append(address)
+        v = ids[address] = len(ids)
         assignment.shard_of.append(s)
         shard_sizes[s] += 1
         return v
@@ -264,7 +263,7 @@ def run_replay(trace: Iterable[TraceRecord], cfg: ReplayConfig) -> ReplayResult:
             dynamic_balance=balance(weights, assignment, "dynamic"),
         )
         if fire_trigger(clock, last_repart, sample, cfg):
-            rep = repartition(target, assignment, shard_sizes, cfg, clock, names)
+            rep = repartition(target, assignment, shard_sizes, cfg, clock, ids)
             assignment, shard_sizes = rep.assignment, rep.shard_sizes
             sample.moves = rep.moves
             sample.repartitioned = True
@@ -297,7 +296,7 @@ def run_replay(trace: Iterable[TraceRecord], cfg: ReplayConfig) -> ReplayResult:
     if window_end is not None:
         emit_boundary(window_end)
 
-    for address, s in zip(names, assignment.shard_of):
+    for address, s in zip(ids, assignment.shard_of):
         ids[address] = s  # ids becomes the final map, keys still in id order
     return ReplayResult(
         samples=samples,

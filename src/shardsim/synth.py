@@ -9,14 +9,13 @@ community, shifting the interaction structure.
 
 from __future__ import annotations
 
-import gc
 import itertools
 import math
 import random
 from bisect import bisect_right
 from dataclasses import dataclass
 
-from shardsim.trace import CallKind, TraceRecord, VertexKind
+from shardsim.trace import CallKind, TraceRecord, VertexKind, gc_paused
 
 
 @dataclass
@@ -62,6 +61,7 @@ def vertex_id(i: int) -> str:
     return f"{i:040x}"
 
 
+@gc_paused()
 def generate_workload(spec: WorkloadSpec, seed: int = 0) -> tuple[list[TraceRecord], dict[str, int]]:
     """Build the trace and the planted community of each vertex.
 
@@ -69,18 +69,6 @@ def generate_workload(spec: WorkloadSpec, seed: int = 0) -> tuple[list[TraceReco
     Deterministic for a fixed (spec, seed). Each vertex's address is one
     string, shared by every record that names it and by the ground truth.
     """
-    # Each record is a GC-tracked object in no cycle, and every older-generation
-    # collection would rescan the growing list: pause the cyclic collector.
-    was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        return _generate(spec, seed)
-    finally:
-        if was_enabled:
-            gc.enable()
-
-
-def _generate(spec: WorkloadSpec, seed: int) -> tuple[list[TraceRecord], dict[str, int]]:
     rng = random.Random(seed)
     random_, choice = rng.random, rng.choice
     n, c = spec.vertices, spec.communities
@@ -141,11 +129,8 @@ def _generate(spec: WorkloadSpec, seed: int) -> tuple[list[TraceRecord], dict[st
         dst = members[bisect_right(cum, random_() * weight, 0, size)]
         if dst == src:  # one resample to keep self-loops rare but possible
             dst = members[bisect_right(cum, random_() * weight, 0, size)]
-        append(
-            TraceRecord(
-                timestamp, elapsed // block_interval, names[src], account, names[dst], account, transfer, f"tx{idx}"
-            )
-        )
+        block = elapsed // block_interval
+        append(TraceRecord(timestamp, block, names[src], account, names[dst], account, transfer, f"tx{idx}"))
     return records, truth
 
 

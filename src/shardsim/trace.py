@@ -38,6 +38,7 @@ counts, so the result never depends on which a line takes.
 from __future__ import annotations
 
 import csv
+import gc
 import gzip
 import io
 import itertools
@@ -45,6 +46,7 @@ import json
 import logging
 import math
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from json.encoder import encode_basestring_ascii
@@ -171,6 +173,19 @@ class TraceRecord:
     dst_kind: VertexKind
     call_kind: CallKind
     tx_id: str
+
+
+@contextmanager
+def gc_paused() -> Iterator[None]:
+    """Pause the cyclic collector, then restore its state: a list of records grows
+    under it, and each collection would rescan records that are in no cycle."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 @dataclass

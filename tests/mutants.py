@@ -14,7 +14,8 @@ Each mutant runs in a fresh copy of ``src/`` with ``pytest -x`` under the
 ``mutants`` hypothesis profile (``derandomize=True``, no example database),
 which ``conftest.py`` registers, so a run does not depend on luck or on
 examples saved by earlier runs. The exit status is 0 when every mutant is
-killed, 1 when one survives or its tests cannot run.
+killed, 1 when one survives or its tests cannot run or take more than
+``TIMEOUT`` seconds.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
+TIMEOUT = 600  # a mutant that makes a loop endless fails the run instead of hanging it
 
 
 class Mutant(NamedTuple):
@@ -127,6 +129,25 @@ MUTANTS = [
     # every k of a sweep after the first replays the parse that the first spent
     Mutant("sweep-replays-a-spent-iterator", CLI, "records = list(records)", "pass",
            ("tests/test_cli.py::test_sweep_runs_multiple_k",)),
+    # the sweep builds its record list with the cyclic collector running
+    Mutant("sweep-parse-collector-on", CLI, "with gc_paused():", "if True:",
+           ("tests/test_cli.py::test_sweep_parses_with_the_collector_paused_and_restores_it",)),
+    # a KL matrix row whose off-diagonal sum drifts past 1 keeps a negative diagonal
+    Mutant("kl-matrix-no-drift-guard", PARTITION, "if off > 1.0:  # guard against float drift", "if False:",
+           ("tests/test_partition.py::test_kl_matrix_float_drift_guard",)),
+    # acceptance criteria 3-5: a metric, the partitioner's quality and the
+    # refinement record each go wrong in a way their criterion catches
+    Mutant("dynamic-balance-counts-vertices", METRICS, "loads_of = graph.vertices",
+           "loads_of = dict.fromkeys(graph.vertices, 1)",
+           ("tests/test_acceptance.py::test_criterion_3_metric_oracle_equivalence",)),
+    Mutant("initial-partition-keeps-the-worst-try", PARTITION, "key = (not feasible, cut)",
+           "key = (not feasible, -cut)", ("tests/test_acceptance.py::test_criterion_4_partitioner_quality",)),
+    Mutant("refinement-records-passes-reversed", PARTITION, "pass_cuts.append((cut_before, cut))",
+           "pass_cuts.append((cut, cut_before))", ("tests/test_acceptance.py::test_criterion_5_refinement_monotone",)),
+    # every KL round of a repartition draws from one seed; no test but the
+    # reference replay, whose KL repartitions run up to two rounds, catches it
+    Mutant("kl-rounds-share-a-seed", REPLAY, "cfg.seed ^ clock ^ (rnd << 32)", "cfg.seed ^ clock",
+           ("tests/test_replay.py::test_replay_matches_reference_replay",)),
     # an exported function's parameter is renamed: callers that pass it by
     # keyword break, and nothing but the signature table notices
     Mutant("public-parameter-renamed", METRICS, NORMALIZED, NORMALIZED.replace("(b", "(ratio"),
@@ -145,11 +166,14 @@ def run(mutant: Mutant) -> str:
             return f"error: the snippet occurs {text.count(mutant.snippet)} times in {mutant.file}"
         path.write_text(text.replace(mutant.snippet, mutant.replacement))
         env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
-        proc = subprocess.run(
-            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "--hypothesis-profile=mutants",
-             "-o", f"pythonpath={src}", *mutant.tests],
-            cwd=ROOT, env=env, capture_output=True, text=True,
-        )
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "--hypothesis-profile=mutants",
+                 "-o", f"pythonpath={src}", *mutant.tests],
+                cwd=ROOT, env=env, capture_output=True, text=True, timeout=TIMEOUT,
+            )
+        except subprocess.TimeoutExpired:
+            return f"error: its tests ran past {TIMEOUT} s"
     if proc.returncode == 1:
         return "killed"
     if proc.returncode == 0:

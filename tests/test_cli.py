@@ -1,4 +1,5 @@
 import csv
+import gc
 import gzip
 import inspect
 import io
@@ -12,7 +13,7 @@ import pytest
 from click.testing import CliRunner
 
 import shardsim
-from shardsim import trace as trace_module
+from shardsim import cli as cli_module, trace as trace_module
 from shardsim.cli import main, parse_duration
 from shardsim.graph import InteractionGraph
 from shardsim.partition import PartitionerConfig, multilevel_partition, write_adjacency
@@ -282,6 +283,37 @@ def test_sweep_usage_errors(tmp_path, args, message):
     assert res.exit_code == 2, res.output
     assert message in res.output
     assert not list(tmp_path.glob("s*.csv"))
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_sweep_parses_with_the_collector_paused_and_restores_it(tmp_path, monkeypatch, enabled):
+    # the sweep's record list is built with the cyclic collector paused, and
+    # the collector is left as it was, also when a malformed row ends the sweep
+    trace = make_trace_file(tmp_path)
+    lines = trace.read_text().splitlines()
+    lines[5] = "1,2,3"
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    seen = []
+
+    def spy(*args, **kwargs):
+        for record in read_trace(*args, **kwargs):
+            seen.append(gc.isenabled())
+            yield record
+
+    monkeypatch.setattr(cli_module, "read_trace", spy)
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        res = run("replay", "--trace", str(trace), "--sweep", "k=2,4", "--out", str(tmp_path / "s.csv"))
+        assert res.exit_code == 0, res.output
+        assert seen and not any(seen)
+        assert gc.isenabled() is enabled
+        res = run("replay", "--trace", str(bad), "--sweep", "k=2,4", "--out", str(tmp_path / "b.csv"))
+        assert res.exit_code == 1 and res.stderr.startswith("error: line 6: ")
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
 
 
 @pytest.mark.parametrize("case", ["malformed", "block", "timestamp"])
