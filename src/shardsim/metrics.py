@@ -10,6 +10,7 @@ never be cut but do count in the denominator.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 from shardsim.graph import InteractionGraph
 
@@ -73,6 +74,14 @@ def edge_cut(graph: InteractionGraph, a: Assignment, weighting: str = "static") 
     raise ValueError(f"unknown weighting {weighting!r}")
 
 
+def shard_loads(shards: Iterable[int], weights: Iterable[int], k: int) -> list[int]:
+    """Summed weight of each of k shards, ``weights[i]`` counting toward shard ``shards[i]``."""
+    loads = [0] * k
+    for s, w in zip(shards, weights):
+        loads[s] += w
+    return loads
+
+
 def load_balance(loads: list[int]) -> float:
     """Heaviest load over the equal share, max * k / total; 1 for a zero total."""
     total = sum(loads)
@@ -93,10 +102,7 @@ def balance(graph: InteractionGraph, a: Assignment, weighting: str = "static") -
         loads_of = graph.vertices
     else:
         raise ValueError(f"unknown weighting {weighting!r}")
-    loads = [0] * a.k
-    for v, w in loads_of.items():
-        loads[a.shard_of[v]] += w
-    return load_balance(loads)
+    return load_balance(shard_loads(map(a.shard_of.__getitem__, loads_of), loads_of.values(), a.k))
 
 
 def normalized_balance(b: float, k: int) -> float:

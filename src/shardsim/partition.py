@@ -34,7 +34,7 @@ from itertools import accumulate
 from typing import Callable, ClassVar, Sequence
 
 from shardsim.graph import InteractionGraph
-from shardsim.metrics import Assignment
+from shardsim.metrics import Assignment, shard_loads
 from shardsim.trace import decimal
 
 MASK64 = (1 << 64) - 1
@@ -157,13 +157,9 @@ def kl_build_matrix(
     """
     k = a.k
     vact = activity.vertices
-    loads = [0.0] * k
-    total = 0.0
-    for v, w in vact.items():
-        loads[a.shard_of[v]] += w
-        total += w
-    mean = total / k
-    surplus = [load - mean for load in loads]
+    loads = shard_loads(map(a.shard_of.__getitem__, vact), vact.values(), k)
+    mean = sum(loads) / k
+    surplus = [load - mean for load in loads]  # the int loads are exact; floats from here on
 
     cand_weight = [0.0] * k  # total movable activity weight per shard
     net = [[0.0] * k for _ in range(k)]  # the demand, until the swaps leave it
@@ -416,13 +412,6 @@ def _greedy_grow(pg: PartGraph, k: int, cap: float, rng: random.Random) -> list[
     return part
 
 
-def _shard_weights(pg: PartGraph, part: Sequence[int], k: int) -> list[int]:
-    w = [0] * k
-    for v in range(len(pg)):
-        w[part[v]] += pg.vwgt[v]
-    return w
-
-
 def _repair_balance(pg: PartGraph, part: list[int], k: int, cap: float) -> bool:
     """Move cheapest vertices out of overweight shards. Returns feasibility.
 
@@ -436,7 +425,7 @@ def _repair_balance(pg: PartGraph, part: list[int], k: int, cap: float) -> bool:
     """
     n = len(pg)
     vwgt, adj = pg.vwgt, pg.adj
-    weights = _shard_weights(pg, part, k)
+    weights = shard_loads(part, vwgt, k)
     while True:
         heaviest = max(weights)
         if heaviest <= cap:
@@ -446,9 +435,8 @@ def _repair_balance(pg: PartGraph, part: list[int], k: int, cap: float) -> bool:
         for v in range(n):
             if part[v] != over:
                 continue
-            conn = [0] * k
-            for u, w in adj[v].items():
-                conn[part[u]] += w
+            nbrs = adj[v]
+            conn = shard_loads(map(part.__getitem__, nbrs), nbrs.values(), k)
             for j in range(k):
                 if j != over and weights[j] + vwgt[v] <= cap:
                     move = (conn[over] - conn[j], weights[j], v, j)
@@ -490,7 +478,7 @@ def fm_refine(
     """
     n = len(pg)
     vwgt, adj = pg.vwgt, pg.adj
-    weights = _shard_weights(pg, part, k)
+    weights = shard_loads(part, vwgt, k)
     if cut is None:
         cut = cut_weight(pg, part)
     order = list(range(n))

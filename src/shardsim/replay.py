@@ -29,7 +29,7 @@ from typing import Iterable, NamedTuple
 from shardsim.graph import InteractionGraph, apply_record
 # Unused here; bench/layers.py wraps these names of this module.
 from shardsim.graph import activity_from_records, window_subgraph  # noqa: F401
-from shardsim.metrics import Assignment, MetricSample, balance, count_moves, edge_cut, load_balance
+from shardsim.metrics import Assignment, MetricSample, balance, count_moves, edge_cut, load_balance, shard_loads
 from shardsim.partition import (
     PartitionerConfig,
     assign_new_vertex,
@@ -193,9 +193,7 @@ def repartition(
             overlap[s, s] += n
     mapping = relabel_to_match(overlap, k)
     moves = sum(n for (s_new, s_old), n in overlap.items() if mapping[s_new] != s_old)
-    sizes = [0] * k
-    for (s_new, _), n in overlap.items():
-        sizes[mapping[s_new]] += n
+    sizes = shard_loads([mapping[s_new] for s_new, _ in overlap], overlap.values(), k)
     if mapping != list(range(k)):  # a renamed shard takes its vertices outside the period along
         shard_of = [mapping[s] for s in shard_of]
     return Repartition(Assignment(shard_of, k), moves, raw_moves, sizes)

@@ -140,6 +140,12 @@ MUTANTS = [
     Mutant("dynamic-balance-counts-vertices", METRICS, "loads_of = graph.vertices",
            "loads_of = dict.fromkeys(graph.vertices, 1)",
            ("tests/test_acceptance.py::test_criterion_3_metric_oracle_equivalence",)),
+    # the one per-shard sum counts its entries: balance, KL's loads and both
+    # of balance repair's sums go wrong
+    Mutant("shard-loads-ignores-weight", METRICS, "loads[s] += w", "loads[s] += 1",
+           ("tests/test_acceptance.py::test_criterion_3_metric_oracle_equivalence", *REPAIR_ORACLES,
+            "tests/test_partition.py::test_kl_matrix_two_shard_flow",
+            "tests/test_partition.py::test_kl_matrix_int_loads_match_float_sums")),
     Mutant("initial-partition-keeps-the-worst-try", PARTITION, "key = (not feasible, cut)",
            "key = (not feasible, -cut)", ("tests/test_acceptance.py::test_criterion_4_partitioner_quality",)),
     Mutant("refinement-records-passes-reversed", PARTITION, "pass_cuts.append((cut_before, cut))",

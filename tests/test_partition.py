@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from shardsim import partition
 from shardsim.graph import InteractionGraph
-from shardsim.metrics import Assignment, edge_cut
+from shardsim.metrics import Assignment, edge_cut, shard_loads
 from shardsim.partition import (
     MASK64,
     Candidate,
@@ -16,7 +16,6 @@ from shardsim.partition import (
     PartitionerConfig,
     _greedy_grow,
     _repair_balance,
-    _shard_weights,
     _shuffle,
     assign_new_vertex,
     coarsen_once,
@@ -429,6 +428,93 @@ def test_kl_matrix_matches_reference_on_each_scaling_case():
     assert m[1] == [6 / 9, 1 - 6 / 9, 0.0] and m[2] == [0.0, 0.0, 1.0]
 
 
+# ``kl_build_matrix`` as it was while it summed the shard loads in floats: the
+# int loads of ``shard_loads`` are exact, and so was every float sum below
+# 2**53, so the matrices must match entry for entry.
+
+
+def _kl_build_matrix_float_sums(candidates, a, activity):
+    k = a.k
+    vact = activity.vertices
+    loads = [0.0] * k
+    total = 0.0
+    for v, w in vact.items():
+        loads[a.shard_of[v]] += w
+        total += w
+    mean = total / k
+    surplus = [load - mean for load in loads]
+
+    cand_weight = [0.0] * k
+    net = [[0.0] * k for _ in range(k)]
+    for i, cands in candidates.items():
+        for c in cands:
+            w = float(vact.get(c.vertex, 0))
+            cand_weight[i] += w
+            net[i][c.target] += w
+    flow = [[min(d, net[j][i]) for j, d in enumerate(row)] for i, row in enumerate(net)]
+    for i, (row, swaps) in enumerate(zip(net, flow)):
+        residual = [d - s for d, s in zip(row, swaps)]
+        row_demand = sum(residual)
+        want_out = max(surplus[i], 0.0)
+        scale = 0.0 if row_demand <= 0.0 or want_out <= 0.0 else min(1.0, want_out / row_demand)
+        net[i] = [r * scale for r in residual]
+    for j in range(k):
+        inflow = sum(row[j] for row in net)
+        room = max(-surplus[j], 0.0)
+        if inflow > room:
+            scale = room / inflow
+            for row in net:
+                row[j] *= scale
+
+    p = []
+    for i, (swaps, moves) in enumerate(zip(flow, net)):
+        w = cand_weight[i]
+        row = [(s + m) / w if j != i and w > 0.0 else 0.0 for j, (s, m) in enumerate(zip(swaps, moves))]
+        off = sum(row)
+        if off > 1.0:
+            row = [x / off for x in row]
+            off = 1.0
+        row[i] = 1.0 - off
+        p.append(row)
+    return p
+
+
+@st.composite
+def kl_heavy_cases(draw):
+    """A part vector, activity of up to 10**6 per vertex (some vertices
+    without any) and random candidates: vertices of each shard, aimed at
+    random other shards, repeats allowed."""
+    k = draw(st.integers(1, 9))
+    n = draw(st.integers(1, 40))
+    shard = draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
+    activity = InteractionGraph()
+    for v in draw(st.lists(st.integers(0, n - 1), unique=True)):
+        activity.vertices[v] = draw(st.integers(1, 10**6))
+    cands = {}
+    for i in range(k):
+        members = [v for v in range(n) if shard[v] == i]
+        if members and k > 1 and draw(st.booleans()):
+            others = [j for j in range(k) if j != i]
+            cands[i] = [
+                Candidate(v, draw(st.sampled_from(others)), 1)
+                for v in draw(st.lists(st.sampled_from(members), max_size=8))
+            ]
+    return Assignment(shard, k), activity, cands
+
+
+@settings(max_examples=400, deadline=None)
+@given(kl_heavy_cases())
+def test_kl_matrix_int_loads_match_float_sums(case):
+    a, activity, cands = case
+    got = kl_build_matrix(cands, a, activity)
+    want = _kl_build_matrix_float_sums(cands, a, activity)
+    assert len(got) == len(want) == a.k
+    for got_row, want_row in zip(got, want):
+        assert len(got_row) == len(want_row) == a.k
+        for x, y in zip(got_row, want_row):
+            assert x == y
+
+
 def test_kl_exchange_draw_past_row_sum_stays():
     # row 0 sums to 0.6: a draw of 0.6 or more leaves the candidate in shard 0
     a = Assignment([0] * 20, 2)
@@ -634,7 +720,7 @@ def test_coarsening_kicks_in_on_large_graph():
 
 def _repair_balance_scan(pg: PartGraph, part: list[int], k: int, cap: float) -> bool:
     """Reference: the full-rescan repair that _repair_balance must reproduce move for move."""
-    weights = _shard_weights(pg, part, k)
+    weights = shard_loads(part, pg.vwgt, k)
     for _ in range(len(pg) * 2):
         over = max(range(k), key=lambda i: weights[i])
         if weights[over] <= cap:
@@ -867,7 +953,7 @@ def _greedy_grow_ref(pg: PartGraph, k: int, cap: float, rng: random.Random) -> l
 
 def _fm_refine_ref(pg, part, k, cap, max_passes, rng, pass_cuts=None) -> int:
     n = len(pg)
-    weights = _shard_weights(pg, part, k)
+    weights = shard_loads(part, pg.vwgt, k)
     cut = cut_weight(pg, part)
     order = list(range(n))
     for _ in range(max_passes):
@@ -1000,7 +1086,7 @@ def test_greedy_grow_closes_a_shard_only_when_nothing_fits(case):
     vertex that would have fitted."""
     pg, _, k, cap, seed = case
     part = _greedy_grow(pg, k, cap, random.Random(seed))
-    weights = _shard_weights(pg, part, k)
+    weights = shard_loads(part, pg.vwgt, k)
     total = sum(weights)
     for s in range(k - 1):
         if part.count(s) > 1:
