@@ -662,12 +662,15 @@ def read_adjacency(path: str, sidecar: str | None = None) -> PartGraph:
         n, m = decimal(header[0], "adjacency header:"), decimal(header[1], "adjacency header:")
         if n < 0:
             raise ValueError(f"header says {n} vertices, a negative count")
-        vwgt = [1] * n
-        adj: list[dict[int, int]] = [{} for _ in range(n)]
+        # grown a vertex per line, so that a header's count allocates nothing
+        vwgt: list[int] = []
+        adj: list[dict[int, int]] = []
         for v in range(n):
             line = fh.readline()
             if not line:
                 raise ValueError(f"header says {n} vertices, the file ends after {v} vertex lines")
+            vwgt.append(1)
+            adj.append({})
             tokens = line.split()
             if not tokens:
                 continue

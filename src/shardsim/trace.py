@@ -25,14 +25,17 @@ the lines a quoted field on them runs on into, and the header are read by
 (``_CANONICAL_JSONL``: keys in header order without spaces, integers without
 a sign or leading zero, 40-hex-digit addresses, strings without escapes or
 control characters) is read by one pattern; any other JSONL line is decoded
-once by ``json.loads``. A split ASCII line or a pattern-read line becomes a
-record in one loop, the same for both formats, when its timestamp and block
-are the digits 0-9, its kinds are exact lowercase spellings, its addresses
-are valid (the loop reads and remembers one seen for the first time) and it
-passes every check: every row of a ``synth`` trace does. Any other row takes
-the per-row path, which reads each field by its rule and names the error.
-Routes and paths give the same records, errors, line numbers and skip
-counts, so the result never depends on which a line takes.
+once by ``json.loads``. The fields of a split ASCII line or a pattern-read
+line are read by table lookups, the same for both formats, when its
+timestamp and block are the digits 0-9, its ``tx_id`` is not empty, its kinds
+are exact lowercase spellings and its addresses are valid (one seen for the
+first time is read by the address rule and remembered): every row of a
+``synth`` trace is. The fields of any other row take the per-row path,
+``_read_fields``, which reads each by its rule and names the first error.
+Every row then passes the same record checks (no negative timestamp or
+block, a ``contractcreate`` targets a contract, blocks and timestamps do not
+decrease). Routes and paths give the same records, errors, line numbers and
+skip counts, so the result never depends on which a line takes.
 """
 
 from __future__ import annotations
@@ -75,7 +78,7 @@ class CallKind(Enum):
         return _CALL_KINDS.get(value)  # type: ignore[arg-type]
 
 
-# Field value -> member, for the exact spellings the one loop reads.
+# Field value -> member, for the exact spellings table lookups read.
 _VERTEX_KINDS = {kind.value: kind for kind in VertexKind}
 _CALL_KINDS = {
     **{kind.value: kind for kind in CallKind},
@@ -205,8 +208,8 @@ def _address(spelling: str, names: dict[str, str]) -> str:
 
     ``names`` maps every spelling seen so far in a parse to the shared string
     of its canonical address, so equal addresses come out as the same object.
-    The per-row path reads every address with it; the one loop reads a
-    repeated spelling with ``names.get`` alone and calls it on a miss.
+    The per-row path reads every address with it; table lookups read a
+    repeated spelling with ``names.get`` alone and call it on a miss.
     """
     address = names.get(spelling)
     if address is None:
@@ -215,9 +218,9 @@ def _address(spelling: str, names: dict[str, str]) -> str:
     return address
 
 
-def _record_from_fields(fields: Sequence, line_no: int, names: dict[str, str]) -> TraceRecord:
-    """Record of the eight field values of one row, in ``CSV_HEADER`` order,
-    each read by its rule."""
+def _read_fields(fields: Sequence, line_no: int, names: dict[str, str]) -> tuple:
+    """The eight values of one row's fields, in ``CSV_HEADER`` order, each
+    read by its rule."""
     timestamp, block, src, src_kind, dst, dst_kind, call_kind, tx_id = fields
     try:
         timestamp, block = decimal(timestamp, "timestamp"), decimal(block, "block")
@@ -234,11 +237,7 @@ def _record_from_fields(fields: Sequence, line_no: int, names: dict[str, str]) -
         call_kind = _kind(CallKind, call_kind)
     except ValueError as exc:
         raise MalformedRow(line_no, f"unknown call kind {call_kind!r}") from exc
-    if timestamp < 0 or block < 0:
-        raise MalformedRow(line_no, "negative timestamp or block")
-    if call_kind is CallKind.CONTRACT_CREATE and dst_kind is not VertexKind.CONTRACT:
-        raise MalformedRow(line_no, "contractcreate target must be a contract")
-    return TraceRecord(timestamp, block, src, src_kind, dst, dst_kind, call_kind, tx_id)
+    return timestamp, block, src, src_kind, dst, dst_kind, call_kind, tx_id
 
 
 def parse_trace(
@@ -259,27 +258,6 @@ def parse_trace(
         stats = ParseStats()
     names: dict[str, str] = {}
     last_block = last_timestamp = 0  # a record with a negative block or timestamp is malformed
-
-    def checked(line_no: int, fields: Sequence | str) -> TraceRecord | None:
-        """The per-row path: a row's record, or None where lenient mode skips it."""
-        nonlocal last_block, last_timestamp
-        try:
-            if type(fields) is str:
-                raise MalformedRow(line_no, fields)
-            record = _record_from_fields(fields, line_no, names)
-            if record.block < last_block:
-                raise OutOfOrderBlock(line_no, record.block, last_block)
-            if record.timestamp < last_timestamp:
-                raise OutOfOrderTimestamp(line_no, record.timestamp, last_timestamp)
-        except TraceError as exc:
-            if strict:
-                raise
-            stats.skipped += 1
-            log.warning("skipping row: %s", exc)
-            return None
-        last_block, last_timestamp = record.block, record.timestamp
-        return record
-
     lines = iter(stream)
     jsonl = format == "jsonl"
     if jsonl:
@@ -308,9 +286,9 @@ def parse_trace(
     create, contract = CallKind.CONTRACT_CREATE, VertexKind.CONTRACT
     for line in lines:
         # Each line gives a row (its field values, its error, or an empty
-        # sequence when blank) and whether the one loop may read it: a JSONL
-        # line the pattern read, or a CSV line split at its commas that is
-        # ASCII, so that isdigit below means the digits 0-9.
+        # sequence when blank) and whether table lookups may read its fields: a
+        # JSONL line the pattern read, or a CSV line split at its commas that
+        # is ASCII, so that isdigit below means the digits 0-9.
         if jsonl:
             line_no += 1
             match = canonical(line)
@@ -329,35 +307,46 @@ def parse_trace(
                 line_no += 1
                 row, plain = (text.split(",") if text else []), text.isascii()
         if plain:
-            # The one loop, for both formats: eight field strings of exact
-            # spellings that pass every check, an address seen for the first
-            # time read by _address. Any other row takes the per-row path below.
+            # Table lookups, for both formats: eight field strings of exact
+            # spellings, an address seen for the first time read by _address.
+            # A row they cannot read goes to _read_fields below.
             try:
                 timestamp, block, src, src_kind, dst, dst_kind, call_kind, tx_id = row
-                if not (timestamp.isdigit() and block.isdigit()):
-                    raise ValueError  # not digits 0-9 alone: the per-row path reads or names it
+                if not (timestamp.isdigit() and block.isdigit() and tx_id):
+                    raise ValueError  # not digits 0-9 alone, or no tx_id: _read_fields reads or names it
                 timestamp, block = int(timestamp), int(block)
                 src = names.get(src) or _address(src, names)
                 dst = names.get(dst) or _address(dst, names)
                 src_kind, dst_kind = _VERTEX_KINDS[src_kind], _VERTEX_KINDS[dst_kind]
                 call_kind = _CALL_KINDS[call_kind]
             except (ValueError, KeyError):
-                pass
-            else:
-                in_order = block >= last_block and timestamp >= last_timestamp
-                if in_order and tx_id and (call_kind is not create or dst_kind is contract):
-                    last_block, last_timestamp = block, timestamp
-                    record = TraceRecord(timestamp, block, src, src_kind, dst, dst_kind, call_kind, tx_id)
-                    yield record
+                plain = False
+        try:
+            if not plain:
+                if type(row) is str:
+                    raise MalformedRow(line_no, row)
+                if not row:
                     continue
-        if type(row) is not str:
-            if not row:
-                continue
-            if len(row) != len(CSV_HEADER):
-                row = f"expected {len(CSV_HEADER)} fields, got {len(row)}"
-        record = checked(line_no, row)  # rebound on both paths: no yielded record stays alive
-        if record is not None:
-            yield record
+                if len(row) != len(CSV_HEADER):
+                    raise MalformedRow(line_no, f"expected {len(CSV_HEADER)} fields, got {len(row)}")
+                timestamp, block, src, src_kind, dst, dst_kind, call_kind, tx_id = _read_fields(row, line_no, names)
+            # The record checks, the same for every row whichever way it was read
+            if timestamp < 0 or block < 0:
+                raise MalformedRow(line_no, "negative timestamp or block")
+            if call_kind is create and dst_kind is not contract:
+                raise MalformedRow(line_no, "contractcreate target must be a contract")
+            if block < last_block:
+                raise OutOfOrderBlock(line_no, block, last_block)
+            if timestamp < last_timestamp:
+                raise OutOfOrderTimestamp(line_no, timestamp, last_timestamp)
+        except TraceError as exc:
+            if strict:
+                raise
+            stats.skipped += 1
+            log.warning("skipping row: %s", exc)
+            continue
+        last_block, last_timestamp = block, timestamp
+        yield TraceRecord(timestamp, block, src, src_kind, dst, dst_kind, call_kind, tx_id)
 
 
 def _jsonl_row(line: str) -> Sequence | str:

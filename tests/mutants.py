@@ -46,6 +46,7 @@ CSV_PROPERTY = "tests/test_trace.py::test_one_loop_matches_per_row_parse"
 JSONL_PROPERTY = "tests/test_trace.py::test_jsonl_one_loop_matches_per_row_parse"
 CLEAN_TRACE = "tests/test_trace.py::test_a_clean_trace_never_takes_the_per_row_path"
 CSV_SPLIT = 'row, plain = (text.split(",") if text else []), text.isascii()'
+GUARD = "if not (timestamp.isdigit() and block.isdigit() and tx_id):"
 STRING = r"""_STRING = r'"([^"\\\x00-\x1f]*)"'"""
 INTEGERS = r"""r'\{"timestamp":(0|[1-9][0-9]*),"block":(0|[1-9][0-9]*),'"""
 TRAILER = r"""rf'"call_kind":{_STRING},"tx_id":{_STRING}\}}\r?\n?'"""
@@ -76,9 +77,13 @@ NORMALIZED = '''def normalized_balance(b: float, k: int) -> float:
     return (b - 1.0) / (k - 1.0)'''
 
 MUTANTS = [
-    # the one loop reads an integer int() takes but the integer rule does not
-    Mutant("csv-no-isdigit-guard", TRACE, "if not (timestamp.isdigit() and block.isdigit()):", "if False:",
-           (CSV_PROPERTY,)),
+    # table lookups read an integer int() takes but the integer rule does not,
+    # or a row with an empty tx_id
+    Mutant("csv-no-isdigit-guard", TRACE, GUARD, "if not tx_id:", (CSV_PROPERTY,)),
+    Mutant("plain-takes-empty-tx-id", TRACE, GUARD, GUARD.replace(" and tx_id", ""), (CSV_PROPERTY, JSONL_PROPERTY)),
+    # the record checks let a negative timestamp or block through
+    Mutant("tail-takes-negative", TRACE, "if timestamp < 0 or block < 0:", "if False:",
+           ("tests/test_trace.py::test_malformed_row_messages",)),
     Mutant("csv-non-ascii-plain", TRACE, CSV_SPLIT, CSV_SPLIT.replace("text.isascii()", "True"), (CSV_PROPERTY,)),
     # the pattern takes a line json.loads reads otherwise or not at all
     Mutant("jsonl-leading-zeros", TRACE, INTEGERS, INTEGERS.replace("(0|[1-9][0-9]*)", "([0-9]+)"),
@@ -86,7 +91,7 @@ MUTANTS = [
     Mutant("jsonl-backslash-in-string", TRACE, STRING, STRING.replace("\\\\\\x00", "\\x00"), (JSONL_PROPERTY,)),
     Mutant("jsonl-control-in-string", TRACE, STRING, STRING.replace("\\x00-\\x1f", ""), (JSONL_PROPERTY,)),
     Mutant("jsonl-any-space-after", TRACE, TRAILER, TRAILER.replace(r"\r?\n?", r"\s*"), (JSONL_PROPERTY,)),
-    # rows of a clean trace leave the one loop
+    # rows of a clean trace leave the table lookups
     Mutant("csv-never-plain", TRACE, CSV_SPLIT, CSV_SPLIT.replace("text.isascii()", "False"), (CLEAN_TRACE,)),
     Mutant("jsonl-never-plain", TRACE, "row, plain = match.groups(), True", "row, plain = match.groups(), False",
            (CLEAN_TRACE,)),
@@ -114,6 +119,10 @@ MUTANTS = [
            ("tests/test_trace.py::test_decimal_is_the_one_integer_rule",)),
     Mutant("adjacency-one-way-edge", PARTITION, BOTH_ENDS, "if False:",
            ("tests/test_partition.py::test_read_adjacency_rejects_bad_graph",)),
+    # the adjacency reader allocates the vertex count its header claims
+    Mutant("adjacency-allocates-header-count", PARTITION, "vwgt: list[int] = []", "vwgt: list[int] = ([1] * n)[:0]",
+           ("tests/test_partition.py::test_read_adjacency_rejects_bad_graph[vertex-count-past-any-list]",
+            "tests/test_cli.py::test_partition_rejects_wrong_vertex_line_count[vertex-count-past-any-list]")),
     # the CSV writer returns unquoted text that holds a character to quote,
     # or its fallback meets the iterator that the first pass spent
     Mutant("csv-writer-no-comma-count", TRACE, UNQUOTED, UNQUOTED.replace(' and text.count(",") == 7 * n', ""),

@@ -519,8 +519,9 @@ def test_partition_rejects_out_of_range_neighbour(tmp_path):
     [
         ("3 1 011\n1 2 1\n1 1 1\n", "error: header says 3 vertices, the file ends after 2 vertex lines"),
         ("2 1 011\n1 2 1\n1 1 1\n1\n", "error: a non-blank line follows the 2 vertex lines the header gives"),
+        (f"{10**30} 0 011\n", f"error: header says {10**30} vertices, the file ends after 0 vertex lines"),
     ],
-    ids=["too-few-lines", "line-after-last"],
+    ids=["too-few-lines", "line-after-last", "vertex-count-past-any-list"],
 )
 def test_partition_rejects_wrong_vertex_line_count(tmp_path, text, message):
     gpath = tmp_path / "g.graph"

@@ -1292,6 +1292,8 @@ BAD_ADJACENCY = {
     "too-few-vertex-lines": ("3 1 011\n1 2 1\n1 1 1\n", "header says 3 vertices, the file ends after 2"),
     "line-after-last-vertex": ("2 1 011\n1 2 1\n1 1 1\n1\n", "non-blank line follows the 2 vertex lines"),
     "negative-vertex-count": ("-1 0 011\n", "header says -1 vertices"),
+    # a count no list can hold: nothing is allocated before the lines are read
+    "vertex-count-past-any-list": (f"{10**30} 0 011\n", f"header says {10**30} vertices, the file ends after 0"),
     "edge-weights-only-format": ("3 2 001\n2 1 3 1\n1 1\n1 1\n", "format field is 001, not 011"),
     "unknown-format": ("4 3 xyz\n1 2 1\n1 1 1 3 1\n1 2 1 4 1\n1 3 1\n", "format field is xyz, not 011"),
     "no-format-field": ("4 3\n1 2 1\n1 1 1 3 1\n1 2 1 4 1\n1 3 1\n", "header has 2 fields"),

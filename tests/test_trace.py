@@ -23,7 +23,7 @@ from shardsim.trace import (
     TraceError,
     TraceRecord,
     VertexKind,
-    _record_from_fields,
+    _read_fields,
     canonical_address,
     decimal,
     infer_format,
@@ -424,6 +424,36 @@ JSONL_LINE = jsonl_row().rstrip("\n")  # 216 characters
 ROW = f"10,100,{A1},account,{A2},contract,contractcall,tx1\n"
 
 
+def routed_text(fmt, plain, *changes):
+    """A trace of ``ROW``'s fields with each of ``changes`` in turn, written so
+    that table lookups read every row (``plain``: unquoted CSV, canonical
+    JSONL) or so that the field rules do (a quoted tx_id, spaced JSONL)."""
+    fields = dict(zip(CSV_HEADER, [10, 100, A1, "account", A2, "contract", "contractcall", "tx1"]))
+    rows = [{**fields, **change} for change in changes]
+    if fmt == "jsonl":
+        return "".join(json.dumps(row, separators=(",", ":") if plain else None) + "\n" for row in rows)
+    lines = [[str(value) for value in row.values()] for row in rows]
+    if not plain:
+        for values in lines:
+            values[-1] = f'"{values[-1]}"'
+    return HEADER + "".join(",".join(values) + "\n" for values in lines)
+
+
+# Rows that break two rules at once, the one named first, and the routes they
+# can take: a negative timestamp is never read by table lookups.
+TWO_RULE_ROWS = {
+    "empty-tx-id-unknown-call": ({"call_kind": "bogus", "tx_id": ""}, "tx_id is empty", (True, False)),
+    "negative-create-to-account": (
+        {"timestamp": -1, "call_kind": "contractcreate", "to_kind": "account"}, "negative timestamp or block", (False,)
+    ),
+    "create-to-account-block-back": (
+        {"block": 99, "call_kind": "contractcreate", "to_kind": "account"},
+        "contractcreate target must be a contract", (True, False),
+    ),
+    "block-and-timestamp-back": ({"timestamp": 9, "block": 99}, "block 99 after block 100", (True, False)),
+}
+
+
 @pytest.mark.parametrize(
     "text, fmt, message",
     [
@@ -464,11 +494,20 @@ ROW = f"10,100,{A1},account,{A2},contract,contractcall,tx1\n"
             "value has 5000 digits; use sys.set_int_max_str_digits() to increase the limit",
             id="integer-too-long-for-int",
         ),
+        # after a clean row, which is line 2 in CSV and line 1 in JSONL
+        *[
+            pytest.param(routed_text(fmt, plain, {}, change), fmt, f"line {2 + (fmt == 'csv')}: {message}",
+                         id=f"{name}-{fmt}-{'plain' if plain else 'field-rules'}")
+            for name, (change, message, routes) in TWO_RULE_ROWS.items()
+            for fmt in ("csv", "jsonl")
+            for plain in routes
+        ],
     ],
 )
 def test_malformed_row_messages(text, fmt, message):
-    with pytest.raises(MalformedRow) as info:
+    with pytest.raises(TraceError) as info:
         parse_str(text, fmt)
+    assert type(info.value) is (OutOfOrderBlock if " after block " in message else MalformedRow)
     assert str(info.value) == message
     assert info.value.line_no == int(message.split()[1].rstrip(":"))
     stats = ParseStats()
@@ -599,6 +638,18 @@ def test_header_the_reader_cannot_split_is_malformed():
         assert str(info.value) == f"line 1: field larger than field limit ({csv.field_size_limit()})"
 
 
+def record_by_rules(fields, line_no, names):
+    """The record of one row's eight field values: each read by
+    ``_read_fields``, then the negative and ``contractcreate`` rules, stated
+    here on their own for the oracles below."""
+    timestamp, block, src, src_kind, dst, dst_kind, call_kind, tx_id = _read_fields(fields, line_no, names)
+    if timestamp < 0 or block < 0:
+        raise MalformedRow(line_no, "negative timestamp or block")
+    if call_kind is CallKind.CONTRACT_CREATE and dst_kind is not VertexKind.CONTRACT:
+        raise MalformedRow(line_no, "contractcreate target must be a contract")
+    return TraceRecord(timestamp, block, src, src_kind, dst, dst_kind, call_kind, tx_id)
+
+
 def single_reader_parse(stream, strict=True, stats=None):
     """The CSV branch of ``parse_trace`` as it was when one ``csv.reader``
     read every line: the oracle of the reader that splits plain lines itself."""
@@ -632,7 +683,7 @@ def single_reader_parse(stream, strict=True, stats=None):
         try:
             if type(fields) is str:
                 raise MalformedRow(line_no, fields)
-            record = _record_from_fields(fields, line_no, names)
+            record = record_by_rules(fields, line_no, names)
             if record.block < last_block:
                 raise OutOfOrderBlock(line_no, record.block, last_block)
             if record.timestamp < last_timestamp:
@@ -726,7 +777,7 @@ def test_csv_reader_matches_single_reader(body, limit):
 
 def per_row_checked(rows, strict, stats, skipped):
     """Records of ``(line number, field values or error)`` rows, each checked
-    by ``_record_from_fields`` and the order test: the per-row path alone.
+    by ``record_by_rules`` and the order test: the per-row path alone.
     Each skipped row's warning goes to ``skipped``."""
     if stats is None:
         stats = ParseStats()
@@ -736,7 +787,7 @@ def per_row_checked(rows, strict, stats, skipped):
         try:
             if type(fields) is str:
                 raise MalformedRow(line_no, fields)
-            record = _record_from_fields(fields, line_no, names)
+            record = record_by_rules(fields, line_no, names)
             if record.block < last_block:
                 raise OutOfOrderBlock(line_no, record.block, last_block)
             if record.timestamp < last_timestamp:
@@ -1140,9 +1191,9 @@ def test_a_clean_trace_never_takes_the_per_row_path(monkeypatch, fmt):
 
     def spy(fields, line_no, names):
         reached.append(line_no)
-        return _record_from_fields(fields, line_no, names)
+        return _read_fields(fields, line_no, names)
 
-    monkeypatch.setattr(trace_module, "_record_from_fields", spy)
+    monkeypatch.setattr(trace_module, "_read_fields", spy)
     text = serialize_trace(records, fmt)
     assert parse_str(text, fmt) == records
     assert reached == []
