@@ -21,12 +21,13 @@ import click
 from shardsim.partition import PartitionerConfig, partition_partgraph, read_adjacency
 from shardsim.replay import ReplayConfig, Strategy, run_replay
 from shardsim.report import format_summary, read_samples_csv, samples_to_csv, samples_to_json, summarize
-from shardsim.synth import WorkloadSpec, generate_workload, write_truth
+from shardsim.synth import WorkloadSpec, generate_workload
 from shardsim.trace import (ParseStats, TraceError, _csv_field, decimal, gc_paused, infer_format, open_trace,
                             read_trace, real, serialize_trace)
 
 _DURATION_RE = re.compile("([0-9]+)([smhdw]?)")
 _DURATION_UNITS = {"s": 1, "m": 60, "h": 3600, "d": 86400, "w": 7 * 86400}
+_UNREADABLE = (OSError, EOFError, UnicodeDecodeError, zlib.error)  # cannot open, decompress or decode
 
 
 def parse_duration(text: str) -> int:
@@ -68,12 +69,12 @@ def _fail(exc: Exception | str) -> NoReturn:
 
 
 def _emit(payload: str, path: str | None) -> None:
-    """Write ``payload`` to ``path``, or to stdout when it is None."""
+    """Write ``payload`` to ``path`` by ``open_trace``'s rule, or to stdout when it is None."""
     if path is None:
         click.echo(payload, nl=False)
         return
     try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
+        with open_trace(path, "w") as fh:
             fh.write(payload)
     except OSError as exc:
         _fail(exc)
@@ -133,7 +134,7 @@ def replay(trace_path, fmt, k, weights, lenient, out_path, out_format, sweep, **
         payloads = [to_text(run_replay(records, cfg).samples, cfg.k) for cfg in cfgs]
     except TraceError as exc:
         _fail(exc)
-    except (OSError, EOFError, UnicodeDecodeError, zlib.error) as exc:  # cannot open, decompress or decode
+    except _UNREADABLE as exc:
         _fail(f"cannot read {trace_path}: {exc}")
     if stats.skipped:
         click.echo(f"skipped {stats.skipped} malformed rows", err=True)
@@ -177,7 +178,7 @@ def partition(graph_path, sidecar, k, epsilon, seed, out_path):
     try:
         pg = read_adjacency(graph_path, sidecar)
         res = partition_partgraph(pg, cfg)
-    except (OSError, ValueError) as exc:
+    except (ValueError, *_UNREADABLE) as exc:
         _fail(exc)
     lines = ["vertex,shard"] + [f"{_csv_field(str(v))},{s}" for v, s in zip(pg.names, res.assignment.shard_of)]
     _emit("\n".join(lines) + "\n", out_path)
@@ -213,13 +214,9 @@ def synth(seed, out_path, truth_out, **settings):
     except ValueError as exc:
         raise click.UsageError(str(exc))
     records, truth = generate_workload(spec, seed)
-    try:
-        with open_trace(out_path, "w") as fh:
-            fh.write(serialize_trace(records, infer_format(out_path)))
-        if truth_out:
-            write_truth(truth, truth_out)
-    except OSError as exc:
-        _fail(exc)
+    _emit(serialize_trace(records, infer_format(out_path)), out_path)
+    if truth_out:
+        _emit("vertex,community\n" + "".join(f"{vertex},{comm}\n" for vertex, comm in truth.items()), truth_out)
     click.echo(f"wrote {len(records)} records to {out_path}")
 
 
@@ -230,7 +227,7 @@ def summarize_cmd(in_path):
     try:
         rows = read_samples_csv(in_path)
         stats, total_moves = summarize(rows)
-    except (OSError, ValueError) as exc:
+    except (ValueError, *_UNREADABLE) as exc:
         _fail(exc)
     click.echo(format_summary(stats, total_moves), nl=False)
 

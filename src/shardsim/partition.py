@@ -27,6 +27,7 @@ from __future__ import annotations
 import functools
 import heapq
 import random
+import sys
 from bisect import bisect_left, bisect_right, insort
 from collections import Counter
 from dataclasses import dataclass
@@ -35,7 +36,7 @@ from typing import Callable, ClassVar, Sequence
 
 from shardsim.graph import InteractionGraph
 from shardsim.metrics import Assignment, shard_loads
-from shardsim.trace import decimal
+from shardsim.trace import decimal, open_trace
 
 MASK64 = (1 << 64) - 1
 REFINE_PASSES = 10  # refinement pass cap per level
@@ -52,6 +53,8 @@ class PartitionerConfig:
     def __post_init__(self) -> None:
         if self.k < 1:
             raise ValueError("k must be >= 1")
+        if self.k > sys.maxsize:  # the longest list there can be
+            raise ValueError(f"k must be <= {sys.maxsize}")
         if not self.epsilon >= 0:  # written so that NaN fails too; inf is a cap nothing exceeds
             raise ValueError("epsilon must be >= 0")
 
@@ -629,7 +632,7 @@ def write_adjacency(graph: InteractionGraph, path: str, sidecar: str, weights: s
     written as ``str`` writes it.
     """
     pg = PartGraph.from_interaction_graph(graph, weights)
-    with open(path, "w", encoding="utf-8") as fh:
+    with open_trace(path, "w") as fh:
         fh.write(f"{len(pg)} {sum(len(nbrs) for nbrs in pg.adj) // 2} 011\n")
         for v in range(len(pg)):
             parts = [str(pg.vwgt[v])]
@@ -637,7 +640,7 @@ def write_adjacency(graph: InteractionGraph, path: str, sidecar: str, weights: s
                 parts.append(str(u + 1))
                 parts.append(str(pg.adj[v][u]))
             fh.write(" ".join(parts) + "\n")
-    with open(sidecar, "w", encoding="utf-8") as fh:
+    with open_trace(sidecar, "w") as fh:
         for name in graph.vertices:
             fh.write(f"{name}\n")
 
@@ -653,7 +656,7 @@ def read_adjacency(path: str, sidecar: str | None = None) -> PartGraph:
     with one weight, |E| as the header says, and a sidecar, if given, of |V|
     distinct names.
     """
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_trace(path) as fh:
         header = fh.readline().split()
         if len(header) != 3:
             raise ValueError(f"adjacency header has {len(header)} fields, not |V|, |E| and the format field 011")
@@ -698,7 +701,7 @@ def read_adjacency(path: str, sidecar: str | None = None) -> PartGraph:
         raise ValueError(f"header says {m} edges, the lines list {edges}")
     names = None
     if sidecar:
-        with open(sidecar, "r", encoding="utf-8") as fh:
+        with open_trace(sidecar) as fh:
             names = [line.strip() for line in fh if line.strip()]
         if len(names) != n:
             raise ValueError("sidecar length does not match vertex count")

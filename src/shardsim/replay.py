@@ -78,7 +78,8 @@ class ReplayConfig:
             raise ValueError("cut_threshold and balance_threshold must be >= 0")
         if self.metric_window <= 0:
             raise ValueError("metric_window must be positive")
-        if self.repartition_interval < self.metric_window:
+        periodic = self.strategy in (Strategy.KL, Strategy.METIS_FULL, Strategy.METIS_WINDOW)
+        if periodic and self.repartition_interval < self.metric_window:  # the others never read the interval
             raise ValueError("repartition_interval must be >= metric_window")
 
     @property

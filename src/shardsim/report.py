@@ -17,7 +17,7 @@ from functools import partial
 from typing import Iterable, Sequence
 
 from shardsim.metrics import MetricSample, normalized_balance
-from shardsim.trace import decimal, real
+from shardsim.trace import decimal, open_trace, real
 
 SAMPLE_COLUMNS = [
     "window_start",
@@ -90,7 +90,7 @@ def read_samples_csv(path: str) -> list[dict]:
     than ``csv.field_size_limit()``); blank lines are skipped.
     """
     out: list[dict] = []
-    with open(path, "r", encoding="utf-8-sig", newline="") as fh:  # a leading BOM is not part of the header
+    with open_trace(path) as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader, [])

@@ -132,10 +132,3 @@ def generate_workload(spec: WorkloadSpec, seed: int = 0) -> tuple[list[TraceReco
         block = elapsed // block_interval
         append(TraceRecord(timestamp, block, names[src], account, names[dst], account, transfer, f"tx{idx}"))
     return records, truth
-
-
-def write_truth(truth: dict[str, int], path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("vertex,community\n")
-        for vertex, comm in truth.items():
-            fh.write(f"{vertex},{comm}\n")

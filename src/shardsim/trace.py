@@ -424,9 +424,10 @@ def infer_format(path: str) -> str:
 
 
 def open_trace(path: str, mode: str = "r") -> IO[str]:
-    """Open a trace file for reading (``"r"``) or writing (``"w"``) as UTF-8
-    text, gzip-compressed when its name ends in ``.gz``. Line ends are passed
-    through untranslated, so a line break inside a quoted CSV field survives.
+    """Open a file for reading (``"r"``) or writing (``"w"``) as UTF-8 text,
+    gzip-compressed when its name ends in ``.gz``; every file shardsim reads
+    or writes is opened here. Line ends are passed through untranslated, so a
+    line break inside a quoted CSV field survives.
 
     Reading drops a byte-order mark at the start of the file. A written gzip
     header holds mtime 0, so the same text gives the same bytes."""

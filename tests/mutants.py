@@ -56,6 +56,9 @@ TAIL_ORACLE = "tests/test_replay.py::test_repartition_tail_matches_the_whole_vec
 OUTSIDE = "if n:  # the matching reads the same counts as over the whole vector"
 MOVES = "moves = sum(n for (s_new, s_old), n in overlap.items() if mapping[s_new] != s_old)"
 SIZES = "assignment, shard_sizes = rep.assignment, rep.shard_sizes"
+REFERENCE = "tests/test_replay.py::test_replay_matches_reference_replay"
+TRIGGER = "if fire_trigger(clock, last_repart, sample, cfg):"
+RESULT = "return Repartition(Assignment(shard_of, k), moves, raw_moves, sizes)"
 LEARN = "src = names.get(src) or _address(src, names)\n                dst = names.get(dst) or _address(dst, names)"
 PARTITION = "shardsim/partition.py"
 REPAIR_ORACLES = (
@@ -106,8 +109,7 @@ MUTANTS = [
     Mutant("tail-keeps-zero-diagonal", REPLAY, OUTSIDE, OUTSIDE.replace("if n:", "if True:"), (TAIL_ORACLE,)),
     Mutant("tail-drops-outside-moves", REPLAY, MOVES, MOVES.replace("!= s_old)", "!= s_old != s_new)"),
            (TAIL_ORACLE,)),
-    Mutant("tail-keeps-old-shard-sizes", REPLAY, SIZES, "assignment = rep.assignment",
-           ("tests/test_replay.py::test_replay_matches_reference_replay",)),
+    Mutant("tail-keeps-old-shard-sizes", REPLAY, SIZES, "assignment = rep.assignment", (REFERENCE,)),
     # balance repair makes another move than the full scan
     Mutant("repair-key-ignores-target-weight", PARTITION, REPAIR_KEY, REPAIR_KEY.replace(" weights[j],", ""),
            REPAIR_ORACLES),
@@ -162,7 +164,24 @@ MUTANTS = [
     # every KL round of a repartition draws from one seed; no test but the
     # reference replay, whose KL repartitions run up to two rounds, catches it
     Mutant("kl-rounds-share-a-seed", REPLAY, "cfg.seed ^ clock ^ (rnd << 32)", "cfg.seed ^ clock",
-           ("tests/test_replay.py::test_replay_matches_reference_replay",)),
+           (REFERENCE,)),
+    # the replay's bookkeeping between windows goes wrong; the reference
+    # replay, which recounts every graph from the records, catches each
+    Mutant("placement-counts-outlive-their-window", REPLAY, "tx_counts.clear()", "pass", (REFERENCE,)),
+    Mutant("trigger-judges-a-window-late", REPLAY, TRIGGER,
+           TRIGGER.replace("sample, cfg", "samples[-1] if samples else sample, cfg"), (REFERENCE,)),
+    Mutant("moves-counted-before-relabelling", REPLAY, RESULT,
+           RESULT.replace("moves, raw_moves", "raw_moves, raw_moves"), (REFERENCE,)),
+    Mutant("period-never-reset", REPLAY, "                target = None", "                pass", (REFERENCE,)),
+    Mutant("metis-full-graph-reset", REPLAY, "if cfg.strategy is not Strategy.METIS_FULL:", "if True:", (REFERENCE,)),
+    Mutant("period-not-merged", REPLAY, "target.merge(finished)", "pass", (REFERENCE,)),
+    # a file is opened by another rule than open_trace's: a graph that starts
+    # with a byte-order mark is rejected, or a .gz output is plain text
+    Mutant("adjacency-keeps-byte-order-mark", PARTITION, "with open_trace(path) as fh:",
+           'with open(path, encoding="utf-8") as fh:', ("tests/test_cli.py::test_partition_reads_a_byte_order_mark",)),
+    Mutant("emit-writes-plain-text-under-gz", CLI, 'with open_trace(path, "w") as fh:',
+           'with open(path, "w", encoding="utf-8", newline="") as fh:',
+           ("tests/test_cli.py::test_gz_outputs_are_gzip_and_read_back",)),
     # an exported function's parameter is renamed: callers that pass it by
     # keyword break, and nothing but the signature table notices
     Mutant("public-parameter-renamed", METRICS, NORMALIZED, NORMALIZED.replace("(b", "(ratio"),

@@ -16,7 +16,7 @@ import shardsim
 from shardsim import cli as cli_module, trace as trace_module
 from shardsim.cli import main, parse_duration
 from shardsim.graph import InteractionGraph
-from shardsim.partition import PartitionerConfig, multilevel_partition, write_adjacency
+from shardsim.partition import PartitionerConfig, multilevel_partition, read_adjacency, write_adjacency
 from shardsim.replay import ReplayConfig
 from shardsim.report import read_samples_csv
 from shardsim.synth import WorkloadSpec, generate_workload
@@ -443,25 +443,25 @@ def test_replay_oversize_field_strict_vs_lenient(tmp_path):
 
 
 
-def unreadable_trace(tmp_path, monkeypatch, case):
-    """Path of a trace that cannot be read to its end, as ``case`` names."""
-    text = make_trace_file(tmp_path).read_bytes()
+def unreadable_file(tmp_path, monkeypatch, case, text, name):
+    """Path of a file of ``text`` (bytes over 500 long), named ``name`` or
+    ``name`` + ``.gz``, that cannot be read to its end, as ``case`` names."""
     packed = gzip.compress(text)
     if case == "invalid-utf8":
-        path, data = tmp_path / "bad.csv", text[:500] + b"\xff" + text[500:]
+        path, data = tmp_path / name, text[:500] + b"\xff" + text[500:]
     elif case == "not-gzip":
-        path, data = tmp_path / "bad.csv.gz", text
+        path, data = tmp_path / f"{name}.gz", text
     elif case == "truncated-gzip":
-        path, data = tmp_path / "bad.csv.gz", packed[: len(packed) // 2]
+        path, data = tmp_path / f"{name}.gz", packed[: len(packed) // 2]
     elif case == "corrupt-deflate":  # the first block header says block type 3, which does not exist
-        path, data = tmp_path / "bad.csv.gz", packed[:10] + b"\xff" * 8 + packed[18:]
+        path, data = tmp_path / f"{name}.gz", packed[:10] + b"\xff" * 8 + packed[18:]
     else:
-        path, data = tmp_path / "bad.csv", text
+        path, data = tmp_path / name, text
 
         def denied(file, *args, **kwargs):
             raise PermissionError(13, "Permission denied", file)
 
-        # every mode opens the trace through the module's open, the sweep too
+        # every file is opened through the trace module's open, by every command and mode
         monkeypatch.setattr(trace_module, "open", denied, raising=False)
     path.write_bytes(data)
     return path
@@ -480,7 +480,7 @@ UNREADABLE = {
 @pytest.mark.parametrize("case", UNREADABLE)
 @pytest.mark.parametrize("mode", [[], ["--lenient"], ["--sweep", "k=2,4"]], ids=["strict", "lenient", "sweep"])
 def test_replay_unreadable_trace_is_an_error(tmp_path, monkeypatch, case, mode):
-    path = unreadable_trace(tmp_path, monkeypatch, case)
+    path = unreadable_file(tmp_path, monkeypatch, case, make_trace_file(tmp_path).read_bytes(), "bad.csv")
     shards = mode if "--sweep" in mode else ["--shards", "2", *mode]
     res = run("replay", "--trace", str(path), *shards, "--out", str(tmp_path / "s.csv"))
     assert res.exit_code == 1
@@ -488,10 +488,40 @@ def test_replay_unreadable_trace_is_an_error(tmp_path, monkeypatch, case, mode):
     assert res.stderr.startswith(f"error: cannot read {path}: ") and UNREADABLE[case] in res.stderr
     assert not list(tmp_path.glob("s*.csv"))
 
+
+def export_graph(trace, gpath, spath):
+    """Write the adjacency export, and its sidecar, of ``trace``'s graph."""
+    g = InteractionGraph()
+    for r in read_trace(str(trace)):
+        g.record(r.src, r.dst)
+    write_adjacency(g, str(gpath), str(spath))
+
+
+@pytest.mark.parametrize("case", UNREADABLE)
+@pytest.mark.parametrize("command", ["partition", "summarize"])
+def test_unreadable_graph_or_samples_file_is_an_error(tmp_path, monkeypatch, case, command):
+    if command == "partition":
+        gpath = tmp_path / "g.graph"
+        export_graph(make_trace_file(tmp_path), gpath, tmp_path / "g.map")
+        path = unreadable_file(tmp_path, monkeypatch, case, gpath.read_bytes(), "bad.graph")
+        args = ["--graph", str(path), "--shards", "2"]
+    else:
+        samples = tmp_path / "s.csv"
+        assert run("replay", "--trace", str(make_trace_file(tmp_path)), "--shards", "2",
+                   "--out", str(samples)).exit_code == 0
+        path = unreadable_file(tmp_path, monkeypatch, case, samples.read_bytes(), "bad.csv")
+        args = ["--in", str(path)]
+    res = run(command, *args)
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)  # a message, not a traceback
+    assert res.stderr.startswith("error: ") and UNREADABLE[case] in res.stderr
+    assert res.stdout == ""
+
+
 def test_replay_invalid_config_usage_error(tmp_path):
     trace = make_trace_file(tmp_path)
     for extra in (
-        ["--metric-window", "2d", "--repartition-interval", "1d"],
+        ["--strategy", "kl", "--metric-window", "2d", "--repartition-interval", "1d"],
         ["--epsilon", "-1"],
         ["--epsilon", "nan"],
         ["--cut-threshold", "nan"],
@@ -503,6 +533,37 @@ def test_replay_invalid_config_usage_error(tmp_path):
         res = run("replay", "--trace", str(trace), "--sweep", "k=2,3", "--out", str(tmp_path / "o.csv"), *extra)
         assert res.exit_code == 2, res.output
         assert not list(tmp_path.glob("o*.csv"))
+
+
+@pytest.mark.parametrize("strategy", ["hashing", "metis-threshold"])
+def test_metric_window_past_the_interval_under_strategies_that_never_read_it(tmp_path, strategy):
+    # the 14 d default interval does not bound the metric window of a
+    # strategy that never repartitions by it
+    res = run("replay", "--trace", str(make_trace_file(tmp_path)), "--shards", "2", "--strategy", strategy,
+              "--metric-window", "15d")
+    assert res.exit_code == 0, res.output
+    assert len(res.stdout.splitlines()) == 2  # the header and the one window of a 2 d trace
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["replay", "--shards", str(10**30)], ["replay", "--sweep", f"k=2,{10**30}"],
+     ["partition", "--shards", str(10**30)]],
+    ids=["replay", "sweep", "partition"],
+)
+def test_shard_count_past_any_list_is_a_usage_error(tmp_path, args):
+    command, *shards = args
+    if command == "replay":
+        source = ["--trace", str(make_trace_file(tmp_path))]
+    else:
+        gpath = tmp_path / "g.graph"
+        gpath.write_text("2 1 011\n1 2 1\n1 1 1\n")
+        source = ["--graph", str(gpath)]
+    res = run(command, *source, *shards, "--out", str(tmp_path / "o.csv"))
+    assert res.exit_code == 2
+    assert isinstance(res.exception, SystemExit)  # a message, not a traceback
+    assert f"k must be <= {sys.maxsize}" in res.stderr
+    assert not list(tmp_path.glob("o*.csv"))
 
 
 def test_partition_rejects_out_of_range_neighbour(tmp_path):
@@ -614,6 +675,50 @@ def test_partition_unwritable_output_is_an_error(tmp_path):
     assert res.stderr.startswith("error: ") and "no-such-dir" in res.stderr
 
 
+@pytest.mark.parametrize("marked", ["graph", "sidecar"])
+def test_partition_reads_a_byte_order_mark(tmp_path, marked):
+    gpath, spath = tmp_path / "g.graph", tmp_path / "g.map"
+    export_graph(make_trace_file(tmp_path), gpath, spath)
+    bom = tmp_path / "bom"  # a copy of one of them with a byte-order mark in front
+    bom.write_bytes(b"\xef\xbb\xbf" + (gpath if marked == "graph" else spath).read_bytes())
+    outputs = []
+    for graph, sidecar in ((gpath, spath), (bom, spath) if marked == "graph" else (gpath, bom)):
+        res = run("partition", "--graph", str(graph), "--sidecar", str(sidecar), "--shards", "2")
+        assert res.exit_code == 0, res.output
+        outputs.append(res.stdout)
+    assert outputs[0] == outputs[1]
+
+
+def test_gz_outputs_are_gzip_and_read_back(tmp_path):
+    # every file written under a .gz name is gzip, the same bytes from run to
+    # run, and reads back as the file written under the plain name does
+    runs = [tmp_path / "a", tmp_path / "b"]
+    for d in runs:
+        d.mkdir()
+        trace = make_trace_file(d)
+        for gz in ("", ".gz"):
+            gpath, spath = d / f"g.graph{gz}", d / f"g.map{gz}"
+            export_graph(trace, gpath, spath)
+            for args in (["replay", "--trace", str(trace), "--shards", "2", "--out", str(d / f"s.csv{gz}")],
+                         ["partition", "--graph", str(gpath), "--sidecar", str(spath), "--shards", "2",
+                          "--out", str(d / f"p.csv{gz}")],
+                         ["synth", "--vertices", "40", "--duration", "1d", "--rate", "10", "--out", str(d / "w.csv"),
+                          "--truth-out", str(d / f"truth.csv{gz}")]):
+                res = run(*args)
+                assert res.exit_code == 0, res.output
+    a, b = runs
+    for name in ("s.csv", "p.csv", "truth.csv", "g.graph", "g.map"):
+        packed = (a / f"{name}.gz").read_bytes()
+        assert packed == (b / f"{name}.gz").read_bytes(), name
+        assert gzip.decompress(packed) == (a / name).read_bytes(), name
+    plain, packed = (run("summarize", "--in", str(a / name)) for name in ("s.csv", "s.csv.gz"))
+    assert packed.exit_code == 0 and packed.stdout == plain.stdout
+    res = run("partition", "--graph", str(a / "g.graph.gz"), "--sidecar", str(a / "g.map.gz"), "--shards", "2")
+    assert res.exit_code == 0 and res.stdout == (a / "p.csv").read_text()
+    plain, packed = (read_adjacency(str(a / f"g.graph{gz}"), str(a / f"g.map{gz}")) for gz in ("", ".gz"))
+    assert (packed.vwgt, packed.adj, packed.names) == (plain.vwgt, plain.adj, plain.names)
+
+
 def test_partition_of_an_export_matches_the_library(tmp_path):
     # address keys in an order that is not sorted: each row pairs a vertex
     # with its own shard only if the CLI joins the sidecar to the part vector
@@ -693,11 +798,8 @@ def test_summarize_rejects_bad_samples_file(tmp_path, edit, message):
 
 def test_seed_reaches_hashing_and_partitioner(tmp_path):
     trace = make_trace_file(tmp_path)
-    g = InteractionGraph()
-    for r in read_trace(str(trace)):
-        g.record(r.src, r.dst)
     gpath, spath = tmp_path / "g.graph", tmp_path / "g.map"
-    write_adjacency(g, str(gpath), str(spath))
+    export_graph(trace, gpath, spath)
     hashed, parted = [], []
     for seed in ("1", "2"):
         res = run("replay", "--trace", str(trace), "--shards", "4", "--seed", seed)

@@ -38,6 +38,16 @@ def basic_cfg(strategy, k=2, **kw):
     return ReplayConfig(k=k, strategy=strategy, **kw)
 
 
+@pytest.mark.parametrize("strategy", list(Strategy), ids=[s.value for s in Strategy])
+def test_interval_rule_binds_only_the_strategies_that_repartition_by_it(strategy):
+    window_past_interval = {"metric_window": 15 * DAY, "repartition_interval": 14 * DAY}
+    if strategy in (Strategy.HASHING, Strategy.METIS_THRESHOLD):
+        basic_cfg(strategy, **window_past_interval)
+    else:
+        with pytest.raises(ValueError, match="^repartition_interval must be >= metric_window$"):
+            basic_cfg(strategy, **window_past_interval)
+
+
 def test_hashing_never_moves():
     spec = WorkloadSpec(vertices=50, communities=2, duration=40 * DAY, records_per_hour=10)
     recs, _ = generate_workload(spec, seed=3)
